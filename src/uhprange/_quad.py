@@ -15,7 +15,7 @@ t = a + u**(1/(1+p)).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,12 +28,13 @@ _WIDTH_FLOOR = 4.0 * np.finfo(float).eps
 
 
 def _gauss_batch(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """15-point Gauss value of f on each panel [lo_i, hi_i]."""
+    """15-point Gauss value of f on each panel [lo_i, hi_i].  Not a matrix
+    product: BLAS rounds a row differently with the number of rows."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _NODES[None, :]
     y = np.asarray(f(x.ravel())).reshape(x.shape)
-    return h * (y @ _WEIGHTS)
+    return h * np.einsum("ij,j->i", y, _WEIGHTS)
 
 
 def integrate_interval(
@@ -65,45 +66,54 @@ def integrate_interval(
         return integrate_interval(g, ta, tb, tol=tol, seeds=mapped_seeds, max_panels=max_panels)
 
     edges = [a] + sorted({float(s) for s in seeds if a < s < b}) + [b]
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
-    vals = _gauss_batch(f, lo, hi)
-    budget = tol * (hi - lo) / (b - a)
+    total = integrate_pieces(f, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int), 1,
+                             tol=tol, max_panels=max_panels)[0]
+    return total.real if abs(total.imag) < 1e-300 else total
 
-    total = 0.0 + 0.0j
-    abs_accum = 0.0
-    n_panels = len(lo)
+
+def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
+                     max_panels: int = 10**6) -> np.ndarray:
+    """Integrals of f over finite pieces [lo_i, hi_i], summed per owner id
+    in 0..n-1 (complex array of length n).
+
+    Every owner integrates to ``tol``, shared among its pieces by length,
+    with its own rounding floor and panel budget, and sums its panels in
+    their own order, so its result does not depend on the other owners.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    owner = np.asarray(owner, dtype=int)
+    total = np.zeros(n, dtype=complex)
+    if not len(lo):
+        return total
+    budget = tol * (hi - lo) / np.bincount(owner, hi - lo, minlength=n)[owner]
+    vals = _gauss_batch(f, lo, hi)
+    abs_accum = np.zeros(n)
+    n_panels = np.bincount(owner, minlength=n)
     while len(lo):
-        if n_panels > max_panels:
-            raise QuadratureError(
-                f"panel budget {max_panels} exhausted on ({a}, {b}); "
-                f"{len(lo)} panels still above tolerance"
-            )
+        if n_panels.max() > max_panels:
+            raise QuadratureError(f"panel budget {max_panels} exhausted; "
+                                  f"{len(lo)} panels still above tolerance")
         mid = 0.5 * (lo + hi)
-        child_lo = np.concatenate([lo, mid])
-        child_hi = np.concatenate([mid, hi])
-        child_vals = _gauss_batch(f, child_lo, child_hi)
-        refined = child_vals[: len(lo)] + child_vals[len(lo):]
+        child_vals = _gauss_batch(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = child_vals.reshape(2, -1)
+        refined = left + right
         err = np.abs(vals - refined)
-        width = hi - lo
         scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
         # Differences at the rounding level of the integral's absolute mass
         # cannot be refined away; the effective tolerance is floored there.
-        l1 = abs_accum + float(np.sum(np.abs(vals)))
-        noise = (64.0 * np.finfo(float).eps * (np.abs(vals) + np.abs(refined))
-                 + 128.0 * np.finfo(float).eps * l1)
-        done = (err <= np.maximum(budget, noise)) | (width < _WIDTH_FLOOR * scale)
-        total += refined[done].sum()
-        abs_accum += float(np.sum(np.abs(refined[done])))
+        abs_vals, abs_refined = np.abs(vals), np.abs(refined)
+        l1 = abs_accum + np.bincount(owner, abs_vals, minlength=n)
+        noise = (64.0 * np.finfo(float).eps * (abs_vals + abs_refined)
+                 + 128.0 * np.finfo(float).eps * l1[owner])
+        done = (err <= np.maximum(budget, noise)) | (hi - lo < _WIDTH_FLOOR * scale)
+        np.add.at(total, owner[done], refined[done])
+        abs_accum += np.bincount(owner[done], abs_refined[done], minlength=n)
         keep = ~done
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        vals = np.concatenate([child_vals[: len(keep)][keep], child_vals[len(keep):][keep]])
-        budget = np.concatenate([budget[keep], budget[keep]]) * 0.5
-        n_panels += 2 * int(keep.sum())
-
-    if abs(total.imag) < 1e-300:
-        return total.real
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        vals = np.concatenate([left[keep], right[keep]])
+        budget = 0.5 * np.concatenate([budget[keep], budget[keep]])
+        owner = np.concatenate([owner[keep], owner[keep]])
+        n_panels += np.bincount(owner, minlength=n)
     return total
 
 
@@ -201,12 +211,3 @@ def pv_cauchy(f: Callable, a: float, b: float, x: float, tol: float = 1e-10) -> 
     val = integrate_interval(quotient, a, b, tol=tol, seeds=[x])
     val += fx * math.log((b - x) / (x - a))
     return float(np.real(val))
-
-
-def fixed_panel_sums(f: Callable, lo: Iterable[float], hi: Iterable[float]) -> np.ndarray:
-    """Non-adaptive 15-point Gauss values on many panels at once."""
-    lo = np.asarray(list(lo), dtype=float)
-    hi = np.asarray(list(hi), dtype=float)
-    if len(lo) == 0:
-        return np.zeros(0)
-    return _gauss_batch(f, lo, hi)

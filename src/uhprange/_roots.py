@@ -116,16 +116,23 @@ class BranchTable:
 
 def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
                       max_iter: int = 200) -> np.ndarray:
-    """Vectorized bisection for increasing f with valid brackets."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    target = np.asarray(target, dtype=float)
+    """Vectorized bisection for increasing f with valid brackets.  Each
+    element leaves on its own tolerance, so a root does not depend on its
+    batch; converged elements are compacted out rather than masked."""
+    lo = np.array(lo, dtype=float).ravel()
+    hi = np.array(hi, dtype=float).ravel()
+    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    out, active = np.empty(lo.shape), np.arange(lo.size)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         below = np.asarray(f(mid)) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        span = hi - lo
-        if np.all(span <= np.maximum(xtol, 8.0 * np.finfo(float).eps * np.abs(mid))):
-            break
-    return 0.5 * (lo + hi)
+        done = hi - lo <= np.maximum(xtol, 8.0 * np.finfo(float).eps * np.abs(mid))
+        if done.any():
+            out[active[done]] = 0.5 * (lo[done] + hi[done])
+            active, lo, hi, target = (v[~done] for v in (active, lo, hi, target))
+            if not active.size:
+                break
+    out[active] = 0.5 * (lo + hi)
+    return out

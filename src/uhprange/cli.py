@@ -336,6 +336,18 @@ def cmd_verify(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
     return 1 if failures else 0
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Join ``--tau``/``--points`` with their value, so that a value with a
+    leading minus ("-1,0.5") is not read as an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--tau", "--points") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="uhprange",
@@ -349,7 +361,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--points", default=None, help="eval: comma-separated points")
     parser.add_argument("--tau", default=None, help="clark: comma-separated tau values")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))
 
     try:
         cfg = load_config(args.config)

@@ -193,9 +193,7 @@ class PhiFunction:
         self._require_branches()
         ends: list[float] = []
         for tbl in self.branch_tables():
-            xl = float(tbl.solve_clamped(np.asarray([lo]))[0])
-            xr = float(tbl.solve_clamped(np.asarray([hi]))[0])
-            ends.extend([xl, xr])
+            ends.extend(tbl.solve_clamped(np.asarray([lo, hi])).tolist())
         for (l, r) in self.nonreal_segments:
             if np.isfinite(l):
                 ends.append(l)
@@ -310,7 +308,10 @@ class NevanlinnaPhi(PhiFunction):
             if self.data.rho.ac_pieces:
                 vals = vals + np.real(self._ac_sum(xb.astype(complex), 1))
             out[on] = vals  # exactly real on branches
-        off = ~on
+        # Every atom of rho (the excluded points) is a pole of phi.
+        pole = np.isin(x, self.excluded_points)
+        out[pole] = complex(math.inf, 0.0)
+        off = ~on & ~pole
         if off.any():
             out[off] = self._boundary_limit(x[off])
         return out

@@ -62,8 +62,7 @@ def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> In
         raise PreconditionError("interval must be finite with a < b")
     pieces = []
     for tbl in phi.branch_tables():
-        xl = float(tbl.solve_clamped(np.asarray([a]))[0])
-        xr = float(tbl.solve_clamped(np.asarray([b]))[0])
+        xl, xr = tbl.solve_clamped(np.asarray([a, b])).tolist()
         if xr > xl:
             pieces.append((xl, xr))
     return IntervalSet.build(pieces)

@@ -173,65 +173,73 @@ class ConstantEstimate:
     detail: dict = field(default_factory=dict)
 
 
-def _interval_measures(phi: PhiFunction, grid: QueryGrid) -> np.ndarray:
-    """Matrix of interval-preimage measures, shape (n_lengths, n_centers)."""
+def _branch_ends(phi: PhiFunction, a: np.ndarray, b: np.ndarray
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per real branch, the clamped preimages (xa, xb) of the interval
+    endpoints a and b; every distinct endpoint is solved once."""
+    ends, inv = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
+    out = []
+    for tbl in phi.branch_tables():
+        x = tbl.solve_clamped(ends)[inv]
+        out.append((x[:a.size].reshape(a.shape), x[a.size:].reshape(b.shape)))
+    return out
+
+
+def _interval_measures(phi: PhiFunction, grid: QueryGrid
+                       ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Matrix of interval-preimage measures, shape (n_lengths, n_centers),
+    and the per-branch preimage endpoints (xa, xb) of every interval."""
     centers = np.asarray(grid.centers)
     lengths = np.asarray(grid.lengths)
     a = centers[None, :] - 0.5 * lengths[:, None]
     b = centers[None, :] + 0.5 * lengths[:, None]
+    ends = _branch_ends(phi, a, b)
     out = np.zeros(a.shape)
-    for tbl in phi.branch_tables():
-        xa = tbl.solve_clamped(a)
-        xb = tbl.solve_clamped(b)
+    for xa, xb in ends:
         out += np.maximum(xb - xa, 0.0)
-    return out
+    return out, ends
+
+
+def _grid_min(ratios: np.ndarray, grid: QueryGrid) -> ConstantEstimate:
+    """Minimum of a (n_lengths, n_centers) ratio matrix and its interval."""
+    i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+    c, l = grid.centers[j], grid.lengths[i]
+    return ConstantEstimate(
+        value=float(ratios[i, j]), argmin=(c - 0.5 * l, c + 0.5 * l),
+        per_length_min=tuple(ratios.min(axis=1).tolist()))
 
 
 def constant_B(phi: PhiFunction, grid: QueryGrid | None = None) -> ConstantEstimate:
     """Infimum over the grid of |preimage of (a,b)| / (b-a)."""
     require_contraction(phi)
     grid = grid or default_grid(phi)
-    measures = _interval_measures(phi, grid)
-    lengths = np.asarray(grid.lengths)
-    ratios = measures / lengths[:, None]
-    i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
-    c, l = grid.centers[j], grid.lengths[i]
-    return ConstantEstimate(
-        value=float(ratios[i, j]), argmin=(c - 0.5 * l, c + 0.5 * l),
-        per_length_min=tuple(ratios.min(axis=1).tolist()))
+    measures, _ = _interval_measures(phi, grid)
+    return _grid_min(measures / np.asarray(grid.lengths)[:, None], grid)
 
 
-def _disk_sweep(phi: PhiFunction, grid: QueryGrid, tol: float = 1e-8
-                ) -> tuple[np.ndarray, dict]:
-    """Disk-preimage measures over the grid; also returns the per-query
-    boundary panels needed by the weighted numerator of the quotient bound."""
-    measures = _interval_measures(phi, grid)
-    panels: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    if not phi.nonreal_segments:
-        return measures, panels
-    for i, l in enumerate(grid.lengths):
-        radius = 0.5 * l
-        for j, ctr in enumerate(grid.centers):
-            q = DiskQuery(ctr - radius, ctr + radius)
-            ps, _ = boundary_disk_panels(phi, q, tol=tol)
-            if ps:
-                panels[(i, j)] = ps
-                measures[i, j] += sum(v - u for (u, v) in ps)
-    return measures, panels
+def _disk_sweep(phi: PhiFunction, grid: QueryGrid, interval_measures: np.ndarray,
+                tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Disk-preimage measures over the grid, from the interval-preimage
+    measures, and the boundary panels inside each disk as rows
+    (flat query index, u, v) for the weighted numerator."""
+    measures = interval_measures.copy()
+    panels: list[tuple[int, float, float]] = []
+    if phi.nonreal_segments:
+        for (i, j), _ in np.ndenumerate(measures):
+            radius = 0.5 * grid.lengths[i]
+            ctr = grid.centers[j]
+            ps, _ = boundary_disk_panels(phi, DiskQuery(ctr - radius, ctr + radius), tol=tol)
+            panels += [(i * measures.shape[1] + j, u, v) for (u, v) in ps]
+            measures[i, j] += sum(v - u for (u, v) in ps)
+    return measures, np.asarray(panels, dtype=float).reshape(-1, 3)
 
 
 def constant_C(phi: PhiFunction, grid: QueryGrid | None = None) -> ConstantEstimate:
     """Infimum over the grid of |preimage of the disk over (a,b)| / (b-a)."""
     require_contraction(phi)
     grid = grid or default_grid(phi)
-    measures, _ = _disk_sweep(phi, grid)
-    lengths = np.asarray(grid.lengths)
-    ratios = measures / lengths[:, None]
-    i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
-    c, l = grid.centers[j], grid.lengths[i]
-    return ConstantEstimate(
-        value=float(ratios[i, j]), argmin=(c - 0.5 * l, c + 0.5 * l),
-        per_length_min=tuple(ratios.min(axis=1).tolist()))
+    measures, _ = _disk_sweep(phi, grid, _interval_measures(phi, grid)[0])
+    return _grid_min(measures / np.asarray(grid.lengths)[:, None], grid)
 
 
 def constant_D(phi: PhiFunction, tau_grid=None, y_grid=_D_Y_GRID) -> ConstantEstimate:
@@ -258,6 +266,24 @@ class AUpperResult:
     rayleigh_quotients: dict
 
 
+def _weighted_numerators(phi: PhiFunction, ends, panels: np.ndarray, n: int) -> np.ndarray:
+    """Integral of 1/(1+|phi|^2) over each of n disk preimages: the
+    (query, u, v) panel rows, then the real-branch intervals of the
+    per-branch ends (xa, xb), query q being flat index q of xa and xb."""
+    owner, lo, hi = [panels[:, 0].astype(int)], [panels[:, 1]], [panels[:, 2]]
+    for xa, xb in ends:
+        q = np.flatnonzero(xb > xa)
+        owner.append(q)
+        lo.append(xa.ravel()[q])
+        hi.append(xb.ravel()[q])
+    owner, lo, hi = np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
+
+    def weight(x: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.abs(phi.boundary(x)) ** 2)
+
+    return np.real(_quad.integrate_pieces(weight, lo, hi, owner, n, tol=1e-11))
+
+
 def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
                      with_rayleigh: bool = False,
                      c_values=(1.0, 4.0, 16.0)) -> AUpperResult:
@@ -269,17 +295,10 @@ def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
     """
     require_contraction(phi)
     a, b = float(interval[0]), float(interval[1])
-    q = DiskQuery(a, b)
-    real_part, _ = preimage_interval_measure(phi, (a, b))
-    panels, _ = boundary_disk_panels(phi, q)
-    pieces = list(real_part.intervals) + panels
-
-    def weight(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.abs(phi.boundary(x)) ** 2)
-
-    num = 0.0
-    for (u, v) in pieces:
-        num += float(np.real(_quad.integrate_interval(weight, u, v, tol=1e-11)))
+    panels, _ = boundary_disk_panels(phi, DiskQuery(a, b))
+    ends = _branch_ends(phi, np.asarray([a]), np.asarray([b]))
+    rows = np.asarray([(0, u, v) for (u, v) in panels], dtype=float).reshape(-1, 3)
+    num = _weighted_numerators(phi, ends, rows, 1)[0]
     den = math.atan(b) - math.atan(a)
     evidence = {}
     if with_rayleigh:
@@ -332,56 +351,29 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
     grid = grid or default_grid(phi)
     taus = default_tau_grid(phi) if tau_grid is None else tuple(tau_grid)
 
-    lengths = np.asarray(grid.lengths)
-    interval_meas = _interval_measures(phi, grid)
-    disk_meas, panels = _disk_sweep(phi, grid)
-    b_ratios = interval_meas / lengths[:, None]
-    c_ratios = disk_meas / lengths[:, None]
-
-    bi, bj = np.unravel_index(np.argmin(b_ratios), b_ratios.shape)
-    ci, cj = np.unravel_index(np.argmin(c_ratios), c_ratios.shape)
-    b_arg = (grid.centers[bj] - 0.5 * grid.lengths[bi],
-             grid.centers[bj] + 0.5 * grid.lengths[bi])
-    c_arg = (grid.centers[cj] - 0.5 * grid.lengths[ci],
-             grid.centers[cj] + 0.5 * grid.lengths[ci])
+    lengths = np.asarray(grid.lengths)[:, None]
+    interval_meas, ends = _interval_measures(phi, grid)
+    disk_meas, panels = _disk_sweep(phi, grid, interval_meas)
+    b_est = _grid_min(interval_meas / lengths, grid)
+    c_est = _grid_min(disk_meas / lengths, grid)
 
     # weighted numerator over the same disk queries
-    def weight(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.abs(phi.boundary(x)) ** 2)
-
-    a_best, a_arg = math.inf, c_arg
-    for i, l in enumerate(grid.lengths):
-        for j, ctr in enumerate(grid.centers):
-            a, b = ctr - 0.5 * l, ctr + 0.5 * l
-            den = math.atan(b) - math.atan(a)
-            if disk_meas[i, j] == 0.0:
-                val = 0.0
-            else:
-                pieces = []
-                for tbl in phi.branch_tables():
-                    xa = float(tbl.solve_clamped(np.asarray([a]))[0])
-                    xb = float(tbl.solve_clamped(np.asarray([b]))[0])
-                    if xb > xa:
-                        pieces.append((xa, xb))
-                pieces += panels.get((i, j), [])
-                num = float(np.sum(np.real(_quad.fixed_panel_sums(
-                    weight, [u for (u, _) in pieces], [v for (_, v) in pieces]))))
-                val = num / den
-            if val < a_best:
-                a_best, a_arg = val, (a, b)
+    num = _weighted_numerators(phi, ends, panels, disk_meas.size).reshape(disk_meas.shape)
+    den = np.asarray([[math.atan(c + 0.5 * l) - math.atan(c - 0.5 * l) for c in grid.centers]
+                      for l in grid.lengths])
+    a_est = _grid_min(num / den, grid)
 
     d_res = constant_D(phi, tau_grid=taus)
 
     evidence = {}
     if with_rayleigh:
-        evidence = constant_A_upper(phi, a_arg, with_rayleigh=True).rayleigh_quotients
+        evidence = constant_A_upper(phi, a_est.argmin, with_rayleigh=True).rayleigh_quotients
 
-    ests = {"A_upper": a_best, "B": float(b_ratios[bi, bj]),
-            "C": float(c_ratios[ci, cj]), "D": d_res.value}
+    ests = {"A_upper": a_est.value, "B": b_est.value, "C": c_est.value, "D": d_res.value}
     vals = list(ests.values())
     cross_gap = max(abs(x - y) for x in vals for y in vals)
     rel_gap = cross_gap / max(max(vals), floor)
-    b_trend = b_ratios.min(axis=1)
+    b_trend = b_est.per_length_min
     non_increasing = bool(b_trend[-1] <= b_trend[0] * 1.05 + 1e-12)
     if min(vals) > floor and rel_gap < gap_tol:
         verdict = "closed_range"
@@ -391,13 +383,12 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
         verdict = "inconclusive"
 
     return RangeReport(
-        phi_name=phi.name, A_upper=a_best, B_est=ests["B"], C_est=ests["C"],
-        D_est=ests["D"], A_argmin=a_arg, B_argmin=b_arg, C_argmin=c_arg,
-        D_argmin_tau=d_res.argmin[0], cross_gap=rel_gap, verdict=verdict,
-        thresholds={"floor": floor, "cross_gap_tol": gap_tol},
-        grid=grid, tau_grid=tuple(taus),
-        B_per_length=tuple(b_trend.tolist()),
-        C_per_length=tuple(c_ratios.min(axis=1).tolist()),
+        phi_name=phi.name, A_upper=a_est.value, B_est=b_est.value, C_est=c_est.value,
+        D_est=d_res.value, A_argmin=a_est.argmin, B_argmin=b_est.argmin,
+        C_argmin=c_est.argmin, D_argmin_tau=d_res.argmin[0], cross_gap=rel_gap,
+        verdict=verdict, thresholds={"floor": floor, "cross_gap_tol": gap_tol},
+        grid=grid, tau_grid=tuple(taus), B_per_length=b_trend,
+        C_per_length=c_est.per_length_min,
         rayleigh_evidence=evidence,
         d_boundary_argmin=d_res.boundary_argmin)
 

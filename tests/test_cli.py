@@ -77,6 +77,23 @@ def test_constants_identity(tmp_path):
     assert abs(float(row["B"]) - 1.0) < 1e-9
 
 
+def test_clark_tau_leading_minus(tmp_path):
+    cfg = write_config(tmp_path, {
+        "phi": {"nevanlinna": {"alpha": 2.0, "beta": 1.0}}, "format": "csv"})
+    assert run(["clark", "--config", cfg, "--out", str(tmp_path), "--tau", "-1,0.5"]) == 0
+    rows = (tmp_path / "clark.csv").read_text().splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == [-1.0, 0.5]
+
+
+def test_eval_points_leading_minus(tmp_path):
+    cfg = write_config(tmp_path, {
+        "phi": {"nevanlinna": {"alpha": 0.0, "beta": 1.0}}, "format": "csv"})
+    assert run(["eval", "--config", cfg, "--out", str(tmp_path),
+                "--points", "-1+1j,2"]) == 0
+    rows = [r.split(",") for r in (tmp_path / "eval.csv").read_text().splitlines()[2:]]
+    assert [(float(r[1]), float(r[2])) for r in rows] == [(-1.0, 1.0), (2.0, 0.0)]
+
+
 def test_similarity_zloglin5(tmp_path):
     cfg = write_config(tmp_path, {
         "phi": {"catalog": "zloglin", "params": {"alpha": 5.0}},

@@ -136,6 +136,8 @@ def test_poisson_boundary_imaginary_part():
 def test_boundary_value_at_atom_raises():
     with pytest.raises(DomainError):
         delta_map().boundary_value(0.0)
+    # the vectorized boundary is the pole's value there
+    assert delta_map().boundary(np.asarray([0.0]))[0] == complex(math.inf, 0.0)
 
 
 def test_iterate_identity_and_translation():

@@ -207,3 +207,22 @@ def test_preimage_monotonicity_property(a, width, pad):
     _, inner = preimage_interval_measure(phi, (a, a + width))
     _, outer = preimage_interval_measure(phi, (a - pad, a + width + pad))
     assert inner <= outer + 1e-12
+
+
+_SOLVE_MAPS = {"zloglin0": phi_from_catalog("zloglin", alpha=0.0),
+               "translation_pole": phi_from_nevanlinna(
+                   NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0))),
+               "sqrt": phi_from_catalog("sqrt")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_SOLVE_MAPS)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_branch_solve_batch_invariant(name, fractions):
+    for tbl in _SOLVE_MAPS[name].branch_tables():
+        lo, hi = tbl.value_range
+        lo, hi = max(lo, -50.0), min(hi, 50.0)
+        targets = lo + (hi - lo) * np.asarray(fractions)
+        single = [tbl.solve(np.asarray([t]))[0] for t in targets]
+        # bit for bit; a target on the table's low end is nan either way
+        assert np.array_equal(tbl.solve(targets), single, equal_nan=True)

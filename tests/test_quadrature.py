@@ -65,3 +65,20 @@ def test_panel_budget_error():
 def test_seeded_kink():
     val = _quad.integrate_interval(lambda t: np.abs(t), -1.0, 2.0, seeds=[0.0])
     assert abs(val - 2.5) < 1e-12
+
+
+def test_pieces_independent_of_other_owners():
+    f = lambda t: np.exp(np.sin(3 * t)) / (1 + t * t)
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(-4, 4, 30)
+    hi = lo + rng.uniform(0.01, 3, 30)
+    owner = rng.integers(0, 6, 30)
+    together = _quad.integrate_pieces(f, lo, hi, owner, 7, tol=1e-11)
+    assert together[6] == 0.0
+    for k in range(6):
+        mine = owner == k
+        alone = _quad.integrate_pieces(f, lo[mine], hi[mine], np.zeros(mine.sum(), int), 1,
+                                       tol=1e-11)
+        assert alone[0] == together[k]
+        assert abs(alone[0] - sum(_quad.integrate_interval(f, a, b, tol=1e-13)
+                                  for a, b in zip(lo[mine], hi[mine]))) < 1e-10

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, QueryGrid,
-                      RealMeasure, TestFunctionUc, boole_check, constant_A_upper,
-                      constant_B, constant_C, constant_D, letac_check,
+                      RealMeasure, TestFunctionUc, boole_check, closed_range_report,
+                      constant_A_upper, constant_B, constant_C, constant_D, letac_check,
                       phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, preimage_disk_measure, rayleigh_quotient)
 
@@ -170,3 +170,30 @@ def test_letac_check_cases():
     assert letac_check(phi_translation(2.0), [(0.0, 1.0), (-3.0, 5.0)]) < 1e-10
     with pytest.raises(PreconditionError):
         letac_check(phi_from_catalog("sqrt"), [(0.0, 1.0)])
+
+
+def test_report_routes_match_single_constants():
+    grid = small_grid([-2.0, -0.3, 0.0, 0.7, 1.5], (1.0, 0.25, 2.0**-6))
+    for phi in (phi_from_catalog("zloglin", alpha=0.0), phi_from_catalog("sqrt")):
+        rep = closed_range_report(phi, grid=grid, tau_grid=(0.0,), with_rayleigh=False)
+        single = constant_A_upper(phi, rep.A_argmin).value
+        assert abs(rep.A_upper - single) <= 1e-14 * abs(single)
+        assert rep.B_est == constant_B(phi, grid).value
+        assert rep.C_est == constant_C(phi, grid).value
+
+
+def test_report_identity_long_interval():
+    rep = closed_range_report(phi_identity(), grid=QueryGrid((0.0,), (20.0,)),
+                              tau_grid=(0.0,), with_rayleigh=False)
+    assert abs(rep.A_upper - 1.0) < 1e-12
+    assert rep.verdict == "closed_range"
+
+
+def test_report_translation_pole_rayleigh():
+    # the Rayleigh quadrature samples the pole of phi at the atom x = 0
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0)))
+    rep = closed_range_report(phi, grid=small_grid([-1.0, 0.5, 2.0], (1.0, 0.25)),
+                              tau_grid=(0.0, 1.5), with_rayleigh=True)
+    assert rep.verdict == "closed_range"
+    assert len(rep.rayleigh_evidence) == 3
+    assert all(abs(q - 1.0) < 1e-8 for q in rep.rayleigh_evidence.values())
