@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _quad
-from .cauchy import CauchyTransform, g_tau
+from .cauchy import CauchyTransform
 from .errors import PreconditionError
 from .herglotz import PhiFunction, require_contraction
-from .levelset import tail_set_measure
+from .levelset import resolvent_tail_measures, tail_set_measure
 from .measures import AcPiece, RealMeasure
 
 #: Roots with boundary derivative above this carry mass below 1e-12 and are
@@ -48,31 +48,38 @@ def singular_mass_tsereteli(G: CauchyTransform,
                             y_grid=None) -> TsereteliEstimate:
     """Estimate the singular mass from both tail families of Re G.
 
-    The grid must span at least three decades.  Each tail sequence
-    y * measure is extrapolated in 1/y from its last two entries; the two
-    tails are averaged and flagged non-converged when they disagree by
-    more than 10 percent at the largest y.
+    The grid must be positive and span at least three decades.  Each tail
+    sequence y * measure is extrapolated in 1/y from its last two entries;
+    the two tails are averaged and flagged non-converged when they disagree
+    by more than 10 percent at the largest y.  On a resolvent this is the
+    one-tau case of the batched tail query.
     """
+    ys = _y_grid(y_grid)
+    if G.kind == "phi_tau":
+        return _tsereteli(ys, resolvent_tail_measures(G.phi, [G.tau], ys)[0])
+    return _tsereteli(ys, np.asarray([[tail_set_measure(G, y, side)
+                                       for side in ("upper", "lower")] for y in ys]))
+
+
+def _y_grid(y_grid) -> np.ndarray:
     ys = np.asarray(_DEFAULT_Y_GRID if y_grid is None else y_grid, dtype=float)
-    if len(ys) < 3 or not np.all(np.diff(ys) > 0):
-        raise PreconditionError("y grid must be increasing with >= 3 points")
+    if len(ys) < 3 or not (ys[0] > 0 and np.all(np.diff(ys) > 0)):
+        raise PreconditionError("y grid must be positive and increasing with >= 3 points")
     if math.log10(ys[-1] / ys[0]) < 3.0 - 1e-9:
         raise PreconditionError("y grid must span at least three decades")
-    upper = np.asarray([y * tail_set_measure(G, y, "upper") for y in ys])
-    lower = np.asarray([y * tail_set_measure(G, y, "lower") for y in ys])
+    return ys
 
-    def extrapolate(seq: np.ndarray) -> float:
-        ratio = ys[-1] / ys[-2]
-        return float((ratio * seq[-1] - seq[-2]) / (ratio - 1.0))
 
-    est_u, est_l = extrapolate(upper), extrapolate(lower)
-    estimate = max(0.5 * (est_u + est_l), 0.0)
+def _tsereteli(ys: np.ndarray, tails: np.ndarray) -> TsereteliEstimate:
+    """The estimate from the (upper, lower) tail measures at each y."""
+    upper, lower = ys * tails[:, 0], ys * tails[:, 1]
+    ratio = ys[-1] / ys[-2]
+    est_u, est_l = ((ratio * seq[-1] - seq[-2]) / (ratio - 1.0) for seq in (upper, lower))
     gap = abs(upper[-1] - lower[-1])
-    converged = gap <= 0.1 * max(upper[-1], lower[-1], 1e-12)
     return TsereteliEstimate(
-        estimate=estimate, y_grid=tuple(float(y) for y in ys),
-        upper=tuple(map(float, upper)), lower=tuple(map(float, lower)),
-        tail_gap=float(gap), converged=bool(converged))
+        estimate=float(max(0.5 * (est_u + est_l), 0.0)), y_grid=tuple(map(float, ys)),
+        upper=tuple(map(float, upper)), lower=tuple(map(float, lower)), tail_gap=float(gap),
+        converged=bool(gap <= 0.1 * max(upper[-1], lower[-1], 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -97,19 +104,26 @@ class ClarkMeasure:
         return self.atom_mass + self.ac_mass + self.sc_mass_estimate
 
 
-def clark_atoms(phi: PhiFunction, tau: float) -> list[tuple[float, float]]:
-    """Real-branch roots of phi(x) = tau with their masses 1/phi'(x)."""
+def _atoms(phi: PhiFunction, taus: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per real branch, the roots of phi(x) = tau for every tau and their
+    masses 1/phi'(x); the mass is 0 where there is no root or the
+    derivative is outside (0, ATOM_DERIVATIVE_MAX).  One solve per branch."""
     require_contraction(phi)
-    atoms = []
+    out = []
     for tbl in phi.branch_tables():
-        root = float(tbl.solve(np.asarray([float(tau)]))[0])
-        if math.isnan(root):
-            continue
-        fp = float(phi.derivative(root))
-        if 0.0 < fp < ATOM_DERIVATIVE_MAX:
-            atoms.append((root, 1.0 / fp))
-    atoms.sort()
-    return atoms
+        x = tbl.solve(taus)
+        fp, ok = np.zeros(x.shape), ~np.isnan(x)
+        fp[ok] = phi.derivative(x[ok])
+        atom = (0.0 < fp) & (fp < ATOM_DERIVATIVE_MAX)
+        out.append((x, np.divide(1.0, fp, out=np.zeros(x.shape), where=atom)))
+    return out
+
+
+def clark_atoms(phi: PhiFunction, tau: float) -> list[tuple[float, float]]:
+    """Real-branch roots of phi(x) = tau with their masses 1/phi'(x), in
+    order (branches are sorted and disjoint)."""
+    return [(float(x[0]), float(m[0])) for x, m in _atoms(phi, np.asarray([float(tau)]))
+            if m[0] > 0.0]
 
 
 def clark_density(phi: PhiFunction, tau: float, x) -> np.ndarray:
@@ -126,16 +140,26 @@ def clark_density(phi: PhiFunction, tau: float, x) -> np.ndarray:
     return out if np.asarray(x).ndim else float(out[0])
 
 
+def clark_singular_masses(phi: PhiFunction, taus, y_grid=None
+                          ) -> tuple[np.ndarray, np.ndarray, list[TsereteliEstimate]]:
+    """(atom masses, sc estimates, tail diagnostics) for every tau, without
+    density work: one solve per branch for the atoms and one batched
+    disk-preimage query for all tail sets.  An atom total within 5 percent
+    of the tail limit accounts for the whole tail (no sc mass)."""
+    taus = np.asarray(taus, dtype=float)
+    atom_total = sum((m for _, m in _atoms(phi, taus)), np.zeros(taus.shape))
+    ys = _y_grid(y_grid)
+    tails = [_tsereteli(ys, t) for t in resolvent_tail_measures(phi, taus, ys)]
+    sc = [0.0 if t.estimate <= m * (1.0 + _SC_ACCOUNTING_RTOL) + 1e-6
+          else max(t.estimate - m, 0.0) for t, m in zip(tails, atom_total)]
+    return atom_total, np.asarray(sc), tails
+
+
 def clark_singular_mass(phi: PhiFunction, tau: float, y_grid=None
                         ) -> tuple[float, float, TsereteliEstimate]:
-    """(atom mass, sc estimate, tail diagnostics) without density work."""
-    atoms = clark_atoms(phi, tau)
-    atom_total = sum(m for (_, m) in atoms)
-    tser = singular_mass_tsereteli(g_tau(phi, tau), y_grid=y_grid)
-    residual = max(tser.estimate - atom_total, 0.0)
-    accounted = tser.estimate <= atom_total * (1.0 + _SC_ACCOUNTING_RTOL) + 1e-6
-    sc = 0.0 if accounted else residual
-    return atom_total, sc, tser
+    """The one-tau case of clark_singular_masses."""
+    atom_total, sc, tails = clark_singular_masses(phi, [float(tau)], y_grid=y_grid)
+    return float(atom_total[0]), float(sc[0]), tails[0]
 
 
 def _density_grid(phi: PhiFunction, segment: tuple[float, float]) -> np.ndarray:
@@ -178,7 +202,6 @@ def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None,
     phi._require_branches()
     tau = float(tau)
     atoms = clark_atoms(phi, tau)
-    atom_total = sum(m for (_, m) in atoms)
 
     segments = tuple(phi.nonreal_segments)
     tables = []
@@ -196,7 +219,7 @@ def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None,
             ac_mass += float(np.real(_quad.integrate_interval(
                 lambda t: clark_density(phi, tau, t), seg[0], seg[1], tol=1e-9)))
 
-    _, sc, tser = clark_singular_mass(phi, tau, y_grid=y_grid)
+    atom_total, sc, tser = clark_singular_mass(phi, tau, y_grid=y_grid)
 
     pieces = []
     for (seg, (xs, ds)) in zip(segments, tables):

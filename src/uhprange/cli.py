@@ -242,7 +242,8 @@ def cmd_constants(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int
         "B_argmin": f"{_fnum(rep.B_argmin[0])}..{_fnum(rep.B_argmin[1])}",
         "C_argmin": f"{_fnum(rep.C_argmin[0])}..{_fnum(rep.C_argmin[1])}",
         "D_argmin_tau": _fnum(rep.D_argmin_tau),
-        "D_argmin_on_grid_edge": str(rep.d_boundary_argmin).lower()}]
+        "D_argmin_on_grid_edge": str(rep.d_boundary_argmin).lower(),
+        "D_nonconverged": rep.d_nonconverged}]
     argmin_set = preimage_interval_set(phi, rep.B_argmin).to_record()
     header = _header(cfg, "constants", {
         "phi": phi.name, "thresholds": rep.thresholds,

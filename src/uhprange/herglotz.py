@@ -173,15 +173,10 @@ class PhiFunction:
     def value_limit(self, branch: Branch, side: str) -> float:
         """One-sided boundary limit at a branch endpoint; +-inf when the
         probe differences do not contract."""
-        tbl = self.branch_table(branch)
-        if side == "left":
-            v = tbl.f(np.asarray([tbl.xs[0], tbl.xs[1], tbl.xs[2]]))
-            v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-        elif side == "right":
-            v = tbl.f(np.asarray([tbl.xs[-1], tbl.xs[-2], tbl.xs[-3]]))
-            v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-        else:
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        tbl = self.branch_table(branch)
+        v1, v2, v3 = map(float, tbl.f(tbl.xs[:3] if side == "left" else tbl.xs[:-4:-1]))
         d12, d23 = abs(v1 - v2), abs(v2 - v3)
         if d12 >= 0.9 * d23 and d12 > 1e-9 * (1.0 + abs(v1)):
             return -math.inf if side == "left" else math.inf
@@ -407,24 +402,19 @@ class IteratedPhi(PhiFunction):
     def _boundary_complex(self, x):
         w = x.astype(complex)
         for _ in range(self.n):
-            real = w.imag == 0.0
-            out = np.empty(w.shape, dtype=complex)
-            if real.any():
-                out[real] = self.base._boundary_complex(w[real].real)
-            if (~real).any():
-                out[~real] = self.base._eval_complex(w[~real])
-            w = out
+            w = self._step_value(w)
         return w
 
     def _derivative_complex(self, z):
         w = z
         prod = np.ones(z.shape, dtype=complex)
         for _ in range(self.n):
-            prod = prod * self._step_derivative(w)
+            prod = prod * self.base._derivative_complex(w)
             w = self._step_value(w)
         return prod
 
     def _step_value(self, w):
+        """One base step: boundary values on the real line, else interior."""
         real = w.imag == 0.0
         out = np.empty(w.shape, dtype=complex)
         if real.any():
@@ -432,9 +422,6 @@ class IteratedPhi(PhiFunction):
         if (~real).any():
             out[~real] = self.base._eval_complex(w[~real])
         return out
-
-    def _step_derivative(self, w):
-        return self.base._derivative_complex(w)
 
     def boundary_real(self, x) -> np.ndarray:
         arr, scalar = _as_float_array(x)

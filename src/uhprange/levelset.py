@@ -34,19 +34,24 @@ class DiskQuery:
         if not self.a < self.b:
             raise PreconditionError(f"disk needs a < b (got {self.a}, {self.b})")
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * (self.b - self.a)
-
     def contains(self, w) -> np.ndarray:
-        return np.abs(np.asarray(w, dtype=complex) - self.center) < self.radius
+        c, r = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
+        return np.abs(np.asarray(w, dtype=complex) - c) < r
 
 
 # -- interval preimages --------------------------------------------------------
+
+
+def _branch_ends(phi: PhiFunction, a: np.ndarray, b: np.ndarray
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per real branch, the clamped preimages (xa, xb) of the interval
+    endpoints a and b; every distinct endpoint is solved once."""
+    ends, inv = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
+    out = []
+    for tbl in phi.branch_tables():
+        x = tbl.solve_clamped(ends)[inv]
+        out.append((x[:a.size].reshape(a.shape), x[a.size:].reshape(b.shape)))
+    return out
 
 
 def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> IntervalSet:
@@ -60,12 +65,8 @@ def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> In
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise PreconditionError("interval must be finite with a < b")
-    pieces = []
-    for tbl in phi.branch_tables():
-        xl, xr = tbl.solve_clamped(np.asarray([a, b])).tolist()
-        if xr > xl:
-            pieces.append((xl, xr))
-    return IntervalSet.build(pieces)
+    return IntervalSet.build([(xa[0], xb[0]) for xa, xb in
+                              _branch_ends(phi, np.asarray([a]), np.asarray([b]))])
 
 
 def preimage_interval_measure(phi: PhiFunction, interval: tuple[float, float]
@@ -77,94 +78,131 @@ def preimage_interval_measure(phi: PhiFunction, interval: tuple[float, float]
 # -- disk preimages ------------------------------------------------------------
 
 
-def _scan_window(phi: PhiFunction, segment: tuple[float, float], reach: float
-                 ) -> tuple[float, float]:
-    """Clamp a non-real boundary segment to a finite window outside of which
-    |phi| safely exceeds the query's reach (|phi| ~ |x| at infinity)."""
+def _scan_window(phi: PhiFunction, segment: tuple[float, float], reach: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp a non-real boundary segment, per query, to a finite window
+    outside of which |phi| safely exceeds the query's reach (|phi| ~ |x| at
+    infinity)."""
     l, r = segment
     threshold = 2.0 * reach + 10.0
 
-    def push(anchor: float, direction: float) -> float:
-        xs = anchor + direction * 2.0 ** np.arange(0, 28, dtype=float)
-        xs = xs[np.abs(xs) <= SCAN_LIMIT]
-        vals = np.abs(phi.boundary(xs))
-        far_enough = vals > threshold
-        for k in range(len(xs)):
-            if far_enough[k:].all():
-                return float(xs[k])
-        return float(xs[-1]) if len(xs) else anchor + direction
+    def push(anchors: np.ndarray, direction: float) -> np.ndarray:
+        out = anchors + direction
+        for anchor in np.unique(anchors):
+            xs = anchor + direction * 2.0 ** np.arange(0, 28, dtype=float)
+            xs = xs[np.abs(xs) <= SCAN_LIMIT]
+            if len(xs):
+                # the first point after which every value is far enough
+                # (suffix minimum above the threshold), else the last point
+                tail_min = np.minimum.accumulate(np.abs(phi.boundary(xs))[::-1])[::-1]
+                far = tail_min[None, :] > threshold[anchors == anchor, None]
+                far[:, -1] = True
+                out[anchors == anchor] = xs[np.argmax(far, axis=1)]
+        return out
 
+    lo, hi = np.full(reach.shape, float(l)), np.full(reach.shape, float(r))
     if math.isinf(l):
-        anchor = r if np.isfinite(r) else 0.0
-        l = push(anchor, -1.0)
+        lo = push(np.full(reach.shape, r if np.isfinite(r) else 0.0), -1.0)
     if math.isinf(r):
-        anchor = l
-        r = push(anchor, +1.0)
-    return l, r
+        hi = push(lo, +1.0)
+    return lo, hi
 
 
-def boundary_disk_panels(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
-                         ) -> tuple[list[tuple[float, float]], float]:
-    """Panels of the non-real boundary set whose values land in the disk.
+def disk_panels(phi: PhiFunction, a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Panels of the non-real boundary set whose values land in the disks
+    over (a_k, b_k), all disks refined together.
 
     Adaptive bisection with a sampled variation pad: a panel is pruned when
     every sample sits farther from the center than radius plus pad, counted
     when every sample sits inside by more than the pad, split otherwise.
-    Returns (inside panels, unresolved width).
+    Every (disk, segment) pair keeps its own scan window, 33 starting edges
+    and 64 rounds, so a disk's panels do not depend on its batch.  Returns
+    the inside panels as rows (disk, u, v), stably sorted by disk (segment
+    by segment, in the order found), and each disk's unresolved width.
     """
-    c, r = q.center, q.radius
-    inside: list[tuple[float, float]] = []
-    unresolved = 0.0
+    a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
+    if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
+        raise PreconditionError("disks need finite diameters (a, b) with a < b")
+    nseg = len(phi.nonreal_segments)
+    c, r = np.repeat(0.5 * (a + b), nseg), np.repeat(0.5 * (b - a), nseg)
     floor = max(tol / 16.0, 1e-13)
-    for segment in phi.nonreal_segments:
-        lo, hi = _scan_window(phi, segment, abs(c) + r)
-        if hi <= lo:
-            continue
-        edges = np.linspace(lo, hi, 33)
-        U, V = edges[:-1], edges[1:]
-        for _ in range(64):
-            if len(U) == 0:
-                break
-            M = 0.5 * (U + V)
-            wU = phi.boundary(U + 1e-3 * (M - U))  # stay off segment endpoints
-            wM = phi.boundary(M)
-            wV = phi.boundary(V - 1e-3 * (V - M))
-            dU = np.abs(wU - c)
-            dM = np.abs(wM - c)
-            dV = np.abs(wV - c)
-            pad = 1.5 * np.maximum(np.abs(wU - wM), np.abs(wM - wV))
-            dmin = np.minimum(np.minimum(dU, dM), dV)
-            dmax = np.maximum(np.maximum(dU, dM), dV)
-            is_out = dmin - pad > r
-            is_in = dmax + pad < r
-            width = V - U
-            small = width < np.maximum(floor, 1e-12 * np.maximum(1.0, np.abs(U)))
-            for (u, v) in zip(U[is_in], V[is_in]):
-                inside.append((float(u), float(v)))
-            unresolved += float(width[small & ~is_in & ~is_out].sum())
-            keep = ~(is_in | is_out | small)
-            U, V, M = U[keep], V[keep], M[keep]
-            U = np.concatenate([U, M])
-            V = np.concatenate([M, V])
-        unresolved += float((V - U).sum()) if len(U) else 0.0
-    return inside, unresolved
+    found = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
+    for s, segment in enumerate(phi.nonreal_segments):
+        lo, hi = _scan_window(phi, segment, np.abs(c[s::nseg]) + r[s::nseg])
+        q = np.flatnonzero(hi > lo)
+        edges = np.linspace(lo[q], hi[q], 33, axis=1)
+        found.append((np.repeat(q * nseg + s, 32), edges[:, :-1].ravel(), edges[:, 1:].ravel()))
+    unit, U, V = (np.concatenate(x) for x in zip(*found))
+    found, open_width = found[:1], np.zeros(a.size * nseg)
+    for _ in range(64):
+        if len(U) == 0:
+            break
+        M = 0.5 * (U + V)
+        # samples stay off segment endpoints
+        w = [phi.boundary(x) for x in (U + 1e-3 * (M - U), M, V - 1e-3 * (V - M))]
+        d = np.abs(np.asarray(w) - c[unit])
+        pad = 1.5 * np.maximum(np.abs(w[0] - w[1]), np.abs(w[1] - w[2]))
+        is_out = d.min(axis=0) - pad > r[unit]
+        is_in = d.max(axis=0) + pad < r[unit]
+        width = V - U
+        small = width < np.maximum(floor, 1e-12 * np.maximum(1.0, np.abs(U)))
+        found.append((unit[is_in], U[is_in], V[is_in]))
+        lost = small & ~is_in & ~is_out
+        open_width += np.bincount(unit[lost], width[lost], minlength=open_width.size)
+        keep = ~(is_in | is_out | small)
+        unit, U, V, M = unit[keep], U[keep], V[keep], M[keep]
+        unit, U, V = np.concatenate([unit, unit]), np.concatenate([U, M]), np.concatenate([M, V])
+    open_width += np.bincount(unit, V - U, minlength=open_width.size)
+    rows = np.column_stack([np.concatenate(x) for x in zip(*found)])
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    rows[:, 0] //= max(nseg, 1)
+    return rows, open_width.reshape(a.size, nseg).sum(axis=1)
+
+
+def disk_preimages(phi: PhiFunction, a, b, tol: float = 1e-8
+                   ) -> tuple[list[IntervalSet], np.ndarray]:
+    """Preimages of the disks over (a_k, b_k), with unresolved widths: the
+    real-branch preimage of (a_k, b_k) (real values in the disk are those
+    in its diameter) plus the boundary panels.  Every distinct endpoint is
+    solved once per branch and one disk_panels call serves all disks."""
+    rows, unresolved = disk_panels(phi, a, b, tol=tol)
+    a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
+    ends = _branch_ends(phi, a, b)
+    cuts = np.searchsorted(rows[:, 0], np.arange(a.size + 1))
+    sets = [IntervalSet.build([(xa[k], xb[k]) for xa, xb in ends]
+                              + rows[cuts[k]:cuts[k + 1], 1:].tolist())
+            for k in range(a.size)]
+    return sets, unresolved
+
+
+def boundary_disk_panels(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
+                         ) -> tuple[list[tuple[float, float]], float]:
+    """The one-disk case of disk_panels: (inside panels, unresolved width)."""
+    rows, unresolved = disk_panels(phi, [q.a], [q.b], tol=tol)
+    return [(u, v) for (_, u, v) in rows.tolist()], float(unresolved[0])
 
 
 def preimage_disk_set(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
                       ) -> tuple[IntervalSet, float]:
-    """Preimage of the disk: real-branch intervals plus boundary panels.
-
-    For real values the disk membership reduces to the diameter interval,
-    so the real part coincides with the interval preimage.
-    """
-    real_part = preimage_interval_set(phi, (q.a, q.b))
-    panels, unresolved = boundary_disk_panels(phi, q, tol=tol)
-    return IntervalSet.build(list(real_part.intervals) + panels), unresolved
+    """The one-disk case of disk_preimages."""
+    sets, unresolved = disk_preimages(phi, [q.a], [q.b], tol=tol)
+    return sets[0], float(unresolved[0])
 
 
 def preimage_disk_measure(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8) -> float:
     s, _ = preimage_disk_set(phi, q, tol=tol)
     return s.total_length
+
+
+def resolvent_tail_measures(phi: PhiFunction, taus, ys) -> np.ndarray:
+    """|{Re G_tau > y}| and |{Re G_tau < -y}| for G_tau = 1/(tau - phi), shape
+    (len(taus), len(ys), 2): the preimages of the disks of diameter 1/y
+    touching tau from the left and the right, in one disk_preimages call."""
+    t, step = np.asarray(taus, dtype=float)[:, None], 1.0 / np.asarray(ys, dtype=float)
+    a = np.stack(np.broadcast_arrays(t - step, t), axis=-1)
+    b = np.stack(np.broadcast_arrays(t, t + step), axis=-1)
+    sets, _ = disk_preimages(phi, a, b)
+    return np.asarray([s.total_length for s in sets]).reshape(a.shape)
 
 
 # -- tail sets of Cauchy transforms ---------------------------------------------
@@ -173,20 +211,18 @@ def preimage_disk_measure(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8) -> 
 def tail_set_measure(G: CauchyTransform, y: float, side: str) -> float:
     """|{x : Re G(x) > y}| (upper) or |{x : Re G(x) < -y}| (lower).
 
-    For resolvent sources the tail set is exactly the preimage of a disk
-    of diameter 1/y touching tau, and the computation is delegated there.
-    For measure sources the line splits into components off the singular
-    support, where G is real and increasing, plus the interiors of the
-    density intervals, which are scanned for principal-value crossings.
+    For resolvent sources this is the one-query case of
+    resolvent_tail_measures.  For measure sources the line splits into
+    components off the singular support, where G is real and increasing,
+    plus the interiors of the density intervals, which are scanned for
+    principal-value crossings.
     """
     if y <= 0:
         raise PreconditionError("tail level y must be positive")
     if side not in ("upper", "lower"):
         raise PreconditionError("side must be 'upper' or 'lower'")
     if G.kind == "phi_tau":
-        if side == "upper":
-            return preimage_disk_measure(G.phi, DiskQuery(G.tau - 1.0 / y, G.tau))
-        return preimage_disk_measure(G.phi, DiskQuery(G.tau, G.tau + 1.0 / y))
+        return float(resolvent_tail_measures(G.phi, [G.tau], [y])[0, 0, int(side == "lower")])
 
     pos, w = G.point_masses()
     acs = G.ac_intervals()
@@ -220,64 +256,48 @@ def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _interior_gap_measure(G: CauchyTransform, comps, y: float, side: str) -> float:
-    gl = np.asarray([c[0] for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])])
-    gr = np.asarray([c[1] for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])])
-    if len(gl) == 0:
+    gaps = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
+                       and c[1] > c[0]]).reshape(-1, 2)
+    if len(gaps) == 0:
         return 0.0
+    gl, gr = gaps[:, 0], gaps[:, 1]
     width = gr - gl
-    keep = width > 0
-    gl, gr, width = gl[keep], gr[keep], width[keep]
-    if len(gl) == 0:
-        return 0.0
     lo = _nudge_in(gl, width, +1.0)
     hi = _nudge_in(gr, width, -1.0)
     f = lambda xs: G.real_value(xs, tol=1e-9)
     flo = np.asarray(f(lo))
     fhi = np.asarray(f(hi))
-    total = 0.0
-    if side == "upper":
-        full = flo >= y
-        none = fhi <= y
-        mid = ~full & ~none
-        total += float(width[full].sum())
-        if mid.any():
-            roots = bisect_increasing(f, lo[mid], hi[mid], np.full(mid.sum(), float(y)),
-                                      xtol=1e-15)
-            total += float((gr[mid] - roots).sum())
-    else:
-        full = fhi <= -y
-        none = flo >= -y
-        mid = ~full & ~none
-        total += float(width[full].sum())
-        if mid.any():
-            roots = bisect_increasing(f, lo[mid], hi[mid], np.full(mid.sum(), -float(y)),
-                                      xtol=1e-15)
-            total += float((roots - gl[mid]).sum())
+    upper = side == "upper"
+    full = flo >= y if upper else fhi <= -y
+    mid = ~full & ~(fhi <= y if upper else flo >= -y)
+    total = float(width[full].sum())
+    if mid.any():
+        roots = bisect_increasing(f, lo[mid], hi[mid],
+                                  np.full(mid.sum(), float(y) if upper else -float(y)),
+                                  xtol=1e-15)
+        total += float(((gr[mid] - roots) if upper else (roots - gl[mid])).sum())
     return total
 
 
 def _exterior_measure(G: CauchyTransform, comps, y: float, side: str) -> float:
-    mass = G.total_mass
-    total = 0.0
+    """The unbounded end component where Re G tends to 0 from the tail's side."""
     f = lambda xs: G.real_value(xs, tol=1e-9)
     for (gl, gr) in comps:
         if side == "upper" and gl == -math.inf and np.isfinite(gr):
-            hi = _nudge_in(np.asarray([gr]), np.asarray([1.0]), -1.0)[0]
-            if float(f(hi)) <= y:
-                continue
-            lo = gr - max(4.0 * mass / y, 16.0 * _EPS * (abs(gr) + 1.0))
-            root = float(bisect_increasing(f, np.asarray([lo]), np.asarray([hi]),
-                                           np.asarray([float(y)]), xtol=1e-15)[0])
-            total += gr - root
+            edge, sgn = gr, 1.0
         elif side == "lower" and gr == math.inf and np.isfinite(gl):
-            lo = _nudge_in(np.asarray([gl]), np.asarray([1.0]), +1.0)[0]
-            if float(f(lo)) >= -y:
-                continue
-            hi = gl + max(4.0 * mass / y, 16.0 * _EPS * (abs(gl) + 1.0))
-            root = float(bisect_increasing(f, np.asarray([lo]), np.asarray([hi]),
-                                           np.asarray([-float(y)]), xtol=1e-15)[0])
-            total += root - gl
-    return total
+            edge, sgn = gl, -1.0
+        else:
+            continue
+        near = _nudge_in(np.asarray([edge]), np.asarray([1.0]), -sgn)[0]
+        if sgn * float(f(near)) <= y:
+            return 0.0
+        far = edge - sgn * max(4.0 * G.total_mass / y, 16.0 * _EPS * (abs(edge) + 1.0))
+        lo, hi = (far, near) if sgn > 0 else (near, far)
+        root = float(bisect_increasing(f, np.asarray([lo]), np.asarray([hi]),
+                                       np.asarray([sgn * float(y)]), xtol=1e-15)[0])
+        return sgn * (edge - root)
+    return 0.0
 
 
 def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
@@ -293,6 +313,10 @@ def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
     sgn = 1.0 if side == "upper" else -1.0
     level = float(y)
     total = 0.0
+
+    def h(x: float) -> float:
+        return sgn * G.boundary_re(x) - level
+
     for (u, v) in zip(cuts[:-1], cuts[1:]):
         wseg = v - u
         if not np.isfinite(wseg):
@@ -304,14 +328,9 @@ def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
             u + 0.5 * wseg * fracs, v - 0.5 * wseg * fracs,
             np.linspace(u + wseg / 64, v - wseg / 64, 63)]))
         xs = xs[(xs > u) & (xs < v)]
-        hs = np.asarray([sgn * G.boundary_re(x) - level for x in xs])
-        positive = hs > 0
+        positive = np.asarray([h(x) for x in xs]) > 0
         if not positive.any():
             continue
-
-        def h(x: float) -> float:
-            return sgn * G.boundary_re(x) - level
-
         # walk sign runs; ends of the segment stand in for unreachable
         # crossings hugging a blow-up point
         idx = 0

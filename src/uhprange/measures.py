@@ -122,21 +122,10 @@ class ScCantorPiece:
         return intervals
 
     def gaps(self, level: int | None = None) -> list[tuple[float, float]]:
-        """Removed middle intervals down to the given level, sorted."""
-        level = self.depth if level is None else min(level, self.depth)
-        s = 0.5 * (1.0 - self.middle)
-        out = []
-        intervals = [(self.left, self.right)]
-        for _ in range(level):
-            nxt = []
-            for (u, v) in intervals:
-                w = v - u
-                out.append((u + s * w, v - s * w))
-                nxt.append((u, u + s * w))
-                nxt.append((v - s * w, v))
-            intervals = nxt
-        out.sort()
-        return out
+        """Removed middle intervals down to the given level, sorted: the
+        spaces between consecutive surviving intervals."""
+        kept = self.support_intervals(level)
+        return [(v, u) for (_, v), (u, _) in zip(kept[:-1], kept[1:])]
 
     def atomize(self, level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes/weights: mass centroids of the level intervals.
@@ -226,12 +215,6 @@ class RealMeasure:
     def singular_mass(self) -> float:
         """Mass of the part singular to Lebesgue measure (atoms + Cantor parts)."""
         return sum(m for (_, m) in self.atoms) + sum(p.mass for p in self.sc_pieces)
-
-    def is_singular(self) -> bool:
-        return not self.ac_pieces
-
-    def is_purely_atomic(self) -> bool:
-        return not self.ac_pieces and not self.sc_pieces
 
     def cdf(self, x: float) -> float:
         """mu((-inf, x]); right-continuous, nondecreasing."""

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import _quad
 from .cauchy import cauchy_transform
-from .clark import clark_singular_mass
+from .clark import clark_singular_masses
 from .errors import OrbitBreakError, PreconditionError, UhprangeError
 from .herglotz import PhiFunction, require_contraction
-from .levelset import (DiskQuery, boundary_disk_panels, preimage_interval_measure,
-                       tail_set_measure)
+from .levelset import _branch_ends, disk_panels, preimage_interval_measure, tail_set_measure
 from .measures import RealMeasure
 
 VERDICT_FLOOR = 1e-3
@@ -42,8 +41,11 @@ class QueryGrid:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.centers or not self.lengths:
+        c, l = np.asarray(self.centers, dtype=float), np.asarray(self.lengths, dtype=float)
+        if not (c.size and l.size):
             raise PreconditionError("grids must be nonempty")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(l)) and np.all(l > 0)):
+            raise PreconditionError("grid centers must be finite, lengths finite and positive")
 
     def union(self, other: "QueryGrid") -> "QueryGrid":
         return QueryGrid(tuple(sorted(set(self.centers) | set(other.centers))),
@@ -173,26 +175,17 @@ class ConstantEstimate:
     detail: dict = field(default_factory=dict)
 
 
-def _branch_ends(phi: PhiFunction, a: np.ndarray, b: np.ndarray
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per real branch, the clamped preimages (xa, xb) of the interval
-    endpoints a and b; every distinct endpoint is solved once."""
-    ends, inv = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
-    out = []
-    for tbl in phi.branch_tables():
-        x = tbl.solve_clamped(ends)[inv]
-        out.append((x[:a.size].reshape(a.shape), x[a.size:].reshape(b.shape)))
-    return out
+def _grid_intervals(grid: QueryGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Interval ends (a, b), each of shape (n_lengths, n_centers)."""
+    centers, half = np.asarray(grid.centers)[None, :], 0.5 * np.asarray(grid.lengths)[:, None]
+    return centers - half, centers + half
 
 
 def _interval_measures(phi: PhiFunction, grid: QueryGrid
                        ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Matrix of interval-preimage measures, shape (n_lengths, n_centers),
     and the per-branch preimage endpoints (xa, xb) of every interval."""
-    centers = np.asarray(grid.centers)
-    lengths = np.asarray(grid.lengths)
-    a = centers[None, :] - 0.5 * lengths[:, None]
-    b = centers[None, :] + 0.5 * lengths[:, None]
+    a, b = _grid_intervals(grid)
     ends = _branch_ends(phi, a, b)
     out = np.zeros(a.shape)
     for xa, xb in ends:
@@ -222,16 +215,10 @@ def _disk_sweep(phi: PhiFunction, grid: QueryGrid, interval_measures: np.ndarray
     """Disk-preimage measures over the grid, from the interval-preimage
     measures, and the boundary panels inside each disk as rows
     (flat query index, u, v) for the weighted numerator."""
-    measures = interval_measures.copy()
-    panels: list[tuple[int, float, float]] = []
-    if phi.nonreal_segments:
-        for (i, j), _ in np.ndenumerate(measures):
-            radius = 0.5 * grid.lengths[i]
-            ctr = grid.centers[j]
-            ps, _ = boundary_disk_panels(phi, DiskQuery(ctr - radius, ctr + radius), tol=tol)
-            panels += [(i * measures.shape[1] + j, u, v) for (u, v) in ps]
-            measures[i, j] += sum(v - u for (u, v) in ps)
-    return measures, np.asarray(panels, dtype=float).reshape(-1, 3)
+    panels, _ = disk_panels(phi, *_grid_intervals(grid), tol=tol)
+    widths = np.bincount(panels[:, 0].astype(int), panels[:, 2] - panels[:, 1],
+                         minlength=interval_measures.size)
+    return interval_measures + widths.reshape(interval_measures.shape), panels
 
 
 def constant_C(phi: PhiFunction, grid: QueryGrid | None = None) -> ConstantEstimate:
@@ -243,20 +230,23 @@ def constant_C(phi: PhiFunction, grid: QueryGrid | None = None) -> ConstantEstim
 
 
 def constant_D(phi: PhiFunction, tau_grid=None, y_grid=_D_Y_GRID) -> ConstantEstimate:
-    """Infimum over the tau grid of the singular spectral mass."""
+    """Infimum over the tau grid of the singular spectral mass; the detail
+    lists the taus whose tail limit did not converge."""
     require_contraction(phi)
     phi._require_branches()
     taus = np.asarray(default_tau_grid(phi) if tau_grid is None else tau_grid,
-                      dtype=float)
-    values = np.empty(len(taus))
-    for j, tau in enumerate(taus):
-        atom_total, sc, _ = clark_singular_mass(phi, float(tau), y_grid=y_grid)
-        values[j] = atom_total + sc
+                      dtype=float).ravel()
+    if not (taus.size and np.all(np.isfinite(taus))):
+        raise PreconditionError("tau grid must be nonempty and finite")
+    atom_total, sc, tails = clark_singular_masses(phi, taus, y_grid=y_grid)
+    values = atom_total + sc
     j = int(np.argmin(values))
     return ConstantEstimate(
         value=float(values[j]), argmin=(float(taus[j]),),
         boundary_argmin=bool(j in (0, len(taus) - 1)),
-        detail={"taus": tuple(taus.tolist()), "values": tuple(values.tolist())})
+        detail={"taus": tuple(taus.tolist()), "values": tuple(values.tolist()),
+                "nonconverged": tuple(float(t) for t, ts in zip(taus, tails)
+                                      if not ts.converged)})
 
 
 @dataclass(frozen=True)
@@ -295,10 +285,8 @@ def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
     """
     require_contraction(phi)
     a, b = float(interval[0]), float(interval[1])
-    panels, _ = boundary_disk_panels(phi, DiskQuery(a, b))
     ends = _branch_ends(phi, np.asarray([a]), np.asarray([b]))
-    rows = np.asarray([(0, u, v) for (u, v) in panels], dtype=float).reshape(-1, 3)
-    num = _weighted_numerators(phi, ends, rows, 1)[0]
+    num = _weighted_numerators(phi, ends, disk_panels(phi, [a], [b])[0], 1)[0]
     den = math.atan(b) - math.atan(a)
     evidence = {}
     if with_rayleigh:
@@ -330,6 +318,7 @@ class RangeReport:
     C_per_length: tuple[float, ...]
     rayleigh_evidence: dict
     d_boundary_argmin: bool
+    d_nonconverged: int
 
     def estimates(self) -> dict:
         return {"A_upper": self.A_upper, "B": self.B_est,
@@ -350,6 +339,7 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
     require_contraction(phi)
     grid = grid or default_grid(phi)
     taus = default_tau_grid(phi) if tau_grid is None else tuple(tau_grid)
+    d_res = constant_D(phi, tau_grid=taus)  # rejects a malformed tau grid up front
 
     lengths = np.asarray(grid.lengths)[:, None]
     interval_meas, ends = _interval_measures(phi, grid)
@@ -362,8 +352,6 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
     den = np.asarray([[math.atan(c + 0.5 * l) - math.atan(c - 0.5 * l) for c in grid.centers]
                       for l in grid.lengths])
     a_est = _grid_min(num / den, grid)
-
-    d_res = constant_D(phi, tau_grid=taus)
 
     evidence = {}
     if with_rayleigh:
@@ -390,7 +378,8 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
         grid=grid, tau_grid=tuple(taus), B_per_length=b_trend,
         C_per_length=c_est.per_length_min,
         rayleigh_evidence=evidence,
-        d_boundary_argmin=d_res.boundary_argmin)
+        d_boundary_argmin=d_res.boundary_argmin,
+        d_nonconverged=len(d_res.detail["nonconverged"]))
 
 
 # -- identity checks --------------------------------------------------------------
@@ -494,18 +483,12 @@ def similarity_certificate(phi: PhiFunction, n_grid: int = 121) -> SimilarityCer
     offsets = np.unique(offsets)[:n_grid]
 
     candidates = []  # (direction, c1, d1, eta)
-    d1s = d + offsets
-    vals_d1 = phi.boundary_real(d1s)
-    c1s = tbl_l.solve(vals_d1)
-    for d1, v, c1 in zip(d1s, vals_d1, c1s):
-        if not math.isnan(c1) and c1 < c and v - d1 > 0:
-            candidates.append(("up", float(c1), float(d1), float(v - d1)))
-    c1s2 = c - offsets
-    vals_c1 = phi.boundary_real(c1s2)
-    d1s2 = tbl_r.solve(vals_c1)
-    for c1, v, d1 in zip(c1s2, vals_c1, d1s2):
-        if not math.isnan(d1) and d1 > d and c1 - v > 0:
-            candidates.append(("down", float(c1), float(d1), float(c1 - v)))
+    for up, outer, tbl in ((True, d + offsets, tbl_l), (False, c - offsets, tbl_r)):
+        vals = phi.boundary_real(outer)
+        for x, v, root in zip(outer, vals, tbl.solve(vals)):
+            (c1, d1), eta = ((root, x), v - x) if up else ((x, root), x - v)
+            if not math.isnan(root) and (c1 < c if up else d1 > d) and eta > 0:
+                candidates.append(("up" if up else "down", float(c1), float(d1), float(eta)))
 
     if not candidates:
         return SimilarityCertificate(

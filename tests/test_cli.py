@@ -75,6 +75,19 @@ def test_constants_identity(tmp_path):
     row = doc["rows"][0]
     assert row["verdict"] == "closed_range"
     assert abs(float(row["B"]) - 1.0) < 1e-9
+    assert row["D_nonconverged"] == 0
+
+
+def test_constants_malformed_grids_rejected(tmp_path):
+    # no non-real boundary, so no disk query stands in for the grid check
+    base = {"phi": {"nevanlinna": {"alpha": 1.0, "beta": 1.0, "atoms": [[0.0, 1.0]]}},
+            "format": "json"}
+    for i, grids in enumerate([{"centers": [0.0], "lengths": [0.0]},
+                               {"centers": [0.0], "lengths": [-1.0]},
+                               {"centers": [float("inf")], "lengths": [1.0]},
+                               {"centers": [0.0], "lengths": [1.0], "tau": [float("nan")]}]):
+        cfg = write_config(tmp_path, dict(base, grids=grids), f"g{i}.json")
+        assert run(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 def test_clark_tau_leading_minus(tmp_path):

@@ -8,6 +8,7 @@ from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, RealMeasure,
                       phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, preimage_disk_measure,
                       preimage_interval_measure, tail_set_measure)
+from uhprange.levelset import disk_panels, disk_preimages
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -226,3 +227,28 @@ def test_branch_solve_batch_invariant(name, fractions):
         single = [tbl.solve(np.asarray([t]))[0] for t in targets]
         # bit for bit; a target on the table's low end is nan either way
         assert np.array_equal(tbl.solve(targets), single, equal_nan=True)
+
+
+_DISK_MAPS = {"zloglin0": _SOLVE_MAPS["zloglin0"], "sqrt": _SOLVE_MAPS["sqrt"],
+              "zlog": phi_from_catalog("zlog")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_DISK_MAPS)),
+       disks=st.lists(st.tuples(st.floats(-6, 6), st.floats(2.0**-10, 4)),
+                      min_size=1, max_size=12))
+def test_disk_preimages_batch_invariant(name, disks):
+    phi = _DISK_MAPS[name]
+    a = np.asarray([c - 0.5 * l for c, l in disks])
+    b = np.asarray([c + 0.5 * l for c, l in disks])
+    rows, unresolved = disk_panels(phi, a, b)
+    sets, unresolved_sets = disk_preimages(phi, a, b)
+    assert np.array_equal(unresolved, unresolved_sets)
+    for k in range(len(a)):
+        one_rows, one_unresolved = disk_panels(phi, a[k:k + 1], b[k:k + 1])
+        (one_set,), _ = disk_preimages(phi, a[k:k + 1], b[k:k + 1])
+        # bit for bit: panel rows (in order), unresolved width and measure
+        assert np.array_equal(rows[rows[:, 0] == k, 1:], one_rows[:, 1:])
+        assert unresolved[k] == one_unresolved[0]
+        assert sets[k] == one_set
+        assert sets[k].total_length == preimage_disk_measure(phi, DiskQuery(a[k], b[k]))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, QueryGrid,
-                      RealMeasure, TestFunctionUc, boole_check, closed_range_report,
-                      constant_A_upper, constant_B, constant_C, constant_D, letac_check,
-                      phi_from_catalog, phi_from_nevanlinna, phi_identity,
-                      phi_translation, preimage_disk_measure, rayleigh_quotient)
+                      RealMeasure, TestFunctionUc, boole_check, clark_singular_mass,
+                      closed_range_report, constant_A_upper, constant_B, constant_C,
+                      constant_D, letac_check, phi_from_catalog, phi_from_nevanlinna,
+                      phi_identity, phi_translation, preimage_disk_measure,
+                      rayleigh_quotient)
+from uhprange.range_analysis import _D_Y_GRID
 
 
 def small_grid(centers, lengths=(1.0, 0.25, 2.0**-6, 2.0**-10)):
@@ -174,12 +176,47 @@ def test_letac_check_cases():
 
 def test_report_routes_match_single_constants():
     grid = small_grid([-2.0, -0.3, 0.0, 0.7, 1.5], (1.0, 0.25, 2.0**-6))
+    taus = (-1.5, 0.0, 0.4, 2.0)
     for phi in (phi_from_catalog("zloglin", alpha=0.0), phi_from_catalog("sqrt")):
-        rep = closed_range_report(phi, grid=grid, tau_grid=(0.0,), with_rayleigh=False)
+        rep = closed_range_report(phi, grid=grid, tau_grid=taus, with_rayleigh=False)
         single = constant_A_upper(phi, rep.A_argmin).value
         assert abs(rep.A_upper - single) <= 1e-14 * abs(single)
         assert rep.B_est == constant_B(phi, grid).value
         assert rep.C_est == constant_C(phi, grid).value
+        d = constant_D(phi, tau_grid=taus)
+        assert rep.D_est == d.value
+        # the batched tau sweep equals one tau at a time, bit for bit
+        for tau, value in zip(taus, d.detail["values"]):
+            atom_total, sc, _ = clark_singular_mass(phi, tau, y_grid=_D_Y_GRID)
+            assert value == atom_total + sc
+
+
+def test_malformed_grids_rejected():
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0)))
+    for centers, lengths in [((0.0, 1.0), (1.0, 0.0)), ((0.0,), (-0.5,)),
+                             ((math.nan,), (1.0,)), ((0.0, math.inf), (1.0,)),
+                             ((0.0,), (math.inf,)), ((0.0,), (math.nan,))]:
+        with pytest.raises(PreconditionError):
+            constant_B(phi, QueryGrid(centers, lengths))
+    for taus in [(0.0, math.nan), (math.inf,), (-math.inf, 1.0), ()]:
+        with pytest.raises(PreconditionError):
+            constant_D(phi, tau_grid=taus)
+        with pytest.raises(PreconditionError):
+            closed_range_report(phi, grid=small_grid([0.0], (1.0,)), tau_grid=taus,
+                                with_rayleigh=False)
+
+
+def test_d_reports_nonconverged_tail_limits():
+    phi = phi_from_catalog("zlog")
+    taus = (-16.25, -15.0, -11.875, 0.5)
+    est = constant_D(phi, tau_grid=taus)
+    assert est.detail["nonconverged"] == (-16.25, -15.0, -11.875)
+    for tau in taus:
+        _, _, tails = clark_singular_mass(phi, tau, y_grid=_D_Y_GRID)
+        assert tails.converged == (tau not in est.detail["nonconverged"])
+    rep = closed_range_report(phi, grid=small_grid([0.0, 3.0], (1.0,)), tau_grid=taus,
+                              with_rayleigh=False)
+    assert rep.d_nonconverged == 3
 
 
 def test_report_identity_long_interval():
