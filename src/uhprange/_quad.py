@@ -27,14 +27,41 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _WIDTH_FLOOR = 4.0 * np.finfo(float).eps
 
 
-def _gauss_batch(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """15-point Gauss value of f on each panel [lo_i, hi_i].  Not a matrix
-    product: BLAS rounds a row differently with the number of rows."""
+def _gauss_batch(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """15-point Gauss value of f(x, owner) on each panel [lo_i, hi_i].  Not a
+    matrix product: BLAS rounds a row differently with the number of rows."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.ravel())).reshape(x.shape)
+    y = np.asarray(f(x.ravel(), owner.repeat(len(_NODES)))).reshape(x.shape)
     return h * np.einsum("ij,j->i", y, _WEIGHTS)
+
+
+def domains(a: float, b: float, p_left: float = 0.0, p_right: float = 0.0) -> list:
+    """The domains on which an integral over (a, b) is computed: one
+    tangent fold when an end is infinite, else the two halves, with the
+    substitution t = end +- u**(1/(1+p)) at an end whose exponent p is
+    negative.  Each is (lo, hi, sub): sub(u) gives (t, Jacobian), and is
+    None where t = u."""
+    if math.isinf(a) or math.isinf(b):
+        ta = -0.5 * math.pi if math.isinf(a) else math.atan(a)
+        tb = 0.5 * math.pi if math.isinf(b) else math.atan(b)
+        return [(ta, tb, _tan_fold)]
+    mid = 0.5 * (a + b)
+    return [_half(a, mid, p_left, +1.0), _half(b, mid, p_right, -1.0)]
+
+
+def _tan_fold(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = np.tan(theta)
+    return t, 1.0 + t * t
+
+
+def _half(end: float, mid: float, p: float, sign: float) -> tuple:
+    if p >= 0.0:
+        return (min(end, mid), max(end, mid), None)
+    m = 1.0 / (1.0 + p)
+    return (0.0, abs(mid - end) ** (1.0 / m),
+            lambda u: (end + sign * u**m, m * u ** (m - 1.0)))
 
 
 def integrate_interval(
@@ -55,26 +82,34 @@ def integrate_interval(
     if a > b:
         return -integrate_interval(f, b, a, tol=tol, seeds=seeds, max_panels=max_panels)
     if math.isinf(a) or math.isinf(b):
-        ta = -0.5 * math.pi if math.isinf(a) else math.atan(a)
-        tb = 0.5 * math.pi if math.isinf(b) else math.atan(b)
+        (ta, tb, fold), = domains(a, b)
         mapped_seeds = [math.atan(s) for s in seeds if np.isfinite(s)]
-
-        def g(theta: np.ndarray) -> np.ndarray:
-            t = np.tan(theta)
-            return np.asarray(f(t)) * (1.0 + t * t)
-
-        return integrate_interval(g, ta, tb, tol=tol, seeds=mapped_seeds, max_panels=max_panels)
+        return integrate_interval(substituted(f, fold), ta, tb, tol=tol, seeds=mapped_seeds,
+                                  max_panels=max_panels)
 
     edges = [a] + sorted({float(s) for s in seeds if a < s < b}) + [b]
-    total = integrate_pieces(f, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int), 1,
+    total = integrate_pieces(lambda x, _owner: f(x), edges[:-1], edges[1:],
+                             np.zeros(len(edges) - 1, dtype=int), 1,
                              tol=tol, max_panels=max_panels)[0]
     return total.real if abs(total.imag) < 1e-300 else total
+
+
+def substituted(f: Callable, sub: Callable | None) -> Callable:
+    """The integrand f(t, ...) of a domain in the variable u of sub."""
+    if sub is None:
+        return f
+
+    def g(u: np.ndarray, *owner) -> np.ndarray:
+        t, jac = sub(u)
+        return np.asarray(f(t, *owner)) * jac
+    return g
 
 
 def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
                      max_panels: int = 10**6) -> np.ndarray:
     """Integrals of f over finite pieces [lo_i, hi_i], summed per owner id
-    in 0..n-1 (complex array of length n).
+    in 0..n-1 (complex array of length n).  The integrand is called as
+    f(x, k) with the owner k of every abscissa x.
 
     Every owner integrates to ``tol``, shared among its pieces by length,
     with its own rounding floor and panel budget, and sums its panels in
@@ -86,7 +121,7 @@ def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
     if not len(lo):
         return total
     budget = tol * (hi - lo) / np.bincount(owner, hi - lo, minlength=n)[owner]
-    vals = _gauss_batch(f, lo, hi)
+    vals = _gauss_batch(f, lo, hi, owner)
     abs_accum = np.zeros(n)
     n_panels = np.bincount(owner, minlength=n)
     while len(lo):
@@ -94,7 +129,8 @@ def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
             raise QuadratureError(f"panel budget {max_panels} exhausted; "
                                   f"{len(lo)} panels still above tolerance")
         mid = 0.5 * (lo + hi)
-        child_vals = _gauss_batch(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        child_vals = _gauss_batch(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                                  np.concatenate([owner, owner]))
         left, right = child_vals.reshape(2, -1)
         refined = left + right
         err = np.abs(vals - refined)
@@ -163,51 +199,51 @@ def integrate_power_endpoint(
     tol: float = 1e-10,
     max_panels: int = 10**6,
 ) -> complex:
-    """Integrate f over finite (a, b) where f ~ (t-a)^p_left near a and
-    ~ (b-t)^p_right near b, with p > -1 (integrable).
+    """Integrate f over (a, b) where f ~ (t-a)^p_left near a and
+    ~ (b-t)^p_right near b, with p > -1 (integrable), split into the
+    ``domains`` that share the tolerance.
 
     Negative exponents are removed by substituting t = a + u**m with
-    m = 1/(1+p), after which the transformed integrand is bounded.
+    m = 1/(1+p), after which the transformed integrand is bounded; an
+    infinite end is tangent-folded instead.
     """
     if not (p_left > -1.0 and p_right > -1.0):
         raise QuadratureError("endpoint exponents must be > -1 for integrability")
-    mid = 0.5 * (a + b)
+    parts = domains(a, b, p_left, p_right)
     total = 0.0 + 0.0j
-
-    def one_side(left_end: float, other: float, p: float, sign: float) -> complex:
-        if p >= 0.0:
-            lo, hi = (left_end, other) if sign > 0 else (other, left_end)
-            return integrate_interval(f, lo, hi, tol=0.5 * tol, max_panels=max_panels)
-        m = 1.0 / (1.0 + p)
-
-        def g(u: np.ndarray) -> np.ndarray:
-            t = left_end + sign * u**m
-            return np.asarray(f(t)) * (m * u ** (m - 1.0))
-
-        umax = abs(other - left_end) ** (1.0 / m)
-        return integrate_interval(g, 0.0, umax, tol=0.5 * tol, max_panels=max_panels)
-
-    total += one_side(a, mid, p_left, +1.0)
-    total += one_side(b, mid, p_right, -1.0)
+    for lo, hi, sub in parts:
+        total += integrate_interval(substituted(f, sub), lo, hi, tol=tol / len(parts),
+                                    max_panels=max_panels)
     if abs(total.imag) < 1e-300:
         return total.real
     return total
 
 
-def pv_cauchy(f: Callable, a: float, b: float, x: float, tol: float = 1e-10) -> float:
-    """Principal value of integral f(t)/(t-x) dt over finite (a, b), a < x < b.
+def pv_cauchy(f: Callable, a: float, b: float, x, tol: float = 1e-10):
+    """Principal value of integral f(t)/(t-x) dt over finite (a, b) for one
+    point a < x < b, or an array of them.
 
     Splitting off f(x) leaves the bounded difference quotient
     (f(t)-f(x))/(t-x) plus the elementary principal value
-    f(x)*log((b-x)/(x-a)), so no panel ever straddles a blowup.
+    f(x)*log((b-x)/(x-a)), so no panel ever straddles a blowup.  All points
+    share one adaptive call in which point k owns the pieces [a, x_k] and
+    [x_k, b], so a point's value does not depend on the others.
     """
-    fx = float(np.asarray(f(np.asarray([x])))[0])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise QuadratureError(f"principal value needs a finite interval, not ({a}, {b})")
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    n = xs.size
+    fx = np.asarray(f(xs), dtype=float)
 
-    def quotient(t: np.ndarray) -> np.ndarray:
-        d = t - x
-        out = (np.asarray(f(t)) - fx) / np.where(d == 0.0, 1.0, d)
+    def quotient(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        d = t - xs[k]
+        out = (np.asarray(f(t)) - fx[k]) / np.where(d == 0.0, 1.0, d)
         return np.where(d == 0.0, 0.0, out)
 
-    val = integrate_interval(quotient, a, b, tol=tol, seeds=[x])
-    val += fx * math.log((b - x) / (x - a))
-    return float(np.real(val))
+    val = integrate_pieces(quotient, np.concatenate([np.full(n, float(a)), xs]),
+                           np.concatenate([xs, np.full(n, float(b))]),
+                           np.tile(np.arange(n), 2), n, tol=tol).real
+    # libm's log: numpy's vectorized log differs from it in the last bit
+    # on some inputs
+    val = val + fx * np.asarray([math.log(r) for r in ((b - xs) / (xs - a)).tolist()])
+    return val if np.ndim(x) else float(val[0])

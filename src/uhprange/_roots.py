@@ -124,6 +124,8 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
     out, active = np.empty(lo.shape), np.arange(lo.size)
     for _ in range(max_iter):
+        if not active.size:
+            break
         mid = 0.5 * (lo + hi)
         below = np.asarray(f(mid)) < target
         lo = np.where(below, mid, lo)
@@ -132,7 +134,5 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
         if done.any():
             out[active[done]] = 0.5 * (lo[done] + hi[done])
             active, lo, hi, target = (v[~done] for v in (active, lo, hi, target))
-            if not active.size:
-                break
     out[active] = 0.5 * (lo + hi)
     return out

@@ -7,20 +7,16 @@ itself the Cauchy transform of a probability measure when beta = 1.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from . import _quad
 from .errors import DomainError, PreconditionError
 from .herglotz import PhiFunction, require_contraction
-from .measures import RealMeasure
-
-_SC_EVAL_LEVEL = 12
+from .measures import RealMeasure, cauchy_kernel, kernel_integral
 
 
 class CauchyTransform:
-    """Callable transform, together with enough structure for level sets."""
+    """Callable transform, together with enough structure for level sets.
+    Every evaluation takes one point or an array of points."""
 
     def __init__(self, *, measure: RealMeasure | None = None,
                  phi: PhiFunction | None = None, tau: float | None = None):
@@ -31,7 +27,7 @@ class CauchyTransform:
         self.tau = tau
         if measure is not None:
             self.kind = "measure"
-            self._pos, self._w = measure.point_masses(_SC_EVAL_LEVEL)
+            self._pos, self._w = measure.nodes
             self.total_mass = measure.total_mass()
         else:
             self.kind = "phi_tau"
@@ -43,78 +39,46 @@ class CauchyTransform:
     def eval(self, z):
         """Value at z with Im z > 0."""
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        scalar = np.asarray(z).ndim == 0
         if np.any(arr.imag <= 0):
             raise DomainError("eval requires Im z > 0")
         if self.kind == "phi_tau":
             out = 1.0 / (self.tau - self.phi._eval_complex(arr))
         else:
-            out = self._measure_eval(arr)
-        return complex(out[0]) if scalar else out
+            out = kernel_integral(self.measure, cauchy_kernel, arr)
+        return out if np.ndim(z) else complex(out[0])
 
     def __call__(self, z):
         return self.eval(z)
 
-    def _measure_eval(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros(z.shape, dtype=complex)
-        if len(self._pos):
-            t, w = self._pos, self._w
-            chunk = max(1, 4_000_000 // max(1, len(t)))
-            flat = z.ravel()
-            res = np.empty(flat.shape, dtype=complex)
-            for i in range(0, len(flat), chunk):
-                zz = flat[i:i + chunk][:, None]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    res[i:i + chunk] = (w[None, :] / (t[None, :] - zz)).sum(axis=1)
-            out = out + res.reshape(z.shape)
-        for piece in self.measure.ac_pieces:
-            flat = z.ravel()
-            vals = np.empty(flat.shape, dtype=complex)
-            for j, zz in enumerate(flat):
-                vals[j] = piece.integrate(lambda t: 1.0 / (t - zz), tol=1e-11)
-            out = out + vals.reshape(z.shape)
-        return out
-
     def real_value(self, x, tol: float = 1e-10) -> np.ndarray:
         """G at real x lying off the support (where the integral is proper)."""
-        if self.kind == "phi_tau":
-            arr = np.atleast_1d(np.asarray(x, dtype=float))
-            w = self.phi.boundary(arr)
-            out = np.real(1.0 / (self.tau - w))
-            return out if np.asarray(x).ndim else float(out[0])
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        scalar = np.asarray(x).ndim == 0
-        out = np.zeros(arr.shape, dtype=float)
-        if len(self._pos):
-            t, w = self._pos, self._w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out += (w[None, :] / (t[None, :] - arr[:, None])).sum(axis=1)
-        for piece in self.measure.ac_pieces:
-            for j, xx in enumerate(arr):
-                if piece.left <= xx <= piece.right:
-                    raise DomainError(
-                        f"real evaluation at {xx} inside the support ({piece.left}, {piece.right}); "
-                        "use boundary_re for principal values")
-                out[j] += float(np.real(piece.integrate(lambda t: 1.0 / (t - xx), tol=tol)))
-        return float(out[0]) if scalar else out
-
-    def boundary_re(self, x: float) -> float:
-        """Re G(x + i0); principal value inside absolutely continuous support."""
         if self.kind == "phi_tau":
-            return float(np.real(1.0 / (self.tau - self.phi.boundary(float(x)))))
-        x = float(x)
-        total = 0.0
-        if len(self._pos):
-            d = self._pos - x
-            if np.any(d == 0.0):
-                raise DomainError(f"Re G undefined exactly at a point mass ({x})")
-            total += float(np.sum(self._w / d))
-        for piece in self.measure.ac_pieces:
-            if piece.left < x < piece.right:
-                total += _quad.pv_cauchy(piece.density, piece.left, piece.right, x, tol=1e-10)
-            else:
-                total += float(np.real(piece.integrate(lambda t: 1.0 / (t - x), tol=1e-10)))
-        return total
+            out = self._resolvent_re(arr)
+        else:
+            for piece in self.measure.ac_pieces:
+                inside = arr[(piece.left <= arr) & (arr <= piece.right)]
+                if len(inside):
+                    raise DomainError(
+                        f"real evaluation at {inside[0]} inside the support "
+                        f"({piece.left}, {piece.right}); use boundary_re for principal values")
+            out = kernel_integral(self.measure, cauchy_kernel, arr, tol=tol)
+        return out if np.ndim(x) else float(out[0])
+
+    def boundary_re(self, x) -> np.ndarray:
+        """Re G(x + i0); principal value inside absolutely continuous support."""
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.kind == "phi_tau":
+            out = self._resolvent_re(arr)
+        else:
+            hit = arr[np.isin(arr, self._pos)]
+            if len(hit):
+                raise DomainError(f"Re G undefined exactly at a point mass ({hit[0]})")
+            out = kernel_integral(self.measure, cauchy_kernel, arr, tol=1e-10, pv=True)
+        return out if np.ndim(x) else float(out[0])
+
+    def _resolvent_re(self, x: np.ndarray) -> np.ndarray:
+        return np.real(1.0 / (self.tau - self.phi.boundary(x)))
 
     # -- structure used by level-set code --------------------------------------
 

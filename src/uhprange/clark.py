@@ -122,8 +122,11 @@ def _atoms(phi: PhiFunction, taus: np.ndarray) -> list[tuple[np.ndarray, np.ndar
 def clark_atoms(phi: PhiFunction, tau: float) -> list[tuple[float, float]]:
     """Real-branch roots of phi(x) = tau with their masses 1/phi'(x), in
     order (branches are sorted and disjoint)."""
-    return [(float(x[0]), float(m[0])) for x, m in _atoms(phi, np.asarray([float(tau)]))
-            if m[0] > 0.0]
+    return _atom_list(_atoms(phi, np.asarray([float(tau)])))
+
+
+def _atom_list(found) -> list[tuple[float, float]]:
+    return [(float(x[0]), float(m[0])) for x, m in found if m[0] > 0.0]
 
 
 def clark_density(phi: PhiFunction, tau: float, x) -> np.ndarray:
@@ -147,7 +150,12 @@ def clark_singular_masses(phi: PhiFunction, taus, y_grid=None
     disk-preimage query for all tail sets.  An atom total within 5 percent
     of the tail limit accounts for the whole tail (no sc mass)."""
     taus = np.asarray(taus, dtype=float)
-    atom_total = sum((m for _, m in _atoms(phi, taus)), np.zeros(taus.shape))
+    return _singular_masses(phi, taus, _atoms(phi, taus), y_grid)
+
+
+def _singular_masses(phi: PhiFunction, taus: np.ndarray, found, y_grid):
+    """clark_singular_masses from the atoms already found by _atoms."""
+    atom_total = sum((m for _, m in found), np.zeros(taus.shape))
     ys = _y_grid(y_grid)
     tails = [_tsereteli(ys, t) for t in resolvent_tail_measures(phi, taus, ys)]
     sc = [0.0 if t.estimate <= m * (1.0 + _SC_ACCOUNTING_RTOL) + 1e-6
@@ -201,7 +209,8 @@ def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None,
     require_contraction(phi)
     phi._require_branches()
     tau = float(tau)
-    atoms = clark_atoms(phi, tau)
+    found = _atoms(phi, np.asarray([tau]))
+    atoms = _atom_list(found)
 
     segments = tuple(phi.nonreal_segments)
     tables = []
@@ -219,7 +228,8 @@ def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None,
             ac_mass += float(np.real(_quad.integrate_interval(
                 lambda t: clark_density(phi, tau, t), seg[0], seg[1], tol=1e-9)))
 
-    atom_total, sc, tser = clark_singular_mass(phi, tau, y_grid=y_grid)
+    atom_total, sc, tails = _singular_masses(phi, np.asarray([tau]), found, y_grid)
+    atom_total, sc, tser = float(atom_total[0]), float(sc[0]), tails[0]
 
     pieces = []
     for (seg, (xs, ds)) in zip(segments, tables):

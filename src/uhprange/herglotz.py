@@ -19,15 +19,11 @@ import numpy as np
 from ._roots import SCAN_LIMIT, Branch, BranchTable
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      UnsupportedStructureError)
-from .measures import AcPiece, RealMeasure
+from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
 
 #: y-ladder used for boundary limits of representation-defined maps.
 _BOUNDARY_YS = (1e-4, 1e-6, 1e-8)
 _BOUNDARY_AGREEMENT = 1e-6
-
-#: Construction level at which Cantor-type parts of rho are discretized
-#: for evaluation purposes.
-_SC_EVAL_LEVEL = 12
 
 
 @dataclass(frozen=True)
@@ -45,16 +41,10 @@ class NevanlinnaData:
             raise PreconditionError("beta must be finite and >= 0")
 
 
-def _as_complex_array(z) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+def _as_array(x, dtype) -> tuple[np.ndarray, bool]:
+    """(x as a 1-d array of dtype, whether x was a scalar)."""
+    arr = np.asarray(x, dtype=dtype)
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 class PhiFunction:
@@ -100,7 +90,7 @@ class PhiFunction:
 
     def eval(self, z):
         """Value at z with Im z > 0."""
-        arr, scalar = _as_complex_array(z)
+        arr, scalar = _as_array(z, complex)
         if np.any(arr.imag <= 0):
             raise DomainError("eval requires Im z > 0")
         out = self._eval_complex(arr)
@@ -109,7 +99,7 @@ class PhiFunction:
     def boundary(self, x) -> np.ndarray:
         """Boundary values on the real line (vectorized, closed upper
         half-plane); exact zero imaginary part on real branches."""
-        arr, scalar = _as_float_array(x)
+        arr, scalar = _as_array(x, float)
         out = self._boundary_complex(arr)
         return complex(out[0]) if scalar else out
 
@@ -126,14 +116,14 @@ class PhiFunction:
 
     def boundary_real(self, x) -> np.ndarray:
         """Real boundary values; meaningful on real branches only."""
-        arr, scalar = _as_float_array(x)
+        arr, scalar = _as_array(x, float)
         out = np.real(self._boundary_complex(arr))
         return float(out[0]) if scalar else out
 
     def derivative(self, z):
         """Derivative at z in the open upper half-plane, or at a real x
         strictly inside a real branch (where it is real and positive)."""
-        arr, scalar = _as_complex_array(z)
+        arr, scalar = _as_array(z, complex)
         if np.all(arr.imag > 0):
             out = self._derivative_complex(arr)
             return complex(out[0]) if scalar else out
@@ -217,17 +207,9 @@ class NevanlinnaPhi(PhiFunction):
 
     def __init__(self, data: NevanlinnaData):
         rho = data.rho
-        node_pos, node_w = rho.point_masses(_SC_EVAL_LEVEL)
-        blockers = [(p, p) for (p, _) in rho.atoms] + rho.blocking_intervals()
-        blockers.sort()
-        branches: list[Branch] = []
-        cursor = -math.inf
-        for (l, r) in blockers:
-            if l > cursor:
-                branches.append(Branch(cursor, l))
-            cursor = max(cursor, r)
-        branches.append(Branch(cursor, math.inf))
-        branches = [b for b in branches if b.right > b.left]
+        blockers = ([(p, p) for (p, _) in rho.atoms]
+                    + [(q.left, q.right) for q in rho.ac_pieces + rho.sc_pieces])
+        branches = [Branch(l, r) for (l, r) in gaps_between(blockers)]
         nonreal = tuple((p.left, p.right) for p in rho.ac_pieces)
         hull = rho.support_hull()
         k = float(np.real(rho.integrate(lambda t: 1.0 + t * t))) if hull is not None else 0.0
@@ -240,52 +222,12 @@ class NevanlinnaPhi(PhiFunction):
             excluded_points=[p for (p, _) in rho.atoms],
             branches_complete=not rho.sc_pieces)
         self.data = data
-        self._node_pos = node_pos
-        self._node_w = node_w
-
-    def _node_sum(self, z: np.ndarray, power: int = 1) -> np.ndarray:
-        """Sum of w*(1+t*z)/(t-z) (power 1) or w*(1+t^2)/(t-z)^2 (power 2)."""
-        if len(self._node_pos) == 0:
-            return np.zeros(z.shape, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        t = self._node_pos
-        w = self._node_w
-        chunk = max(1, 4_000_000 // max(1, len(t)))
-        flat = z.ravel()
-        res = np.empty(flat.shape, dtype=complex)
-        for i in range(0, len(flat), chunk):
-            zz = flat[i:i + chunk][:, None]
-            d = t[None, :] - zz
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if power == 1:
-                    res[i:i + chunk] = ((1.0 + t[None, :] * zz) / d * w[None, :]).sum(axis=1)
-                else:
-                    res[i:i + chunk] = ((1.0 + t[None, :] ** 2) / d**2 * w[None, :]).sum(axis=1)
-        out = res.reshape(z.shape)
-        return out
-
-    def _ac_sum(self, z: np.ndarray, power: int = 1, tol: float = 1e-11) -> np.ndarray:
-        rho = self.data.rho
-        if not rho.ac_pieces:
-            return np.zeros(z.shape, dtype=complex)
-        flat = z.ravel()
-        out = np.zeros(flat.shape, dtype=complex)
-        for j, zz in enumerate(flat):
-            acc = 0.0 + 0.0j
-            for piece in rho.ac_pieces:
-                if power == 1:
-                    acc += piece.integrate(lambda t: (1.0 + t * zz) / (t - zz), tol=tol)
-                else:
-                    acc += piece.integrate(lambda t: (1.0 + t * t) / (t - zz) ** 2, tol=tol)
-            out[j] = acc
-        return out.reshape(z.shape)
 
     def _eval_complex(self, z: np.ndarray) -> np.ndarray:
-        return (self.data.alpha + self.data.beta * z
-                + self._node_sum(z, 1) + self._ac_sum(z, 1))
+        return kernel_integral(self.rho, _kernel, z, start=self.data.alpha + self.data.beta * z)
 
     def _derivative_complex(self, z: np.ndarray) -> np.ndarray:
-        return self.data.beta + self._node_sum(z, 2) + self._ac_sum(z, 2)
+        return kernel_integral(self.rho, _kernel_derivative, z, start=self.data.beta)
 
     def _on_branch_mask(self, x: np.ndarray) -> np.ndarray:
         mask = np.zeros(x.shape, dtype=bool)
@@ -297,12 +239,7 @@ class NevanlinnaPhi(PhiFunction):
         out = np.empty(x.shape, dtype=complex)
         on = self._on_branch_mask(x)
         if on.any():
-            xb = x[on]
-            vals = (self.data.alpha + self.data.beta * xb
-                    + np.real(self._node_sum(xb.astype(complex), 1)))
-            if self.data.rho.ac_pieces:
-                vals = vals + np.real(self._ac_sum(xb.astype(complex), 1))
-            out[on] = vals  # exactly real on branches
+            out[on] = self.boundary_real(x[on])  # exactly real on branches
         # Every atom of rho (the excluded points) is a pole of phi.
         pole = np.isin(x, self.excluded_points)
         out[pole] = complex(math.inf, 0.0)
@@ -331,12 +268,20 @@ class NevanlinnaPhi(PhiFunction):
         return out
 
     def boundary_real(self, x) -> np.ndarray:
-        arr, scalar = _as_float_array(x)
-        vals = (self.data.alpha + self.data.beta * arr
-                + np.real(self._node_sum(arr.astype(complex), 1)))
-        if self.data.rho.ac_pieces:
-            vals = vals + np.real(self._ac_sum(arr.astype(complex), 1))
+        arr, scalar = _as_array(x, float)
+        vals = np.real(kernel_integral(self.rho, _kernel, arr.astype(complex),
+                                       start=self.data.alpha + self.data.beta * arr))
         return float(vals[0]) if scalar else vals
+
+
+def _kernel(t, z, w):
+    """w * (1 + t z) / (t - z), the kernel of the representation."""
+    return (1.0 + t * z) / (t - z) * w
+
+
+def _kernel_derivative(t, z, w):
+    """w * (1 + t^2) / (t - z)^2, its derivative in z."""
+    return (1.0 + t * t) / (t - z) ** 2 * w
 
 
 class ClosedFormPhi(PhiFunction):
@@ -384,7 +329,8 @@ class IteratedPhi(PhiFunction):
         hull = None
         if finite_ends:
             hull = (min(finite_ends), max(finite_ends))
-        nonreal = _complement_segments(branches)
+        nonreal = tuple(g for g in gaps_between((b.left, b.right) for b in branches)
+                        if np.isfinite(g[0]) or np.isfinite(g[1]))
         super().__init__(beta=base.beta, branches=branches,
                          nonreal_segments=nonreal, support_hull=hull,
                          rho=None, rho_k=None, alpha=None,
@@ -424,7 +370,7 @@ class IteratedPhi(PhiFunction):
         return out
 
     def boundary_real(self, x) -> np.ndarray:
-        arr, scalar = _as_float_array(x)
+        arr, scalar = _as_array(x, float)
         w = arr.copy()
         for _ in range(self.n):
             w = np.asarray(self.base.boundary_real(w), dtype=float)
@@ -451,18 +397,6 @@ def _pullback(base: PhiFunction, prev: list[Branch]) -> list[Branch]:
                     out.append(Branch(float(lo), float(hi)))
     out.sort(key=lambda b: b.left)
     return out
-
-
-def _complement_segments(branches: Sequence[Branch]) -> tuple[tuple[float, float], ...]:
-    segs = []
-    cursor = -math.inf
-    for b in sorted(branches, key=lambda b: b.left):
-        if b.left > cursor:
-            segs.append((cursor, b.left))
-        cursor = max(cursor, b.right)
-    if cursor < math.inf:
-        segs.append((cursor, math.inf))
-    return tuple((l, r) for (l, r) in segs if np.isfinite(l) or np.isfinite(r))
 
 
 # -- construction -------------------------------------------------------------

@@ -18,7 +18,7 @@ from ._roots import SCAN_LIMIT, bisect_increasing
 from .cauchy import CauchyTransform
 from .errors import PreconditionError, WindowError
 from .herglotz import PhiFunction
-from .measures import IntervalSet
+from .measures import IntervalSet, atom_sum, cauchy_kernel, gaps_between
 
 _EPS = np.finfo(float).eps
 
@@ -226,27 +226,11 @@ def tail_set_measure(G: CauchyTransform, y: float, side: str) -> float:
 
     pos, w = G.point_masses()
     acs = G.ac_intervals()
-    comps = _components(pos, acs)
-    total = 0.0
-    total += _interior_gap_measure(G, comps, y, side)
-    total += _exterior_measure(G, comps, y, side)
+    comps = gaps_between([(p, p) for p in pos.tolist()] + acs)
+    total = _off_support_measure(G, comps, y, side)
     for (l, r) in acs:
         total += _ac_interior_measure(G, l, r, y, side, pos)
     return total
-
-
-def _components(pos: np.ndarray, acs: list[tuple[float, float]]
-                ) -> list[tuple[float, float]]:
-    blocks = [(float(p), float(p)) for p in pos] + [(float(l), float(r)) for (l, r) in acs]
-    blocks.sort()
-    comps = []
-    cursor = -math.inf
-    for (l, r) in blocks:
-        if l > cursor:
-            comps.append((cursor, l))
-        cursor = max(cursor, r)
-    comps.append((cursor, math.inf))
-    return comps
 
 
 def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: float) -> np.ndarray:
@@ -255,49 +239,42 @@ def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: float) -> np.ndarray:
     return edge + sign * step
 
 
-def _interior_gap_measure(G: CauchyTransform, comps, y: float, side: str) -> float:
+def _off_support_measure(G: CauchyTransform, comps, y: float, side: str) -> float:
+    """The tail set off the singular support, where Re G is real and
+    increasing: the bounded components (gaps between blocks), where it runs
+    from -inf to +inf, plus the unbounded end component where it tends to 0
+    from the tail's side.  One evaluation of the component ends, one
+    bisection for every crossing."""
+    f = lambda xs: G.real_value(xs, tol=1e-9)
+    upper = side == "upper"
+    sgn, target = (1.0, float(y)) if upper else (-1.0, -float(y))
     gaps = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
                        and c[1] > c[0]]).reshape(-1, 2)
-    if len(gaps) == 0:
-        return 0.0
     gl, gr = gaps[:, 0], gaps[:, 1]
     width = gr - gl
-    lo = _nudge_in(gl, width, +1.0)
-    hi = _nudge_in(gr, width, -1.0)
-    f = lambda xs: G.real_value(xs, tol=1e-9)
-    flo = np.asarray(f(lo))
-    fhi = np.asarray(f(hi))
-    upper = side == "upper"
+    lo, hi = _nudge_in(gl, width, +1.0), _nudge_in(gr, width, -1.0)
+    # the end component: (-inf, edge) for the upper tail, (edge, +inf) for the lower
+    if upper:
+        edge = [r for (l, r) in comps if l == -math.inf and np.isfinite(r)][:1]
+    else:
+        edge = [l for (l, r) in comps if r == math.inf and np.isfinite(l)][:1]
+    edge = np.asarray(edge, dtype=float)
+    near = _nudge_in(edge, np.ones(edge.shape), -sgn)
+    far = edge - sgn * np.maximum(4.0 * G.total_mass / y, 16.0 * _EPS * (np.abs(edge) + 1.0))
+    flo, fhi, fnear = np.split(np.asarray(f(np.concatenate([lo, hi, near]))),
+                               [len(lo), 2 * len(lo)])
     full = flo >= y if upper else fhi <= -y
     mid = ~full & ~(fhi <= y if upper else flo >= -y)
+    outer = sgn * fnear > y
+    roots = bisect_increasing(f, np.concatenate([lo[mid], np.minimum(far, near)[outer]]),
+                              np.concatenate([hi[mid], np.maximum(far, near)[outer]]),
+                              target, xtol=1e-15)
+    inner = roots[:mid.sum()]
     total = float(width[full].sum())
-    if mid.any():
-        roots = bisect_increasing(f, lo[mid], hi[mid],
-                                  np.full(mid.sum(), float(y) if upper else -float(y)),
-                                  xtol=1e-15)
-        total += float(((gr[mid] - roots) if upper else (roots - gl[mid])).sum())
+    total += float(((gr[mid] - inner) if upper else (inner - gl[mid])).sum())
+    if outer.any():
+        total += sgn * (float(edge[0]) - float(roots[-1]))
     return total
-
-
-def _exterior_measure(G: CauchyTransform, comps, y: float, side: str) -> float:
-    """The unbounded end component where Re G tends to 0 from the tail's side."""
-    f = lambda xs: G.real_value(xs, tol=1e-9)
-    for (gl, gr) in comps:
-        if side == "upper" and gl == -math.inf and np.isfinite(gr):
-            edge, sgn = gr, 1.0
-        elif side == "lower" and gr == math.inf and np.isfinite(gl):
-            edge, sgn = gl, -1.0
-        else:
-            continue
-        near = _nudge_in(np.asarray([edge]), np.asarray([1.0]), -sgn)[0]
-        if sgn * float(f(near)) <= y:
-            return 0.0
-        far = edge - sgn * max(4.0 * G.total_mass / y, 16.0 * _EPS * (abs(edge) + 1.0))
-        lo, hi = (far, near) if sgn > 0 else (near, far)
-        root = float(bisect_increasing(f, np.asarray([lo]), np.asarray([hi]),
-                                       np.asarray([sgn * float(y)]), xtol=1e-15)[0])
-        return sgn * (edge - root)
-    return 0.0
 
 
 def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
@@ -306,17 +283,15 @@ def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
 
     Re G is smooth but not monotone here; crossings are isolated by a
     scan grid clustered geometrically at the segment ends (where the
-    transform blows up) and refined by scalar bisection.
+    transform blows up), evaluated in one call.  Each run of scan points
+    above the level starts at a rising crossing and ends at a falling
+    one; both kinds are refined by one bisection each.
     """
     inner = np.sort(pos[(pos > left) & (pos < right)])
     cuts = [left, *inner.tolist(), right]
     sgn = 1.0 if side == "upper" else -1.0
     level = float(y)
-    total = 0.0
-
-    def h(x: float) -> float:
-        return sgn * G.boundary_re(x) - level
-
+    scans = []
     for (u, v) in zip(cuts[:-1], cuts[1:]):
         wseg = v - u
         if not np.isfinite(wseg):
@@ -327,39 +302,26 @@ def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
         xs = np.unique(np.concatenate([
             u + 0.5 * wseg * fracs, v - 0.5 * wseg * fracs,
             np.linspace(u + wseg / 64, v - wseg / 64, 63)]))
-        xs = xs[(xs > u) & (xs < v)]
-        positive = np.asarray([h(x) for x in xs]) > 0
-        if not positive.any():
-            continue
-        # walk sign runs; ends of the segment stand in for unreachable
-        # crossings hugging a blow-up point
-        idx = 0
-        while idx < len(xs):
-            if not positive[idx]:
-                idx += 1
-                continue
-            run_start = idx
-            while idx < len(xs) and positive[idx]:
-                idx += 1
-            run_end = idx - 1
-            a = u if run_start == 0 else _bisect_scalar(h, xs[run_start - 1], xs[run_start])
-            b = v if run_end == len(xs) - 1 else _bisect_scalar(h, xs[run_end], xs[run_end + 1])
-            total += max(b - a, 0.0)
+        scans.append(np.concatenate([[u], xs[(xs > u) & (xs < v)], [v]]))
+    # every scan runs from segment end to segment end; the ends count as
+    # below the level, so a run that reaches one ends there, standing in for
+    # an unreachable crossing hugging a blow-up point
+    xs = np.concatenate(scans)
+    end = np.concatenate([np.arange(len(s)) % (len(s) - 1) == 0 for s in scans])
+    high = np.zeros(len(xs), dtype=bool)
+    high[~end] = sgn * G.boundary_re(xs[~end]) - level > 0
+    first = np.flatnonzero(high & ~np.concatenate([[False], high[:-1]]))
+    last = np.flatnonzero(high & ~np.concatenate([high[1:], [False]]))
+    a, b = xs[first - 1], xs[last + 1]
+    rise, fall = ~end[first - 1], ~end[last + 1]
+    a[rise] = bisect_increasing(lambda x: sgn * G.boundary_re(x), a[rise], xs[first[rise]],
+                                level, xtol=1e-13)
+    b[fall] = bisect_increasing(lambda x: -sgn * G.boundary_re(x), xs[last[fall]], b[fall],
+                                -level, xtol=1e-13)
+    total = 0.0
+    for width in (b - a).tolist():
+        total += max(width, 0.0)
     return total
-
-
-def _bisect_scalar(h, lo: float, hi: float, iters: int = 80) -> float:
-    """Scalar bisection for a sign change of h between lo and hi."""
-    hlo = h(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < max(1e-13, 8.0 * _EPS * abs(mid)):
-            break
-        if (h(mid) > 0) == (hlo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # -- Monte Carlo oracle ----------------------------------------------------------
@@ -398,8 +360,7 @@ def mc_oracle_measure(target, region, n: int = 10**6, seed: int = 0,
         sgn = 1.0 if side == "upper" else -1.0
 
         def member(x, pos=pos, w=w, sgn=sgn, y=float(y)):
-            vals = (w[None, :] / (pos[None, :] - x[:, None])).sum(axis=1)
-            return sgn * vals > y
+            return sgn * atom_sum(cauchy_kernel, pos, w, x) > y
 
         if window is None:
             reach = 4.0 * target.total_mass / float(y) + 1.0

@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _quad
 from .errors import PreconditionError
+
+#: Construction level at which Cantor-type parts are discretized when a
+#: kernel is integrated against a measure.
+SC_EVAL_LEVEL = 12
+
+#: Memory bounds of a kernel integral: kernel entries per chunk of the
+#: atom sum, and points per adaptive call of a density piece.
+_ATOM_CHUNK = 4_000_000
+_POINTS_PER_CALL = 8
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,6 @@ class AcPiece:
         def g(t: np.ndarray) -> np.ndarray:
             return np.asarray(f(t)) * np.asarray(self.density(t))
 
-        if math.isinf(self.left) or math.isinf(self.right):
-            return _quad.integrate_interval(g, self.left, self.right, tol=tol)
         return _quad.integrate_power_endpoint(
             g, self.left, self.right,
             p_left=self.left_exponent, p_right=self.right_exponent, tol=tol)
@@ -124,8 +132,7 @@ class ScCantorPiece:
     def gaps(self, level: int | None = None) -> list[tuple[float, float]]:
         """Removed middle intervals down to the given level, sorted: the
         spaces between consecutive surviving intervals."""
-        kept = self.support_intervals(level)
-        return [(v, u) for (_, v), (u, _) in zip(kept[:-1], kept[1:])]
+        return gaps_between(self.support_intervals(level))[1:-1]
 
     def atomize(self, level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes/weights: mass centroids of the level intervals.
@@ -259,21 +266,100 @@ class RealMeasure:
             return None
         return (min(ends), max(ends))
 
-    def point_masses(self, sc_level: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms plus the Cantor pieces discretized at sc_level, merged and sorted."""
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms plus the Cantor pieces discretized at SC_EVAL_LEVEL, merged
+        and sorted (computed once)."""
         pos = [float(p) for (p, _) in self.atoms]
         w = [float(m) for (_, m) in self.atoms]
         for piece in self.sc_pieces:
-            p_i, w_i = piece.atomize(sc_level)
+            p_i, w_i = piece.atomize(SC_EVAL_LEVEL)
             pos.extend(p_i.tolist())
             w.extend(w_i.tolist())
         order = np.argsort(pos) if pos else np.zeros(0, dtype=int)
         return np.asarray(pos, dtype=float)[order], np.asarray(w, dtype=float)[order]
 
-    def blocking_intervals(self) -> list[tuple[float, float]]:
-        """Closed intervals known to contain support other than bare atoms."""
-        return sorted((piece.left, piece.right) for piece in
-                      list(self.ac_pieces) + list(self.sc_pieces))
+
+def gaps_between(blocks) -> list[tuple[float, float]]:
+    """The open gaps of the line left by closed blocks (l, r), sorted, from
+    -inf to +inf; blocks may overlap or be single points."""
+    gaps, cursor = [], -math.inf
+    for (l, r) in sorted(blocks):
+        if l > cursor:
+            gaps.append((cursor, l))
+        cursor = max(cursor, r)
+    if cursor < math.inf:
+        gaps.append((cursor, math.inf))
+    return gaps
+
+
+# -- kernel integrals -----------------------------------------------------------
+
+
+def cauchy_kernel(t, z, w):
+    """w / (t - z): the Cauchy kernel weighted by w."""
+    return w / (t - z)
+
+
+def atom_sum(kernel: Callable, pos: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+    """sum_j kernel(pos_j, z_k, w_j) for every point z_k (result in the
+    shape of z): one broadcast row per point, in chunks of at most
+    _ATOM_CHUNK entries."""
+    z = np.asarray(z)
+    if not len(pos):
+        return np.zeros(z.shape, dtype=np.result_type(z, float))
+    flat = z.ravel()
+    step = max(1, _ATOM_CHUNK // len(pos))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = [kernel(pos[None, :], flat[i:i + step, None], w[None, :]).sum(axis=1)
+                for i in range(0, max(1, len(flat)), step)]
+    return (rows[0] if len(rows) == 1 else np.concatenate(rows)).reshape(z.shape)
+
+
+def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float = 1e-11,
+                    pv: bool = False) -> np.ndarray:
+    """start + integral of K(t, z_k) d(mu)(t) at every point z_k of a real
+    or complex array (result in its shape and type).
+
+    ``kernel(t, z, w)`` gives w * K(t, z).  Atoms and Cantor nodes pass
+    their masses to atom_sum; a density piece passes 1, multiplies by the
+    density and is integrated over its ``_quad.domains`` (as
+    AcPiece.integrate splits it), _POINTS_PER_CALL points per adaptive
+    call, in which every point owns its panels.  With ``pv`` (for the
+    Cauchy kernel), real points strictly inside a piece take the principal
+    value instead.  Pieces are added in order, and a point's value does not
+    depend on the other points.
+    """
+    z = np.asarray(z)
+    total = start + atom_sum(kernel, *mu.nodes, z)
+    flat = z.ravel()
+    for piece in mu.ac_pieces:
+        vals = np.empty(flat.shape, dtype=complex)
+        inside = ((piece.left < flat) & (flat < piece.right) if pv
+                  else np.zeros(flat.shape, dtype=bool))
+        for principal, idx in ((False, np.flatnonzero(~inside)), (True, np.flatnonzero(inside))):
+            for i in range(0, len(idx), _POINTS_PER_CALL):
+                chunk = idx[i:i + _POINTS_PER_CALL]
+                vals[chunk] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,
+                                               flat[chunk], tol=tol) if principal
+                               else _density_integral(piece, kernel, flat[chunk], tol))
+        total = total + (vals if np.iscomplexobj(z) else vals.real).reshape(z.shape)
+    return total
+
+
+def _density_integral(piece: AcPiece, kernel: Callable, z: np.ndarray, tol: float) -> np.ndarray:
+    """Integral of K(t, z_k) against one density piece for a few points
+    z_k: the sum of its domains in order, point k owning its panels."""
+    def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return kernel(t, z[k], 1.0) * piece.density(t)
+
+    parts = _quad.domains(piece.left, piece.right, piece.left_exponent, piece.right_exponent)
+    total, n = 0.0, len(z)
+    for lo, hi, sub in parts:
+        total = total + _quad.integrate_pieces(_quad.substituted(f, sub), np.full(n, lo),
+                                               np.full(n, hi), np.arange(n), n,
+                                               tol=tol / len(parts))
+    return total
 
 
 @dataclass(frozen=True)

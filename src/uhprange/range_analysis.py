@@ -268,7 +268,7 @@ def _weighted_numerators(phi: PhiFunction, ends, panels: np.ndarray, n: int) -> 
         hi.append(xb.ravel()[q])
     owner, lo, hi = np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
 
-    def weight(x: np.ndarray) -> np.ndarray:
+    def weight(x: np.ndarray, _query: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.abs(phi.boundary(x)) ** 2)
 
     return np.real(_quad.integrate_pieces(weight, lo, hi, owner, n, tol=1e-11))

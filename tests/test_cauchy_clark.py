@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uhprange import (AcPiece, NevanlinnaData, PreconditionError, RealMeasure,
-                      cauchy_transform, clark_atoms, clark_density, clark_measure,
+from uhprange import (AcPiece, NevanlinnaData, PreconditionError, QuadratureError,
+                      RealMeasure, cauchy_transform, clark_atoms, clark_density, clark_measure,
                       g_tau, phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, singular_mass_tsereteli)
 
@@ -159,3 +159,11 @@ def test_clark_requires_contraction():
     phi = phi_from_nevanlinna(NevanlinnaData(0.0, 0.5, RealMeasure.zero()))
     with pytest.raises(PreconditionError):
         clark_measure(phi, 0.0)
+
+
+def test_boundary_re_inside_infinite_piece_rejected():
+    halfline = AcPiece(-math.inf, -1.0, lambda t: 1.0 / (1.0 + t * t))
+    G = cauchy_transform(RealMeasure(ac_pieces=(halfline,)))
+    with pytest.raises(QuadratureError):
+        G.boundary_re(-2.0)
+    assert np.isfinite(G.boundary_re(0.5))

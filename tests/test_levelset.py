@@ -178,6 +178,15 @@ def test_mc_tail_atoms():
     assert abs(est - det) <= 3 * err
 
 
+def test_mc_tail_cantor():
+    """The oracle on a 1024-node singular-continuous transform, summed in
+    bounded chunks, agrees with the deterministic tail measure."""
+    G = cauchy_transform(RealMeasure.cantor(depth=10))
+    for side in ("upper", "lower"):
+        est, err = mc_oracle_measure(G, ("tail", 2.0, side), n=10**5, seed=11)
+        assert abs(est - tail_set_measure(G, 2.0, side)) <= 3 * err
+
+
 def test_mc_window_too_small():
     with pytest.raises(WindowError):
         mc_oracle_measure(phi_identity(), (0.0, 1.0), n=10**5, seed=0,

@@ -117,3 +117,77 @@ def test_interval_set_build():
     s = IntervalSet.build([(0.0, 1.0), (0.5, 2.0), (3.0, 3.0), (4.0, 5.0)])
     assert s.intervals == ((0.0, 2.0), (4.0, 5.0))
     assert abs(s.total_length - 3.0) < 1e-15
+
+
+# -- batch invariance of measure transforms ----------------------------------------
+
+import math  # noqa: E402
+
+from uhprange import (AcPiece, NevanlinnaData, cauchy_transform,  # noqa: E402
+                      phi_from_nevanlinna)
+from uhprange import _quad  # noqa: E402
+
+
+def _poisson(t):
+    return 1.0 / (1.0 + t * t)
+
+
+def _arcsine(t):
+    return 1.0 / (math.pi * np.sqrt(np.clip((1.0 - t) * (1.0 + t), 1e-300, None)))
+
+
+_MEASURES = {
+    "atoms": RealMeasure.from_atoms([(-1.5, 0.3), (0.25, 0.5), (2.0, 0.2)]),
+    "uniform_atom": RealMeasure.uniform(-1.0, 0.5, mass=0.7).combined(
+        RealMeasure.point_mass(1.5, 0.3)),
+    "arcsine": RealMeasure(ac_pieces=(AcPiece(-1.0, 1.0, _arcsine, -0.5, -0.5),)),
+    "poisson": RealMeasure(ac_pieces=(AcPiece(-1.0, 2.0, _poisson),)),
+    "halfline": RealMeasure(ac_pieces=(AcPiece(-math.inf, -1.0, _poisson),)),
+    "cantor_atom": RealMeasure.cantor(0.0, 1.0, 0.5, depth=6).combined(
+        RealMeasure.point_mass(-2.0, 0.5)),
+}
+_PHIS = {name: phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, mu))
+         for name, mu in _MEASURES.items()}
+_TRANSFORMS = {name: cauchy_transform(mu) for name, mu in _MEASURES.items()}
+
+
+def _same(batched, singles) -> bool:
+    """Equal bit for bit (signed zeros and NaNs included)."""
+    batched = np.asarray(batched)
+    return batched.tobytes() == np.asarray(singles, dtype=batched.dtype).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # Re G at a density's end
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_MEASURES)),
+       xs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=10),
+       ys=st.lists(st.floats(1e-3, 5.0), min_size=10, max_size=10))
+def test_transforms_batch_invariant(name, xs, ys):
+    """Array calls equal one-point calls bit for bit."""
+    xs = np.asarray(xs)
+    zs = xs + 1j * np.asarray(ys[:len(xs)])
+    phi, G, mu = _PHIS[name], _TRANSFORMS[name], _MEASURES[name]
+    for f in (phi.eval, phi.derivative, G.eval):
+        assert _same(f(zs), [f(z) for z in zs])
+    on = np.asarray([phi.branch_of(x) is not None for x in xs])
+    if on.any():
+        assert _same(phi.boundary_real(xs[on]), [phi.boundary_real(x) for x in xs[on]])
+    off = np.ones(len(xs), dtype=bool)
+    finite = np.ones(len(xs), dtype=bool)
+    for piece in mu.ac_pieces:
+        off &= (xs < piece.left) | (xs > piece.right)
+        if math.isinf(piece.left) or math.isinf(piece.right):
+            finite &= (xs < piece.left) | (xs > piece.right)
+    if off.any():
+        assert _same(G.real_value(xs[off]), [G.real_value(x) for x in xs[off]])
+    keep = finite & ~np.isin(xs, G.point_masses()[0])
+    if keep.any():
+        assert _same(G.boundary_re(xs[keep]), [G.boundary_re(x) for x in xs[keep]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(st.floats(-0.999, 1.999), min_size=1, max_size=12))
+def test_pv_cauchy_batch_invariant(xs):
+    xs = np.asarray(xs)
+    assert _same(_quad.pv_cauchy(_poisson, -1.0, 2.0, xs),
+                 [_quad.pv_cauchy(_poisson, -1.0, 2.0, x) for x in xs])

@@ -68,7 +68,7 @@ def test_seeded_kink():
 
 
 def test_pieces_independent_of_other_owners():
-    f = lambda t: np.exp(np.sin(3 * t)) / (1 + t * t)
+    f = lambda t, _owner=None: np.exp(np.sin(3 * t)) / (1 + t * t)
     rng = np.random.default_rng(4)
     lo = rng.uniform(-4, 4, 30)
     hi = lo + rng.uniform(0.01, 3, 30)
