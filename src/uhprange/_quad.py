@@ -153,13 +153,6 @@ def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
     return total
 
 
-def integrate_real_line(f: Callable, tol: float = 1e-10,
-                        seeds: Sequence[float] = (), max_panels: int = 10**6) -> complex:
-    """Integrate f over the whole real line (tan-folded)."""
-    return integrate_interval(f, -math.inf, math.inf, tol=tol, seeds=seeds,
-                              max_panels=max_panels)
-
-
 def integrate_line_relative(
     f: Callable,
     rel_tol: float = 1e-9,

@@ -87,11 +87,6 @@ class CauchyTransform:
             raise PreconditionError("point masses only available for measure sources")
         return self._pos, self._w
 
-    def ac_intervals(self) -> list[tuple[float, float]]:
-        if self.kind != "measure":
-            raise PreconditionError("ac intervals only available for measure sources")
-        return [(p.left, p.right) for p in self.measure.ac_pieces]
-
 
 def cauchy_transform(mu: RealMeasure) -> CauchyTransform:
     """Cauchy transform of a finite positive measure."""

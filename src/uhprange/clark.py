@@ -18,7 +18,7 @@ from . import _quad
 from .cauchy import CauchyTransform
 from .errors import PreconditionError
 from .herglotz import PhiFunction, require_contraction
-from .levelset import resolvent_tail_measures, tail_set_measure
+from .levelset import resolvent_tail_measures, tail_measures
 from .measures import AcPiece, RealMeasure
 
 #: Roots with boundary derivative above this carry mass below 1e-12 and are
@@ -44,21 +44,17 @@ class TsereteliEstimate:
     converged: bool
 
 
-def singular_mass_tsereteli(G: CauchyTransform,
-                            y_grid=None) -> TsereteliEstimate:
+def singular_mass_tsereteli(G: CauchyTransform, y_grid=None) -> TsereteliEstimate:
     """Estimate the singular mass from both tail families of Re G.
 
     The grid must be positive and span at least three decades.  Each tail
     sequence y * measure is extrapolated in 1/y from its last two entries;
     the two tails are averaged and flagged non-converged when they disagree
-    by more than 10 percent at the largest y.  On a resolvent this is the
-    one-tau case of the batched tail query.
+    by more than 10 percent at the largest y.  Every tail set comes from
+    one batched tail query.
     """
     ys = _y_grid(y_grid)
-    if G.kind == "phi_tau":
-        return _tsereteli(ys, resolvent_tail_measures(G.phi, [G.tau], ys)[0])
-    return _tsereteli(ys, np.asarray([[tail_set_measure(G, y, side)
-                                       for side in ("upper", "lower")] for y in ys]))
+    return _tsereteli(ys, tail_measures(G, ys))
 
 
 def _y_grid(y_grid) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (ConfigError, ConvergenceError, OrbitBreakError,
 from .herglotz import (CATALOG, NevanlinnaData, PhiFunction, phi_from_catalog,
                        phi_from_nevanlinna)
 from .levelset import (DiskQuery, preimage_disk_measure, preimage_interval_set,
-                       tail_set_measure)
+                       tail_measures, tail_set_measure)
 from .measures import AcPiece, RealMeasure, ScCantorPiece
 from .range_analysis import (QueryGrid, boole_check, closed_range_report,
                              default_grid, default_tau_grid, letac_check,
@@ -315,11 +315,9 @@ def cmd_verify(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
     # mixed-measure tail limit
     mu = RealMeasure.from_atoms([(0.0, 0.5)]).combined(
         RealMeasure.uniform(0.0, 1.0, mass=0.5))
-    G = cauchy_transform(mu)
     y = 1e4
-    for side in ("upper", "lower"):
-        record("tsereteli", f"half-atom-half-uniform-{side}",
-               abs(y * tail_set_measure(G, y, side) - 0.5), 0.01)
+    for side, tail in zip(("upper", "lower"), tail_measures(cauchy_transform(mu), [y])[0]):
+        record("tsereteli", f"half-atom-half-uniform-{side}", abs(y * tail - 0.5), 0.01)
 
     # disk identity for the resolvent family
     phi_d = phi_from_catalog("zloglin", alpha=0.0)

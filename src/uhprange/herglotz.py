@@ -129,10 +129,9 @@ class PhiFunction:
             return complex(out[0]) if scalar else out
         if np.any(arr.imag != 0):
             raise DomainError("derivative: points must be in C+ or on real branches")
-        xs = arr.real
-        for x in np.atleast_1d(xs):
-            if self.branch_of(float(x)) is None:
-                raise DomainError(f"derivative: {x} is not on a real branch")
+        off = ~self._on_branch_mask(arr.real)
+        if off.any():
+            raise DomainError(f"derivative: {arr.real[off][0]} is not on a real branch")
         out = np.real(self._derivative_complex(arr))
         return float(out[0]) if scalar else out
 
@@ -143,6 +142,13 @@ class PhiFunction:
             if b.contains(x):
                 return b
         return None
+
+    def _on_branch_mask(self, x: np.ndarray) -> np.ndarray:
+        """Whether each point lies strictly inside some real branch."""
+        mask = np.zeros(x.shape, dtype=bool)
+        for b in self.real_branches:
+            mask |= (x > b.left) & (x < b.right)
+        return mask
 
     def branch_table(self, branch: Branch) -> BranchTable:
         key = self.real_branches.index(branch)
@@ -228,12 +234,6 @@ class NevanlinnaPhi(PhiFunction):
 
     def _derivative_complex(self, z: np.ndarray) -> np.ndarray:
         return kernel_integral(self.rho, _kernel_derivative, z, start=self.data.beta)
-
-    def _on_branch_mask(self, x: np.ndarray) -> np.ndarray:
-        mask = np.zeros(x.shape, dtype=bool)
-        for b in self.real_branches:
-            mask |= (x > b.left) & (x < b.right)
-        return mask
 
     def _boundary_complex(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape, dtype=complex)
@@ -378,18 +378,15 @@ class IteratedPhi(PhiFunction):
 
 
 def _pullback(base: PhiFunction, prev: list[Branch]) -> list[Branch]:
+    """Preimages of the branches prev under each base branch J: every
+    finite end is solved in one call per J, an infinite end maps to J's."""
+    ends = np.asarray([(K.left, K.right) for K in prev], dtype=float).reshape(-1, 2)
+    finite = np.isfinite(ends)
     out: list[Branch] = []
     for J in base.real_branches:
-        tbl = base.branch_table(J)
-        for K in prev:
-            lo = tbl.solve_clamped(np.asarray([K.left]))[0] if np.isfinite(K.left) \
-                else (J.left if np.isfinite(J.left) else tbl.xs[0] - 0.0)
-            hi = tbl.solve_clamped(np.asarray([K.right]))[0] if np.isfinite(K.right) \
-                else (J.right if np.isfinite(J.right) else tbl.xs[-1] + 0.0)
-            if not np.isfinite(K.left) and not np.isfinite(J.left):
-                lo = -math.inf
-            if not np.isfinite(K.right) and not np.isfinite(J.right):
-                hi = math.inf
+        x = np.tile([J.left, J.right], (len(prev), 1))
+        x[finite] = base.branch_table(J).solve_clamped(ends[finite])
+        for lo, hi in x.tolist():
             if hi > lo:
                 scale = max(1.0, abs(lo) if np.isfinite(lo) else 0.0,
                             abs(hi) if np.isfinite(hi) else 0.0)

@@ -208,120 +208,143 @@ def resolvent_tail_measures(phi: PhiFunction, taus, ys) -> np.ndarray:
 # -- tail sets of Cauchy transforms ---------------------------------------------
 
 
-def tail_set_measure(G: CauchyTransform, y: float, side: str) -> float:
-    """|{x : Re G(x) > y}| (upper) or |{x : Re G(x) < -y}| (lower).
+def tail_measures(G: CauchyTransform, ys) -> np.ndarray:
+    """|{x : Re G(x) > y}| and |{x : Re G(x) < -y}| for every level y, shape
+    (len(ys), 2).
 
-    For resolvent sources this is the one-query case of
-    resolvent_tail_measures.  For measure sources the line splits into
-    components off the singular support, where G is real and increasing,
-    plus the interiors of the density intervals, which are scanned for
-    principal-value crossings.
+    A resolvent is the one-tau case of resolvent_tail_measures.  For a
+    measure source the line splits into components off the singular
+    support, where G is real and increasing, plus the interiors of the
+    density intervals.  Neither the component ends nor the density scans
+    depend on y, so each is evaluated once for every level.
     """
-    if y <= 0:
+    ys = np.asarray(ys, dtype=float).ravel()
+    if not np.all(ys > 0):
         raise PreconditionError("tail level y must be positive")
+    if G.kind == "phi_tau":
+        return resolvent_tail_measures(G.phi, [G.tau], ys)[0]
+    # query 2k is the upper tail at ys[k], query 2k + 1 the lower one
+    level, sgn = np.repeat(ys, 2), np.tile([1.0, -1.0], ys.size)
+    pos, _ = G.point_masses()
+    acs = [(p.left, p.right) for p in G.measure.ac_pieces]
+    total = _off_support_measures(G, gaps_between([(p, p) for p in pos.tolist()] + acs),
+                                  level, sgn)
+    for part in _density_measures(G, acs, pos, level, sgn).T:
+        total = total + part
+    return total.reshape(-1, 2)
+
+
+def tail_set_measure(G: CauchyTransform, y: float, side: str) -> float:
+    """|{x : Re G(x) > y}| (upper) or |{x : Re G(x) < -y}| (lower): the
+    one-query case of tail_measures."""
     if side not in ("upper", "lower"):
         raise PreconditionError("side must be 'upper' or 'lower'")
-    if G.kind == "phi_tau":
-        return float(resolvent_tail_measures(G.phi, [G.tau], [y])[0, 0, int(side == "lower")])
-
-    pos, w = G.point_masses()
-    acs = G.ac_intervals()
-    comps = gaps_between([(p, p) for p in pos.tolist()] + acs)
-    total = _off_support_measure(G, comps, y, side)
-    for (l, r) in acs:
-        total += _ac_interior_measure(G, l, r, y, side, pos)
-    return total
+    return float(tail_measures(G, [y])[0, int(side == "lower")])
 
 
-def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: float) -> np.ndarray:
+def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: np.ndarray | float) -> np.ndarray:
     """Point just inside a component endpoint, resolvable in float."""
     step = np.maximum(width * 2.0 ** -49, 16.0 * _EPS * (np.abs(edge) + 1e-300))
     return edge + sign * step
 
 
-def _off_support_measure(G: CauchyTransform, comps, y: float, side: str) -> float:
-    """The tail set off the singular support, where Re G is real and
+def _owner_sums(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Sums of values per owner (owners ascending).  Owners with equal
+    counts are summed as rows of one array, which rounds each sum as numpy
+    rounds the sum of that owner's values alone."""
+    counts = np.bincount(owner, minlength=n)
+    starts, out = np.cumsum(counts) - counts, np.zeros(n)
+    for c in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == c)
+        out[rows] = values[starts[rows, None] + np.arange(c)].sum(axis=1)
+    return out
+
+
+def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
+                          sgn: np.ndarray) -> np.ndarray:
+    """The tail sets off the singular support, where Re G is real and
     increasing: the bounded components (gaps between blocks), where it runs
     from -inf to +inf, plus the unbounded end component where it tends to 0
     from the tail's side.  One evaluation of the component ends, one
-    bisection for every crossing."""
+    bisection for every crossing of every query."""
     f = lambda xs: G.real_value(xs, tol=1e-9)
-    upper = side == "upper"
-    sgn, target = (1.0, float(y)) if upper else (-1.0, -float(y))
+    upper = sgn > 0
     gaps = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
                        and c[1] > c[0]]).reshape(-1, 2)
     gl, gr = gaps[:, 0], gaps[:, 1]
     width = gr - gl
     lo, hi = _nudge_in(gl, width, +1.0), _nudge_in(gr, width, -1.0)
-    # the end component: (-inf, edge) for the upper tail, (edge, +inf) for the lower
-    if upper:
-        edge = [r for (l, r) in comps if l == -math.inf and np.isfinite(r)][:1]
-    else:
-        edge = [l for (l, r) in comps if r == math.inf and np.isfinite(l)][:1]
-    edge = np.asarray(edge, dtype=float)
-    near = _nudge_in(edge, np.ones(edge.shape), -sgn)
-    far = edge - sgn * np.maximum(4.0 * G.total_mass / y, 16.0 * _EPS * (np.abs(edge) + 1.0))
-    flo, fhi, fnear = np.split(np.asarray(f(np.concatenate([lo, hi, near]))),
-                               [len(lo), 2 * len(lo)])
-    full = flo >= y if upper else fhi <= -y
-    mid = ~full & ~(fhi <= y if upper else flo >= -y)
-    outer = sgn * fnear > y
-    roots = bisect_increasing(f, np.concatenate([lo[mid], np.minimum(far, near)[outer]]),
-                              np.concatenate([hi[mid], np.maximum(far, near)[outer]]),
-                              target, xtol=1e-15)
-    inner = roots[:mid.sum()]
-    total = float(width[full].sum())
-    total += float(((gr[mid] - inner) if upper else (inner - gl[mid])).sum())
-    if outer.any():
-        total += sgn * (float(edge[0]) - float(roots[-1]))
+    # the end components: (-inf, edge) for the upper tail, (edge, +inf) for the lower
+    edges = np.asarray([next((r for l, r in comps if l == -math.inf and np.isfinite(r)), np.nan),
+                        next((l for l, r in comps if r == math.inf and np.isfinite(l)), np.nan)])
+    nears, has = _nudge_in(edges, np.ones(2), np.asarray([-1.0, 1.0])), ~np.isnan(edges)
+    fnears = np.full(2, np.nan)
+    flo, fhi, fnears[has] = np.split(np.asarray(f(np.concatenate([lo, hi, nears[has]]))),
+                                     [len(lo), 2 * len(lo)])
+    side = np.where(upper, 0, 1)
+    edge, near = edges[side], nears[side]
+    far = edge - sgn * np.maximum(4.0 * G.total_mass / level, 16.0 * _EPS * (np.abs(edge) + 1.0))
+    outer = sgn * fnears[side] > level  # False where there is no end component
+    full = np.where(upper[:, None], flo >= level[:, None], fhi <= -level[:, None])
+    mid = ~full & ~np.where(upper[:, None], fhi <= level[:, None], flo >= -level[:, None])
+    (kf, gf), (km, gm) = np.nonzero(full), np.nonzero(mid)
+    roots = bisect_increasing(f, np.concatenate([lo[gm], np.minimum(far, near)[outer]]),
+                              np.concatenate([hi[gm], np.maximum(far, near)[outer]]),
+                              (sgn * level)[np.concatenate([km, np.flatnonzero(outer)])],
+                              xtol=1e-15)
+    inner = roots[:km.size]
+    total = _owner_sums(width[gf], kf, level.size)
+    total += _owner_sums(np.where(upper[km], gr[gm] - inner, inner - gl[gm]), km, level.size)
+    total[outer] += sgn[outer] * (edge[outer] - roots[km.size:])
     return total
 
 
-def _ac_interior_measure(G: CauchyTransform, left: float, right: float,
-                         y: float, side: str, pos: np.ndarray) -> float:
-    """Measure of the tail set inside one density interval.
+def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarray,
+                      sgn: np.ndarray) -> np.ndarray:
+    """The tail sets inside each density interval, shape (queries, intervals).
 
-    Re G is smooth but not monotone here; crossings are isolated by a
-    scan grid clustered geometrically at the segment ends (where the
-    transform blows up), evaluated in one call.  Each run of scan points
-    above the level starts at a rising crossing and ends at a falling
-    one; both kinds are refined by one bisection each.
+    Re G is smooth but not monotone here.  Each interval, cut at its
+    interior atoms, is scanned on a grid clustered geometrically at the
+    segment ends (where the transform blows up), evaluated once for all
+    queries.  Each run of scan points beyond a query's level starts at a
+    rising crossing and ends at a falling one.  The segment ends count as
+    below every level, so a run that reaches one ends there, standing in
+    for an unreachable crossing hugging a blow-up point.  The crossings on
+    +Re G and on -Re G are refined in one bisection each.
     """
-    inner = np.sort(pos[(pos > left) & (pos < right)])
-    cuts = [left, *inner.tolist(), right]
-    sgn = 1.0 if side == "upper" else -1.0
-    level = float(y)
-    scans = []
-    for (u, v) in zip(cuts[:-1], cuts[1:]):
-        wseg = v - u
-        if not np.isfinite(wseg):
-            raise PreconditionError("density intervals must be finite for tail scans")
-        if wseg <= 0:
-            continue
-        fracs = 2.0 ** -np.arange(1, 45, dtype=float)
-        xs = np.unique(np.concatenate([
-            u + 0.5 * wseg * fracs, v - 0.5 * wseg * fracs,
-            np.linspace(u + wseg / 64, v - wseg / 64, 63)]))
-        scans.append(np.concatenate([[u], xs[(xs > u) & (xs < v)], [v]]))
-    # every scan runs from segment end to segment end; the ends count as
-    # below the level, so a run that reaches one ends there, standing in for
-    # an unreachable crossing hugging a blow-up point
-    xs = np.concatenate(scans)
-    end = np.concatenate([np.arange(len(s)) % (len(s) - 1) == 0 for s in scans])
-    high = np.zeros(len(xs), dtype=bool)
-    high[~end] = sgn * G.boundary_re(xs[~end]) - level > 0
-    first = np.flatnonzero(high & ~np.concatenate([[False], high[:-1]]))
-    last = np.flatnonzero(high & ~np.concatenate([high[1:], [False]]))
+    xs, end, interval = [np.empty(0)], [np.empty(0, dtype=bool)], [np.empty(0, dtype=int)]
+    for i, (left, right) in enumerate(acs):
+        cuts = [left, *np.sort(pos[(pos > left) & (pos < right)]).tolist(), right]
+        for (u, v) in zip(cuts[:-1], cuts[1:]):
+            wseg = v - u
+            if not np.isfinite(wseg):
+                raise PreconditionError("density intervals must be finite for tail scans")
+            if wseg <= 0:
+                continue
+            fracs = 2.0 ** -np.arange(1, 45, dtype=float)
+            grid = np.unique(np.concatenate([u + 0.5 * wseg * fracs, v - 0.5 * wseg * fracs,
+                                             np.linspace(u + wseg / 64, v - wseg / 64, 63)]))
+            xs.append(np.concatenate([[u], grid[(grid > u) & (grid < v)], [v]]))
+            end.append(np.arange(len(xs[-1])) % (len(xs[-1]) - 1) == 0)
+            interval.append(np.full(len(xs[-1]), i))
+    xs, end, interval = (np.concatenate(v) for v in (xs, end, interval))
+    high = np.zeros((level.size, xs.size), dtype=bool)
+    if xs.size:
+        high[:, ~end] = sgn[:, None] * G.boundary_re(xs[~end]) - level[:, None] > 0
+    before, after = np.zeros_like(high), np.zeros_like(high)
+    before[:, 1:], after[:, :-1] = high[:, :-1], high[:, 1:]
+    (kf, first), (kl, last) = np.nonzero(high & ~before), np.nonzero(high & ~after)
     a, b = xs[first - 1], xs[last + 1]
     rise, fall = ~end[first - 1], ~end[last + 1]
-    a[rise] = bisect_increasing(lambda x: sgn * G.boundary_re(x), a[rise], xs[first[rise]],
-                                level, xtol=1e-13)
-    b[fall] = bisect_increasing(lambda x: -sgn * G.boundary_re(x), xs[last[fall]], b[fall],
-                                -level, xtol=1e-13)
-    total = 0.0
-    for width in (b - a).tolist():
-        total += max(width, 0.0)
-    return total
+    for s in (1.0, -1.0):
+        r, f = rise & (sgn[kf] == s), fall & (sgn[kl] == -s)
+        roots = bisect_increasing(lambda x: s * G.boundary_re(x),
+                                  np.concatenate([a[r], xs[last[f]]]),
+                                  np.concatenate([xs[first[r]], b[f]]),
+                                  np.concatenate([level[kf[r]], -level[kl[f]]]), xtol=1e-13)
+        a[r], b[f] = roots[:r.sum()], roots[r.sum():]
+    return np.bincount(kf * len(acs) + interval[first], np.maximum(b - a, 0.0),
+                       minlength=level.size * len(acs)).reshape(level.size, len(acs))
 
 
 # -- Monte Carlo oracle ----------------------------------------------------------

@@ -25,7 +25,7 @@ SC_EVAL_LEVEL = 12
 
 #: Memory bounds of a kernel integral: kernel entries per chunk of the
 #: atom sum, and points per adaptive call of a density piece.
-_ATOM_CHUNK = 4_000_000
+_ATOM_CHUNK = 2**14
 _POINTS_PER_CALL = 8
 
 

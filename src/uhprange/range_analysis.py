@@ -22,8 +22,8 @@ from .cauchy import cauchy_transform
 from .clark import clark_singular_masses
 from .errors import OrbitBreakError, PreconditionError, UhprangeError
 from .herglotz import PhiFunction, require_contraction
-from .levelset import _branch_ends, disk_panels, preimage_interval_measure, tail_set_measure
-from .measures import RealMeasure
+from .levelset import _branch_ends, disk_panels, preimage_interval_measure, tail_measures
+from .measures import IntervalSet, RealMeasure
 
 VERDICT_FLOOR = 1e-3
 CROSS_GAP_TOL = 0.05
@@ -392,12 +392,9 @@ def boole_check(mu: RealMeasure, y_list=(0.5, 1.0, 2.0, 10.0)) -> float:
         raise PreconditionError("identity check requires a singular measure")
     if abs(mu.total_mass() - 1.0) > 1e-9:
         raise PreconditionError("identity check requires a probability measure")
-    G = cauchy_transform(mu)
-    worst = 0.0
-    for y in y_list:
-        for side in ("upper", "lower"):
-            worst = max(worst, abs(y * tail_set_measure(G, y, side) - 1.0))
-    return worst
+    ys = np.asarray(y_list, dtype=float)
+    errors = np.abs(ys[:, None] * tail_measures(cauchy_transform(mu), ys) - 1.0)
+    return float(errors.max(initial=0.0))
 
 
 def letac_check(phi: PhiFunction, intervals) -> float:
@@ -406,11 +403,13 @@ def letac_check(phi: PhiFunction, intervals) -> float:
     require_contraction(phi)
     if phi.rho is None or phi.rho.ac_pieces:
         raise PreconditionError("measure-preservation check needs purely singular rho")
-    worst = 0.0
-    for (a, b) in intervals:
-        _, meas = preimage_interval_measure(phi, (a, b))
-        worst = max(worst, abs(meas - (b - a)) / (b - a))
-    return worst
+    a, b = np.asarray(intervals, dtype=float).reshape(-1, 2).T
+    if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
+        raise PreconditionError("interval must be finite with a < b")
+    ends = _branch_ends(phi, a, b)
+    meas = np.asarray([IntervalSet.build([(xa[k], xb[k]) for xa, xb in ends]).total_length
+                       for k in range(a.size)])
+    return float(np.max(np.abs(meas - (b - a)) / (b - a), initial=0.0))
 
 
 # -- similarity to an isometry -----------------------------------------------------
@@ -498,12 +497,11 @@ def similarity_certificate(phi: PhiFunction, n_grid: int = 121) -> SimilarityCer
 
     # Every candidate certifies; report the one with the smallest derivative
     # product bound (the grid parameters only affect the bound's quality).
-    best = min(candidates,
-               key=lambda cand: _orbit_product_log_bound(
-                   k, cand[3], cand[2] - d, c - cand[1]))
-    direction, c1, d1, eta = best
-    log_bound = _orbit_product_log_bound(k, eta, d1 - d, c - c1)
-    product_bound = math.exp(log_bound)
+    bounds = [_orbit_product_log_bound(k, eta, d1 - d, c - c1)
+              for (_, c1, d1, eta) in candidates]
+    best = min(range(len(candidates)), key=bounds.__getitem__)
+    direction, c1, d1, eta = candidates[best]
+    product_bound = math.exp(bounds[best])
 
     samples = np.concatenate([c1 - np.geomspace(1e-3, 1e3, 41),
                               d1 + np.geomspace(1e-3, 1e3, 41)])

@@ -8,7 +8,8 @@ from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, RealMeasure,
                       phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, preimage_disk_measure,
                       preimage_interval_measure, tail_set_measure)
-from uhprange.levelset import disk_panels, disk_preimages
+from uhprange.levelset import disk_panels, disk_preimages, tail_measures
+from uhprange.measures import AcPiece
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -151,6 +152,12 @@ def test_tail_side_validation():
         tail_set_measure(G, 1.0, "sideways")
 
 
+def test_tail_infinite_density_rejected():
+    mu = RealMeasure(ac_pieces=(AcPiece(-math.inf, 0.0, lambda t: 1.0 / (1.0 + t * t)),))
+    with pytest.raises(PreconditionError):
+        tail_measures(cauchy_transform(mu), [1.0, 10.0])
+
+
 def test_mc_identity():
     est, err = mc_oracle_measure(phi_identity(), (0.0, 1.0), n=10**6, seed=0,
                                  window=(-2.0, 3.0))
@@ -261,3 +268,32 @@ def test_disk_preimages_batch_invariant(name, disks):
         assert unresolved[k] == one_unresolved[0]
         assert sets[k] == one_set
         assert sets[k].total_length == preimage_disk_measure(phi, DiskQuery(a[k], b[k]))
+
+
+_UNIFORM_HALF = RealMeasure.uniform(0.0, 1.0, mass=0.5)
+_TAIL_MEASURES = {
+    "atoms": RealMeasure.from_atoms([(-1.0, 0.2), (0.3, 0.5), (2.0, 0.3)]),
+    "atom_uniform": RealMeasure.point_mass(0.0, 0.5).combined(_UNIFORM_HALF),
+    "uniform_interior_atom": RealMeasure.uniform(-1.0, 1.0, mass=0.5).combined(
+        RealMeasure.point_mass(0.25, 0.5)),
+    "poisson": RealMeasure(ac_pieces=(
+        AcPiece(-1.0, 1.0, lambda t: 1.0 / (math.pi * (1.0 + t * t))),)),
+    "cantor6": RealMeasure.cantor(depth=6),
+    # 512 nodes: the 511 gap crossings of every (y, side) fill several
+    # atom-sum chunks, so batch and single calls cut their chunks differently
+    "cantor9": RealMeasure.cantor(depth=9),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(_TAIL_MEASURES)),
+       exponents=st.lists(st.floats(-1.0, 6.0), min_size=1, max_size=3))
+def test_tail_measures_batch_invariant(name, exponents):
+    G = cauchy_transform(_TAIL_MEASURES[name])
+    ys = 10.0 ** np.asarray(exponents)
+    batch = tail_measures(G, ys)
+    assert batch.shape == (len(ys), 2)
+    for y, row in zip(ys, batch):
+        # bit for bit: each row is the one-level query, each entry the one-side query
+        assert np.array_equal(row, tail_measures(G, [y])[0])
+        assert [tail_set_measure(G, y, side) for side in ("upper", "lower")] == row.tolist()
