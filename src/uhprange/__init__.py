@@ -5,7 +5,8 @@ range verdicts, and similarity-to-isometry certificates."""
 from ._roots import Branch
 from .cauchy import CauchyTransform, cauchy_transform, g_tau
 from .clark import (ClarkMeasure, TsereteliEstimate, clark_atoms, clark_density,
-                    clark_measure, clark_singular_mass, singular_mass_tsereteli)
+                    clark_measure, clark_measures, clark_singular_mass,
+                    singular_mass_tsereteli)
 from .errors import (ConfigError, ConvergenceError, DomainError, OrbitBreakError,
                      PreconditionError, QuadratureError, UhprangeError,
                      UnsupportedStructureError, WindowError)
@@ -35,7 +36,7 @@ __all__ = [
     "SimilarityLowerBound", "TestFunctionUc", "TsereteliEstimate", "UhprangeError",
     "UnsupportedStructureError", "WindowError", "backward_orbit", "boole_check",
     "cauchy_transform", "clark_atoms", "clark_density", "clark_measure",
-    "clark_singular_mass", "closed_range_report", "constant_A_upper",
+    "clark_measures", "clark_singular_mass", "closed_range_report", "constant_A_upper",
     "constant_B", "constant_C", "constant_D", "contraction_check",
     "default_grid", "default_tau_grid", "g_tau", "letac_check",
     "mc_oracle_measure", "phi_from_catalog", "phi_from_nevanlinna",

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 #: Outward scan limit for branches with infinite endpoints.
 SCAN_LIMIT = 1e8
 
@@ -80,7 +82,7 @@ class BranchTable:
         self.xs = xs[keep]
         self.ys = ys[keep]
         if len(self.xs) < 2:
-            raise ValueError(f"branch {branch} could not be tabulated")
+            raise ConvergenceError(f"branch {branch} could not be tabulated")
 
     @property
     def value_range(self) -> tuple[float, float]:

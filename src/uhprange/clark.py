@@ -118,11 +118,18 @@ def _atoms(phi: PhiFunction, taus: np.ndarray) -> list[tuple[np.ndarray, np.ndar
 def clark_atoms(phi: PhiFunction, tau: float) -> list[tuple[float, float]]:
     """Real-branch roots of phi(x) = tau with their masses 1/phi'(x), in
     order (branches are sorted and disjoint)."""
-    return _atom_list(_atoms(phi, np.asarray([float(tau)])))
+    return _atom_list(_atoms(phi, np.asarray([float(tau)])), 0)
 
 
-def _atom_list(found) -> list[tuple[float, float]]:
-    return [(float(x[0]), float(m[0])) for x, m in found if m[0] > 0.0]
+def _atom_list(found, k: int) -> list[tuple[float, float]]:
+    return [(float(x[k]), float(m[k])) for x, m in found if m[k] > 0.0]
+
+
+def _density(w: np.ndarray, tau) -> np.ndarray:
+    """Im w / (pi |tau - w|^2) from boundary values w, and 0 where w = tau."""
+    denom = np.abs(tau - w) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, w.imag / (math.pi * denom), 0.0)
 
 
 def clark_density(phi: PhiFunction, tau: float, x) -> np.ndarray:
@@ -132,10 +139,7 @@ def clark_density(phi: PhiFunction, tau: float, x) -> np.ndarray:
     a null set) are reported as 0 rather than nan; quadrature never lands
     on them.
     """
-    w = phi.boundary(np.atleast_1d(np.asarray(x, dtype=float)))
-    denom = np.abs(float(tau) - w) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom > 0.0, w.imag / (math.pi * denom), 0.0)
+    out = _density(phi.boundary(np.atleast_1d(np.asarray(x, dtype=float))), float(tau))
     return out if np.asarray(x).ndim else float(out[0])
 
 
@@ -181,76 +185,92 @@ def _density_grid(phi: PhiFunction, segment: tuple[float, float]) -> np.ndarray:
     return xs[(xs > l) & (xs < r)]
 
 
-def _tabulate_density(phi: PhiFunction, tau: float, segment: tuple[float, float],
-                      mass_tol: float = 1e-6, max_rounds: int = 4
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Density table on a grid refined until its trapezoid mass stabilizes."""
+def _density_tables(phi: PhiFunction, taus: np.ndarray, segment: tuple[float, float],
+                    mass_tol: float = 1e-6, max_rounds: int = 4) -> list:
+    """Per tau, a density table on a grid refined until its trapezoid mass
+    stabilizes.  The grid does not depend on tau, so each level takes one
+    boundary evaluation for every tau still refining."""
     xs = _density_grid(phi, segment)
-    ds = clark_density(phi, tau, xs)
-    mass = float(np.trapezoid(ds, xs))
-    for _ in range(max_rounds):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        xs = np.unique(np.concatenate([xs, mids]))
-        ds = clark_density(phi, tau, xs)
-        new_mass = float(np.trapezoid(ds, xs))
-        if abs(new_mass - mass) < mass_tol:
+    tables, mass, active = [None] * len(taus), [math.nan] * len(taus), range(len(taus))
+    for level in range(max_rounds + 1):
+        if level:
+            xs = np.unique(np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])]))
+        w, refining = phi.boundary(xs), []
+        for k in active:
+            tables[k] = (xs, _density(w, taus[k]))
+            new_mass = float(np.trapezoid(tables[k][1], xs))
+            if not abs(new_mass - mass[k]) < mass_tol:
+                refining.append(k)
+            mass[k] = new_mass
+        active = refining
+        if not active:
             break
-        mass = new_mass
-    return xs, ds
+    return tables
+
+
+def _ac_masses(phi: PhiFunction, taus: np.ndarray, segment: tuple[float, float],
+               exponent: float) -> np.ndarray:
+    """The a.c. mass on a segment for every tau: one quadrature per domain
+    with each tau as an owner.  Exponent -0.5 removes the inverse square
+    root blowup of the density at a finite end where Im phi vanishes."""
+    def density(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return _density(phi.boundary(x), taus[k])
+
+    parts, n = _quad.domains(segment[0], segment[1], exponent, exponent), len(taus)
+    total = np.zeros(n)
+    for lo, hi, sub in parts:
+        total += _quad.integrate_pieces(_quad.substituted(density, sub), np.full(n, lo),
+                                        np.full(n, hi), np.arange(n), n,
+                                        tol=1e-9 / len(parts)).real
+    return total
+
+
+def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
+                   mass_tol: float = 1e-6) -> list[ClarkMeasure]:
+    """Full decomposition of the spectral measure at every tau.  The
+    tau-independent work is shared: one solve per branch for the atoms, one
+    density grid per segment, one quadrature per segment domain and one
+    batched tail query; each entry equals its one-tau call."""
+    taus = np.asarray(taus, dtype=float).ravel()
+    if not np.isfinite(taus).all():
+        raise PreconditionError(f"tau must be finite, got {taus[~np.isfinite(taus)][0]}")
+    if not taus.size:
+        return []
+    require_contraction(phi)
+    phi._require_branches()
+    found = _atoms(phi, taus)
+    segments = tuple(phi.nonreal_segments)
+    exponents = [-0.5 if np.isfinite(l) and np.isfinite(r) else 0.0 for l, r in segments]
+    tables, ac_mass = [], np.zeros(len(taus))
+    for seg, exponent in zip(segments, exponents):
+        tables.append(_density_tables(phi, taus, seg))
+        ac_mass += _ac_masses(phi, taus, seg, exponent)
+    atom_total, sc, tails = _singular_masses(phi, taus, found, y_grid)
+    atom_total, ac_mass, sc = atom_total.tolist(), ac_mass.tolist(), sc.tolist()
+
+    out = []
+    for k, tau in enumerate(taus.tolist()):
+        atoms = tuple(_atom_list(found, k))
+        pieces = tuple(
+            AcPiece(seg[0], seg[1],
+                    lambda t, tau=tau: clark_density(phi, tau, np.asarray(t, float)),
+                    left_exponent=exponent, right_exponent=exponent,
+                    label=f"clark-density(tau={tau})")
+            for seg, exponent, seg_tables in zip(segments, exponents, tables)
+            if not seg_tables[k][1].max(initial=0.0) <= 0.0)
+        total = atom_total[k] + ac_mass[k] + sc[k]
+        diagnostics = {"tsereteli": tails[k], "atom_mass": atom_total[k], "ac_mass": ac_mass[k],
+                       "sc_mass": sc[k], "total_mass": total, "mass_defect": abs(total - 1.0),
+                       "normalized": abs(total - 1.0) <= mass_tol}
+        out.append(ClarkMeasure(
+            tau=tau, atoms=atoms, ac_segments=segments,
+            density_tables=tuple(t[k] for t in tables), ac_mass=ac_mass[k],
+            sc_mass_estimate=sc[k], diagnostics=diagnostics,
+            measure=RealMeasure(atoms=atoms, ac_pieces=pieces)))
+    return out
 
 
 def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None,
                   mass_tol: float = 1e-6) -> ClarkMeasure:
-    """Full decomposition of the spectral measure at tau."""
-    require_contraction(phi)
-    phi._require_branches()
-    tau = float(tau)
-    found = _atoms(phi, np.asarray([tau]))
-    atoms = _atom_list(found)
-
-    segments = tuple(phi.nonreal_segments)
-    tables = []
-    ac_mass = 0.0
-    for seg in segments:
-        xs, ds = _tabulate_density(phi, tau, seg)
-        tables.append((xs, ds))
-        if np.isfinite(seg[0]) and np.isfinite(seg[1]):
-            # The density may blow up like an inverse square root where the
-            # boundary imaginary part vanishes; the substitution removes it.
-            ac_mass += float(np.real(_quad.integrate_power_endpoint(
-                lambda t: clark_density(phi, tau, t), seg[0], seg[1],
-                p_left=-0.5, p_right=-0.5, tol=1e-9)))
-        else:
-            ac_mass += float(np.real(_quad.integrate_interval(
-                lambda t: clark_density(phi, tau, t), seg[0], seg[1], tol=1e-9)))
-
-    atom_total, sc, tails = _singular_masses(phi, np.asarray([tau]), found, y_grid)
-    atom_total, sc, tser = float(atom_total[0]), float(sc[0]), tails[0]
-
-    pieces = []
-    for (seg, (xs, ds)) in zip(segments, tables):
-        if ds.max(initial=0.0) <= 0.0:
-            continue
-        finite = np.isfinite(seg[0]) and np.isfinite(seg[1])
-        exponent = -0.5 if finite else 0.0
-        pieces.append(AcPiece(
-            seg[0], seg[1],
-            lambda t, phi=phi, tau=tau: clark_density(phi, tau, np.asarray(t, float)),
-            left_exponent=exponent, right_exponent=exponent,
-            label=f"clark-density(tau={tau})"))
-    measure = RealMeasure(atoms=tuple(atoms), ac_pieces=tuple(pieces))
-
-    total = atom_total + ac_mass + sc
-    diagnostics = {
-        "tsereteli": tser,
-        "atom_mass": atom_total,
-        "ac_mass": ac_mass,
-        "sc_mass": sc,
-        "total_mass": total,
-        "mass_defect": abs(total - 1.0),
-        "normalized": abs(total - 1.0) <= mass_tol,
-    }
-    return ClarkMeasure(tau=tau, atoms=tuple(atoms), ac_segments=segments,
-                        density_tables=tuple(tables), ac_mass=ac_mass,
-                        sc_mass_estimate=sc, diagnostics=diagnostics,
-                        measure=measure)
+    """The one-tau case of clark_measures."""
+    return clark_measures(phi, [tau], y_grid=y_grid, mass_tol=mass_tol)[0]

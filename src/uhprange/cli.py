@@ -16,13 +16,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .cauchy import cauchy_transform, g_tau
-from .clark import clark_measure
+from .clark import clark_measures
 from .errors import (ConfigError, ConvergenceError, OrbitBreakError,
                      QuadratureError, UhprangeError)
 from .herglotz import (CATALOG, NevanlinnaData, PhiFunction, phi_from_catalog,
@@ -190,19 +189,8 @@ def cmd_eval(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
 def cmd_clark(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
     taus = ([float(t) for t in args.tau.split(",")] if args.tau
             else [float(t) for t in cfg.get("tau", [0.0])])
-    jobs = max(1, int(args.jobs))
-
-    def one(tau: float):
-        return clark_measure(phi, tau)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, taus))
-    else:
-        results = [one(t) for t in taus]
-
     rows = []
-    for idx, (tau, cm) in enumerate(zip(taus, results)):
+    for idx, (tau, cm) in enumerate(zip(taus, clark_measures(phi, taus))):
         rows.append({
             "tau": _fnum(tau),
             "n_atoms": len(cm.atoms),
@@ -214,12 +202,11 @@ def cmd_clark(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
             "tail_gap": _fnum(cm.diagnostics["tsereteli"].tail_gap),
             "normalized": str(cm.diagnostics["normalized"]).lower(),
             "density_file": f"clark_density_{idx}.csv"})
-        lines = [f"# tau={_fnum(tau)} columns=x,density"]
-        for (xs, ds) in cm.density_tables:
-            for x, d in zip(xs, ds):
-                lines.append(f"{_fnum(x)},{_fnum(d)}")
-        (out / f"clark_density_{idx}.csv").write_text("\n".join(lines) + "\n",
-                                                      encoding="utf-8")
+        # one format per table: "%.12g" prints nan and inf as _fnum does
+        text = [f"# tau={_fnum(tau)} columns=x,density\n"] + [
+            "%.12g,%.12g\n" * len(xs) % tuple(np.column_stack([xs, ds]).ravel().tolist())
+            for (xs, ds) in cm.density_tables]
+        (out / f"clark_density_{idx}.csv").write_text("".join(text), encoding="utf-8")
     _write_rows(out / "clark", ["tau", "n_atoms", "atoms", "atom_mass", "ac_mass",
                                 "sc_mass", "total_mass", "tail_gap", "normalized",
                                 "density_file"],
@@ -357,7 +344,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     parser.add_argument("--points", default=None, help="eval: comma-separated points")
     parser.add_argument("--tau", default=None, help="clark: comma-separated tau values")
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))

@@ -5,8 +5,8 @@ import pytest
 
 from uhprange import (AcPiece, NevanlinnaData, PreconditionError, QuadratureError,
                       RealMeasure, cauchy_transform, clark_atoms, clark_density, clark_measure,
-                      g_tau, phi_from_catalog, phi_from_nevanlinna, phi_identity,
-                      phi_translation, singular_mass_tsereteli)
+                      clark_measures, g_tau, phi_from_catalog, phi_from_nevanlinna,
+                      phi_identity, phi_translation, singular_mass_tsereteli)
 
 
 def arcsine_measure():
@@ -125,6 +125,43 @@ def test_clark_round_trip():
         z = rng.uniform(-3, 3, 100) + 1j * rng.uniform(0.25, 3.0, 100)
         gap = np.abs(G_rebuilt.eval(z) - G_direct.eval(z))
         assert float(gap.max()) < 1e-5, (phi.name, float(gap.max()))
+
+
+def _clark_fields(cm):
+    """Every computed field of a ClarkMeasure, as text that tells floats
+    apart bit for bit (repr round-trips, and shows -0.0 and nan)."""
+    return repr((cm.tau, cm.atoms, cm.ac_segments, cm.ac_mass, cm.sc_mass_estimate,
+                 cm.diagnostics, [(xs.tobytes(), ds.tobytes()) for xs, ds in cm.density_tables],
+                 [(p.left, p.right, p.left_exponent, p.label) for p in cm.measure.ac_pieces]))
+
+
+@pytest.mark.parametrize("make_phi", [
+    lambda: phi_from_catalog("zloglin", alpha=0.0),
+    lambda: phi_from_catalog("sqrt"),
+    lambda: phi_from_catalog("sqrtpole", alpha=-1.0),
+    lambda: phi_from_catalog("zlog"),
+    lambda: phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(
+        [(-1.0, 0.5), (0.0, 1.0), (2.0, 0.3)]))),
+    lambda: phi_translation(2.0),
+], ids=["zloglin0", "sqrt", "sqrtpole_m1", "zlog", "atoms3", "translation"])
+def test_clark_measures_batch_invariant(make_phi):
+    # shuffled, with duplicates, spanning atoms, densities and segment ends
+    taus = [2.75, -1.0, 0.0, 5.1, -2.4, 0.0, 1.3, -1.0, 0.7]
+    batch = clark_measures(make_phi(), taus)
+    phi = make_phi()
+    assert [cm.tau for cm in batch] == taus
+    for tau, cm in zip(taus, batch):
+        assert _clark_fields(cm) == _clark_fields(clark_measure(phi, tau)), tau
+
+
+def test_clark_measures_rejects_nonfinite_tau():
+    phi = phi_from_catalog("sqrt")
+    assert clark_measures(phi, []) == []
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="tau must be finite"):
+            clark_measures(phi, [0.0, bad])
+        with pytest.raises(PreconditionError, match="tau must be finite"):
+            clark_measure(phi, bad)
 
 
 def test_tsereteli_point_mass():

@@ -181,9 +181,45 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     def blow_up(*args, **kwargs):
         raise QuadratureError("forced")
 
-    monkeypatch.setattr(cli, "clark_measure", blow_up)
+    monkeypatch.setattr(cli, "clark_measures", blow_up)
     cfg = write_config(tmp_path, {"phi": {"catalog": "sqrt"}, "format": "csv"})
     assert run(["clark", "--config", cfg, "--out", str(tmp_path), "--tau", "0"]) == 3
+
+
+def test_clark_nonfinite_tau_exit_code(tmp_path):
+    cfg = write_config(tmp_path, {"phi": {"catalog": "sqrt"}, "format": "csv"})
+    assert run(["clark", "--config", cfg, "--out", str(tmp_path), "--tau=0,nan"]) == 2
+
+
+def test_clark_density_csv_matches_per_value_format(tmp_path, monkeypatch):
+    import dataclasses
+
+    import numpy as np
+
+    import uhprange.cli as cli
+    from uhprange.cli import _fnum
+
+    # a table of values whose formatting is easy to get wrong
+    special = (np.array([-np.inf, -0.0, 1e-300, 0.1 + 0.2, np.nan, 123456789012345.0]),
+               np.array([np.nan, np.inf, -1e300, 0.0, -np.nan, 2.0 / 3.0]))
+    results = []
+
+    def with_special(phi, taus, real=cli.clark_measures):
+        results.extend(dataclasses.replace(cm, density_tables=cm.density_tables + (special,))
+                       for cm in real(phi, taus))
+        return results
+
+    monkeypatch.setattr(cli, "clark_measures", with_special)
+    cfg = write_config(tmp_path, {"phi": {"catalog": "sqrtpole", "params": {"alpha": -1.0}},
+                                  "format": "csv"})
+    assert run(["clark", "--config", cfg, "--out", str(tmp_path), "--tau=-0.75,2"]) == 0
+    assert len(results) == 2
+    for idx, cm in enumerate(results):
+        lines = [f"# tau={_fnum(cm.tau)} columns=x,density"]
+        lines += [f"{_fnum(x)},{_fnum(d)}" for xs, ds in cm.density_tables
+                  for x, d in zip(xs, ds)]
+        expect = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (tmp_path / f"clark_density_{idx}.csv").read_bytes() == expect
 
 
 def test_sc_measure_config(tmp_path):

@@ -181,6 +181,13 @@ def test_beta_not_one_rejected_by_analysis():
         clark_measure(phi, 0.0)
 
 
+def test_untabulable_branch_is_package_error():
+    from uhprange import Branch, UhprangeError
+    from uhprange._roots import BranchTable
+    with pytest.raises(UhprangeError, match="could not be tabulated"):
+        BranchTable(Branch(0.0, 1.0), lambda x: np.full(np.shape(x), np.nan))
+
+
 def test_sc_measure_blocks_branch_enumeration():
     from uhprange import UnsupportedStructureError, preimage_interval_measure
     rho = RealMeasure.cantor(depth=8)
