@@ -28,6 +28,16 @@ SC_EVAL_LEVEL = 12
 _ATOM_CHUNK = 2**14
 _POINTS_PER_CALL = 8
 
+#: A point is far from a density piece, and takes the piece's graded rule,
+#: when its ``_quad.clearance`` from the rule's panels is at least this:
+#: the rule's error then falls like 4**-30 ~ 1e-18.
+_FAR_CLEARANCE = 4.0
+
+#: A piece's graded rule is used only when it reproduces the piece's mass
+#: to this relative tolerance; else its density has a feature (a kink, a
+#: jump, a narrow peak) that the fixed panels do not resolve.
+_RULE_MASS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class AcPiece:
@@ -64,6 +74,19 @@ class AcPiece:
 
     def mass(self, tol: float = 1e-12) -> float:
         return float(np.real(self.integrate(lambda t: np.ones_like(t), tol=tol)))
+
+    @cached_property
+    def rule(self) -> tuple | None:
+        """Nodes t, weights w * density(t) and panels of the piece's graded
+        rule (``_quad.graded_rule``), computed once; None when the rule
+        does not reproduce the piece's mass."""
+        t, w, panels = _quad.graded_rule(self.left, self.right,
+                                         self.left_exponent, self.right_exponent)
+        w_rho = w * np.asarray(self.density(t), dtype=float)
+        mass = self.mass()
+        if not abs(float(w_rho.sum()) - mass) <= _RULE_MASS_TOL * mass:
+            return None
+        return t, w_rho, panels
 
 
 @dataclass(frozen=True)
@@ -174,9 +197,22 @@ class RealMeasure:
         for (p, m) in self.atoms:
             if not (m > 0 and np.isfinite(m) and np.isfinite(p)):
                 raise PreconditionError(f"atom ({p}, {m}) must have finite position and mass > 0")
+        for piece in self.ac_pieces:
+            # A non-finite density would send the mass integral round its
+            # refinement loop until the panel budget is spent.
+            inner = math.tan(0.5 * (math.atan(piece.left) + math.atan(piece.right)))
+            if not np.all(np.isfinite(piece.density(np.asarray([inner])))):
+                raise PreconditionError(
+                    f"{piece.label} piece on ({piece.left}, {piece.right}) is not finite "
+                    f"at t = {inner}")
         if not self._ac_masses:
             masses = tuple(piece.mass() for piece in self.ac_pieces)
             object.__setattr__(self, "_ac_masses", masses)
+        for piece, mass in zip(self.ac_pieces, self._ac_masses):
+            if not (mass >= 0.0 and np.isfinite(mass)):
+                raise PreconditionError(
+                    f"{piece.label} piece on ({piece.left}, {piece.right}) has mass {mass}; "
+                    "a density piece must have finite mass >= 0")
         if not np.isfinite(self.total_mass()):
             raise PreconditionError("measure must be finite")
 
@@ -322,13 +358,16 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     or complex array (result in its shape and type).
 
     ``kernel(t, z, w)`` gives w * K(t, z).  Atoms and Cantor nodes pass
-    their masses to atom_sum; a density piece passes 1, multiplies by the
-    density and is integrated over its ``_quad.domains`` (as
-    AcPiece.integrate splits it), _POINTS_PER_CALL points per adaptive
-    call, in which every point owns its panels.  With ``pv`` (for the
-    Cauchy kernel), real points strictly inside a piece take the principal
-    value instead.  Pieces are added in order, and a point's value does not
-    depend on the other points.
+    their masses to atom_sum.  A density piece gives a point far from it
+    (``_quad.clearance`` from the panels of the piece's graded rule at
+    least _FAR_CLEARANCE) one atom_sum over the rule's nodes, weighted by
+    the density.  A nearer point passes 1 to the kernel, multiplies by the
+    density and is integrated adaptively over the piece's
+    ``_quad.domains`` (as AcPiece.integrate splits it), _POINTS_PER_CALL
+    points per call, in which every point owns its panels.  With ``pv``
+    (for the Cauchy kernel), real points strictly inside a piece take the
+    principal value instead.  Pieces are added in order, and a point's
+    value does not depend on the other points.
     """
     z = np.asarray(z)
     total = start + atom_sum(kernel, *mu.nodes, z)
@@ -337,7 +376,13 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
         vals = np.empty(flat.shape, dtype=complex)
         inside = ((piece.left < flat) & (flat < piece.right) if pv
                   else np.zeros(flat.shape, dtype=bool))
-        for principal, idx in ((False, np.flatnonzero(~inside)), (True, np.flatnonzero(inside))):
+        far = np.zeros(flat.shape, dtype=bool)
+        if piece.rule is not None:
+            t, w_rho, panels = piece.rule
+            far[~inside] = _quad.clearance(panels, flat[~inside]) >= _FAR_CLEARANCE
+            vals[far] = atom_sum(kernel, t, w_rho, flat[far])
+        for principal, idx in ((False, np.flatnonzero(~inside & ~far)),
+                               (True, np.flatnonzero(inside))):
             for i in range(0, len(idx), _POINTS_PER_CALL):
                 chunk = idx[i:i + _POINTS_PER_CALL]
                 vals[chunk] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,

@@ -149,6 +149,17 @@ def test_config_errors(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+def test_negative_density_mass_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"phi": {"nevanlinna": {
+        "alpha": 1.0, "beta": 1.0,
+        "densities": [{"name": "uniform", "interval": [0, 1], "mass": -0.5}]}},
+        "format": "csv"})
+    for command in (["clark", "--tau", "0"], ["constants"]):
+        assert run([command[0], "--config", cfg, "--out", str(tmp_path)] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert "mass" in err and "Traceback" not in err
+
+
 def test_beta_zero_rejected_for_constants(tmp_path):
     cfg = write_config(tmp_path, {
         "phi": {"nevanlinna": {"alpha": 0.0, "beta": 2.0}}, "format": "json"})
