@@ -266,6 +266,21 @@ def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
     return total
 
 
+def integrate_domains(f: Callable, a: float, b: float, n: int = 1, p_left: float = 0.0,
+                      p_right: float = 0.0, tol: float = 1e-10) -> np.ndarray:
+    """Integrals of f(t, k) over (a, b) for every owner k in 0..n-1 (complex
+    array of length n), where f ~ (t-a)**p_left near a and ~ (b-t)**p_right
+    near b with p > -1: integrate_pieces on each of the ``domains`` in
+    order, to tol / len(domains) each."""
+    parts = domains(a, b, p_left, p_right)
+    total = np.zeros(n, dtype=complex)
+    for lo, hi, sub in parts:
+        if lo < hi:  # not a half of an interval one float wide
+            total += integrate_pieces(substituted(f, sub), np.full(n, lo), np.full(n, hi),
+                                      np.arange(n), n, tol=tol / len(parts))
+    return total
+
+
 def integrate_line_relative(
     f: Callable,
     rel_tol: float = 1e-9,
@@ -294,35 +309,6 @@ def integrate_line_relative(
             return value
         estimate = max(abs(value), 1e-300)
     return value
-
-
-def integrate_power_endpoint(
-    f: Callable,
-    a: float,
-    b: float,
-    p_left: float = 0.0,
-    p_right: float = 0.0,
-    tol: float = 1e-10,
-    max_panels: int = 10**6,
-) -> complex:
-    """Integrate f over (a, b) where f ~ (t-a)^p_left near a and
-    ~ (b-t)^p_right near b, with p > -1 (integrable), split into the
-    ``domains`` that share the tolerance.
-
-    Negative exponents are removed by substituting t = a + u**m with
-    m = 1/(1+p), after which the transformed integrand is bounded; an
-    infinite end is tangent-folded instead.
-    """
-    if not (p_left > -1.0 and p_right > -1.0):
-        raise QuadratureError("endpoint exponents must be > -1 for integrability")
-    parts = domains(a, b, p_left, p_right)
-    total = 0.0 + 0.0j
-    for lo, hi, sub in parts:
-        total += integrate_interval(substituted(f, sub), lo, hi, tol=tol / len(parts),
-                                    max_panels=max_panels)
-    if abs(total.imag) < 1e-300:
-        return total.real
-    return total
 
 
 def pv_cauchy(f: Callable, a: float, b: float, x, tol: float = 1e-10):

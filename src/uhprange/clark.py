@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,13 @@ class ClarkMeasure:
     ac_mass: float
     sc_mass_estimate: float
     diagnostics: dict
-    measure: RealMeasure = field(repr=False)
+    ac_pieces: tuple[AcPiece, ...] = field(repr=False)
+
+    @cached_property
+    def measure(self) -> RealMeasure:
+        """The atoms and a.c. pieces as a RealMeasure, built on first use
+        (which integrates each piece's mass)."""
+        return RealMeasure(atoms=self.atoms, ac_pieces=self.ac_pieces)
 
     @property
     def atom_mass(self) -> float:
@@ -208,23 +215,6 @@ def _density_tables(phi: PhiFunction, taus: np.ndarray, segment: tuple[float, fl
     return tables
 
 
-def _ac_masses(phi: PhiFunction, taus: np.ndarray, segment: tuple[float, float],
-               exponent: float) -> np.ndarray:
-    """The a.c. mass on a segment for every tau: one quadrature per domain
-    with each tau as an owner.  Exponent -0.5 removes the inverse square
-    root blowup of the density at a finite end where Im phi vanishes."""
-    def density(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return _density(phi.boundary(x), taus[k])
-
-    parts, n = _quad.domains(segment[0], segment[1], exponent, exponent), len(taus)
-    total = np.zeros(n)
-    for lo, hi, sub in parts:
-        total += _quad.integrate_pieces(_quad.substituted(density, sub), np.full(n, lo),
-                                        np.full(n, hi), np.arange(n), n,
-                                        tol=1e-9 / len(parts)).real
-    return total
-
-
 def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
                    mass_tol: float = 1e-6) -> list[ClarkMeasure]:
     """Full decomposition of the spectral measure at every tau.  The
@@ -240,11 +230,18 @@ def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
     phi._require_branches()
     found = _atoms(phi, taus)
     segments = tuple(phi.nonreal_segments)
+    # Exponent -0.5 removes the inverse square root blowup of the density at
+    # a finite end where Im phi vanishes.
     exponents = [-0.5 if np.isfinite(l) and np.isfinite(r) else 0.0 for l, r in segments]
+
+    def density(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return _density(phi.boundary(x), taus[k])
+
     tables, ac_mass = [], np.zeros(len(taus))
     for seg, exponent in zip(segments, exponents):
         tables.append(_density_tables(phi, taus, seg))
-        ac_mass += _ac_masses(phi, taus, seg, exponent)
+        ac_mass += _quad.integrate_domains(density, seg[0], seg[1], len(taus), exponent,
+                                           exponent, tol=1e-9).real
     atom_total, sc, tails = _singular_masses(phi, taus, found, y_grid)
     atom_total, ac_mass, sc = atom_total.tolist(), ac_mass.tolist(), sc.tolist()
 
@@ -266,7 +263,7 @@ def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
             tau=tau, atoms=atoms, ac_segments=segments,
             density_tables=tuple(t[k] for t in tables), ac_mass=ac_mass[k],
             sc_mass_estimate=sc[k], diagnostics=diagnostics,
-            measure=RealMeasure(atoms=atoms, ac_pieces=pieces)))
+            ac_pieces=pieces))
     return out
 
 

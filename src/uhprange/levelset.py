@@ -175,13 +175,6 @@ def disk_preimages(phi: PhiFunction, a, b, tol: float = 1e-8
     return sets, unresolved
 
 
-def boundary_disk_panels(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
-                         ) -> tuple[list[tuple[float, float]], float]:
-    """The one-disk case of disk_panels: (inside panels, unresolved width)."""
-    rows, unresolved = disk_panels(phi, [q.a], [q.b], tol=tol)
-    return [(u, v) for (_, u, v) in rows.tolist()], float(unresolved[0])
-
-
 def preimage_disk_set(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
                       ) -> tuple[IntervalSet, float]:
     """The one-disk case of disk_preimages."""

@@ -10,7 +10,7 @@ rather than detected numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -65,15 +65,17 @@ class AcPiece:
 
     def integrate(self, f: Callable, tol: float = 1e-10) -> complex:
         """Integral of f against this piece."""
-        def g(t: np.ndarray) -> np.ndarray:
+        def g(t: np.ndarray, _owner: np.ndarray) -> np.ndarray:
             return np.asarray(f(t)) * np.asarray(self.density(t))
 
-        return _quad.integrate_power_endpoint(
-            g, self.left, self.right,
-            p_left=self.left_exponent, p_right=self.right_exponent, tol=tol)
+        return complex(_quad.integrate_domains(g, self.left, self.right,
+                                               p_left=self.left_exponent,
+                                               p_right=self.right_exponent, tol=tol)[0])
 
-    def mass(self, tol: float = 1e-12) -> float:
-        return float(np.real(self.integrate(lambda t: np.ones_like(t), tol=tol)))
+    @cached_property
+    def mass(self) -> float:
+        """The piece's mass, integrated to 1e-12 once, on first use."""
+        return self.integrate(np.ones_like, tol=1e-12).real
 
     @cached_property
     def rule(self) -> tuple | None:
@@ -83,7 +85,7 @@ class AcPiece:
         t, w, panels = _quad.graded_rule(self.left, self.right,
                                          self.left_exponent, self.right_exponent)
         w_rho = w * np.asarray(self.density(t), dtype=float)
-        mass = self.mass()
+        mass = self.mass
         if not abs(float(w_rho.sum()) - mass) <= _RULE_MASS_TOL * mass:
             return None
         return t, w_rho, panels
@@ -188,7 +190,6 @@ class RealMeasure:
     atoms: tuple[tuple[float, float], ...] = ()
     ac_pieces: tuple[AcPiece, ...] = ()
     sc_pieces: tuple[ScCantorPiece, ...] = ()
-    _ac_masses: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         positions = [p for (p, _) in self.atoms]
@@ -205,14 +206,10 @@ class RealMeasure:
                 raise PreconditionError(
                     f"{piece.label} piece on ({piece.left}, {piece.right}) is not finite "
                     f"at t = {inner}")
-        if not self._ac_masses:
-            masses = tuple(piece.mass() for piece in self.ac_pieces)
-            object.__setattr__(self, "_ac_masses", masses)
-        for piece, mass in zip(self.ac_pieces, self._ac_masses):
-            if not (mass >= 0.0 and np.isfinite(mass)):
+            if not (piece.mass >= 0.0 and np.isfinite(piece.mass)):
                 raise PreconditionError(
-                    f"{piece.label} piece on ({piece.left}, {piece.right}) has mass {mass}; "
-                    "a density piece must have finite mass >= 0")
+                    f"{piece.label} piece on ({piece.left}, {piece.right}) has mass "
+                    f"{piece.mass}; a density piece must have finite mass >= 0")
         if not np.isfinite(self.total_mass()):
             raise PreconditionError("measure must be finite")
 
@@ -252,7 +249,7 @@ class RealMeasure:
 
     def total_mass(self) -> float:
         return (sum(m for (_, m) in self.atoms)
-                + sum(self._ac_masses)
+                + sum(p.mass for p in self.ac_pieces)
                 + sum(p.mass for p in self.sc_pieces))
 
     def singular_mass(self) -> float:
@@ -263,13 +260,13 @@ class RealMeasure:
         """mu((-inf, x]); right-continuous, nondecreasing."""
         x = float(x)
         total = sum(m for (p, m) in self.atoms if p <= x)
-        for piece, mass in zip(self.ac_pieces, self._ac_masses):
+        for piece in self.ac_pieces:
             if x >= piece.right:
-                total += mass
+                total += piece.mass
             elif x > piece.left:
-                total += float(np.real(_quad.integrate_power_endpoint(
-                    piece.density, piece.left, x,
-                    p_left=piece.left_exponent, p_right=0.0, tol=1e-11)))
+                total += float(_quad.integrate_domains(
+                    lambda t, _owner: piece.density(t), piece.left, x,
+                    p_left=piece.left_exponent, tol=1e-11)[0].real)
         for piece in self.sc_pieces:
             total += float(piece.cdf(x))
         return total
@@ -284,7 +281,7 @@ class RealMeasure:
             total += complex(np.sum(w * np.asarray(f(pos))))
         share = tol / max(1, len(self.ac_pieces) + len(self.sc_pieces))
         for piece in self.ac_pieces:
-            total += complex(piece.integrate(f, tol=share))
+            total += piece.integrate(f, tol=share)
         for piece in self.sc_pieces:
             total += complex(piece.integrate(f, tol=share))
         if abs(total.imag) < 1e-300:
@@ -362,12 +359,11 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     (``_quad.clearance`` from the panels of the piece's graded rule at
     least _FAR_CLEARANCE) one atom_sum over the rule's nodes, weighted by
     the density.  A nearer point passes 1 to the kernel, multiplies by the
-    density and is integrated adaptively over the piece's
-    ``_quad.domains`` (as AcPiece.integrate splits it), _POINTS_PER_CALL
-    points per call, in which every point owns its panels.  With ``pv``
-    (for the Cauchy kernel), real points strictly inside a piece take the
-    principal value instead.  Pieces are added in order, and a point's
-    value does not depend on the other points.
+    density and is integrated adaptively (``_quad.integrate_domains``),
+    _POINTS_PER_CALL points per call, in which every point owns its
+    panels.  With ``pv`` (for the Cauchy kernel), real points strictly
+    inside a piece take the principal value instead.  Pieces are added in
+    order, and a point's value does not depend on the other points.
     """
     z = np.asarray(z)
     total = start + atom_sum(kernel, *mu.nodes, z)
@@ -394,17 +390,15 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
 
 def _density_integral(piece: AcPiece, kernel: Callable, z: np.ndarray, tol: float) -> np.ndarray:
     """Integral of K(t, z_k) against one density piece for a few points
-    z_k: the sum of its domains in order, point k owning its panels."""
+    z_k, point k owning its panels.  A node that lands on a real z_k makes
+    the kernel infinite there and the value NaN, without a warning (as in
+    atom_sum)."""
     def f(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         return kernel(t, z[k], 1.0) * piece.density(t)
 
-    parts = _quad.domains(piece.left, piece.right, piece.left_exponent, piece.right_exponent)
-    total, n = 0.0, len(z)
-    for lo, hi, sub in parts:
-        total = total + _quad.integrate_pieces(_quad.substituted(f, sub), np.full(n, lo),
-                                               np.full(n, hi), np.arange(n), n,
-                                               tol=tol / len(parts))
-    return total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _quad.integrate_domains(f, piece.left, piece.right, len(z), piece.left_exponent,
+                                       piece.right_exponent, tol)
 
 
 @dataclass(frozen=True)

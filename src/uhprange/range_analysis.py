@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _quad
+from ._roots import Branch
 from .cauchy import cauchy_transform
 from .clark import clark_singular_masses
 from .errors import OrbitBreakError, PreconditionError, UhprangeError
@@ -460,12 +461,7 @@ def similarity_certificate(phi: PhiFunction, n_grid: int = 121) -> SimilarityCer
     if k is None or not np.isfinite(k):
         raise PreconditionError("certificate requires finite second moment of rho")
 
-    left = [b for b in phi.real_branches if b.right <= c + 1e-12]
-    right = [b for b in phi.real_branches if b.left >= d - 1e-12]
-    if not left or not right:
-        raise PreconditionError("certificate requires outer branches on both sides")
-    bl = max(left, key=lambda b: b.right)
-    br = min(right, key=lambda b: b.left)
+    bl, br = _outer_branches(phi, hull)
     lim_c = phi.value_limit(bl, "right")
     lim_d = phi.value_limit(br, "left")
     if not lim_c > lim_d:
@@ -518,6 +514,17 @@ def similarity_certificate(phi: PhiFunction, n_grid: int = 121) -> SimilarityCer
                  "candidates": len(candidates)})
 
 
+def _outer_branches(phi: PhiFunction, hull: tuple[float, float]) -> tuple[Branch, Branch]:
+    """The real branches next to the hull (c, d) from outside: the last one
+    ending at or left of c and the first one starting at or right of d."""
+    c, d = hull
+    left = [b for b in phi.real_branches if b.right <= c + 1e-12]
+    right = [b for b in phi.real_branches if b.left >= d - 1e-12]
+    if not left or not right:
+        raise PreconditionError("certificate requires outer branches on both sides")
+    return max(left, key=lambda b: b.right), min(right, key=lambda b: b.left)
+
+
 def _orbit_product_log_bound(k: float, eta: float, delta_d: float,
                              delta_c: float, tail_tol: float = 1e-12) -> float:
     """log of prod over n >= 0 of (1 + k/(delta_d + n*eta)^2)(1 + k/(delta_c + n*eta)^2),
@@ -545,9 +552,7 @@ def backward_orbit(phi: PhiFunction, t: float, n: int,
         tbl_l = tbl_r = phi.branch_table(phi.real_branches[0])
         vjoin = -math.inf if cert.direction == "up" else math.inf
     else:
-        c, d = cert.hull
-        bl = max(b for b in phi.real_branches if b.right <= c + 1e-12)
-        br = min(b for b in phi.real_branches if b.left >= d - 1e-12)
+        bl, br = _outer_branches(phi, cert.hull)
         tbl_l, tbl_r = phi.branch_table(bl), phi.branch_table(br)
         vjoin = float(phi.boundary_real(cert.d1))
     orbit: list[float] = []

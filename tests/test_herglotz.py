@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,3 +196,13 @@ def test_sc_measure_blocks_branch_enumeration():
     assert abs(phi.eval(2j).imag) > 0  # evaluation still works
     with pytest.raises(UnsupportedStructureError):
         preimage_interval_measure(phi, (0.0, 1.0))
+
+
+def test_boundary_value_on_a_quadrature_node_warns_nothing():
+    # The point is a node of the first Gauss panel of the density's left
+    # half, where the representation kernel divides by zero.
+    from uhprange import _quad
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.uniform(0.0, 1.0, mass=0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phi.boundary_real([0.25 + 0.25 * _quad._NODES[3]])

@@ -341,3 +341,18 @@ def test_far_rule_falls_back_on_unresolved_density():
     zs = np.asarray([2.0, -3.0, 0.3 + 1j])
     assert _same(kernel_integral(mu, cauchy_kernel, zs),
                  _density_integral(piece, cauchy_kernel, zs, 1e-11))
+
+
+def test_piece_mass_integrated_once(monkeypatch):
+    """A piece's mass is integrated once, however many measures hold it,
+    and its graded rule reuses it."""
+    calls = []
+    integrate_domains = _quad.integrate_domains
+    monkeypatch.setattr(_quad, "integrate_domains",
+                        lambda *a, **k: calls.append(a[1:3]) or integrate_domains(*a, **k))
+    piece = AcPiece(-1.0, 2.0, _poisson)
+    mu = RealMeasure(ac_pieces=(piece,))
+    both = mu.combined(RealMeasure.point_mass(3.0, 0.5))
+    kernel_integral(both, cauchy_kernel, np.asarray([10.0, -4.0 + 1j]))
+    assert calls == [(-1.0, 2.0)]
+    assert both.total_mass() == piece.mass + 0.5 and piece.rule is not None

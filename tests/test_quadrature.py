@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,16 +31,42 @@ def test_complex_integrand():
 
 
 def test_endpoint_inverse_sqrt():
-    val = _quad.integrate_power_endpoint(
-        lambda t: 1.0 / np.sqrt(np.abs(t)), 0.0, 1.0, p_left=-0.5)
+    val, = _quad.integrate_domains(
+        lambda t, _k: 1.0 / np.sqrt(np.abs(t)), 0.0, 1.0, p_left=-0.5)
     assert abs(val - 2.0) < 1e-10
 
 
+def _arcsine(t):
+    return 1.0 / (math.pi * np.sqrt(np.clip((1 - t) * (1 + t), 1e-300, None)))
+
+
 def test_arcsine_mass():
-    def dens(t):
-        return 1.0 / (math.pi * np.sqrt(np.clip((1 - t) * (1 + t), 1e-300, None)))
-    val = _quad.integrate_power_endpoint(dens, -1.0, 1.0, p_left=-0.5, p_right=-0.5)
+    val, = _quad.integrate_domains(lambda t, _k: _arcsine(t), -1.0, 1.0,
+                                   p_left=-0.5, p_right=-0.5)
     assert abs(val - 1.0) < 1e-10
+
+
+def test_domains_independent_of_other_owners():
+    """n owners in one call equal n one-owner calls bit for bit, on an
+    interval with both ends power-substituted."""
+    zs = np.asarray([0.3 + 1e-2j, -0.9 + 0.5j, 2.0 + 0.0j, 3j, 0.99 + 1e-3j])
+
+    def f(z):
+        return lambda t, k: _arcsine(t) / (t - z[k])
+
+    together = _quad.integrate_domains(f(zs), -1.0, 1.0, len(zs), -0.5, -0.5, tol=1e-11)
+    alone = [_quad.integrate_domains(f(zs[k:k + 1]), -1.0, 1.0, 1, -0.5, -0.5, tol=1e-11)[0]
+             for k in range(len(zs))]
+    assert together.tobytes() == np.asarray(alone).tobytes()
+
+
+def test_domains_of_an_interval_one_float_wide():
+    # one half of the interval is empty and adds nothing, without a warning
+    a, b = 0.3, math.nextafter(0.3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, = _quad.integrate_domains(lambda t, _k: np.ones_like(t), a, b)
+    assert abs(val - (b - a)) < 1e-30
 
 
 def test_pv_log_ratio():
