@@ -31,6 +31,8 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 #: Relative panel width below which refinement is abandoned.
 _WIDTH_FLOOR = 4.0 * np.finfo(float).eps
+#: Rounding of t near a singular end e, relative to |e|, in pv_cauchy.
+_UNRESOLVED = 64.0 * np.finfo(float).eps
 
 
 def _gauss_batch(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -91,6 +93,12 @@ class _Power:
         return ((self.sign * (np.asarray(z, dtype=complex) - self.end)) ** (1.0 / self.m),)
 
 
+def _snapped(sub: Callable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sub(u), with the Jacobian taken at the u that the rounded t stands for."""
+    t = sub(u)[0]
+    return t, sub(sub.preimages(t)[0].real)[1]
+
+
 def _half(end: float, mid: float, p: float, sign: float) -> tuple:
     if p >= 0.0:
         return (min(end, mid), max(end, mid), None)
@@ -139,8 +147,8 @@ def graded_rule(a: float, b: float, p_left: float = 0.0, p_right: float = 0.0) -
         t = (c[:, None] + h[:, None] * _NODES).ravel()
         w = (h[:, None] * _WEIGHTS).ravel()
         if sub is not None:
-            t, _ = sub(t)
-            w = w * sub(sub.preimages(t)[0].real)[1]
+            t, jac = _snapped(sub, t)
+            w = w * jac
         ts.append(t)
         ws.append(w)
         panels.append((edges, sub))
@@ -185,15 +193,11 @@ def integrate_interval(
     seeds: Sequence[float] = (),
     max_panels: int = 10**6,
 ) -> complex:
-    """Integrate f over (a, b); endpoints may be +-inf.
+    """Integrate f over (a, b), a < b; endpoints may be +-inf.
 
     ``seeds`` are interior points forced to be panel boundaries, which
     helps when the integrand has known kinks or sharp windows.
     """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate_interval(f, b, a, tol=tol, seeds=seeds, max_panels=max_panels)
     if math.isinf(a) or math.isinf(b):
         (ta, tb, fold), = domains(a, b)
         mapped_seeds = [math.atan(s) for s in seeds if np.isfinite(s)]
@@ -311,31 +315,51 @@ def integrate_line_relative(
     return value
 
 
-def pv_cauchy(f: Callable, a: float, b: float, x, tol: float = 1e-10):
-    """Principal value of integral f(t)/(t-x) dt over finite (a, b) for one
-    point a < x < b, or an array of them.
+def pv_cauchy(f: Callable, a: float, b: float, x, tol: float = 1e-10,
+              p_left: float = 0.0, p_right: float = 0.0):
+    """Principal value of integral f(t)/(t-x) dt over (a, b) at a < x < b (a
+    point or an array); f ~ (t-a)**p_left near a, (b-t)**p_right near b, p > -1.
 
-    Splitting off f(x) leaves the bounded difference quotient
-    (f(t)-f(x))/(t-x) plus the elementary principal value
-    f(x)*log((b-x)/(x-a)), so no panel ever straddles a blowup.  All points
-    share one adaptive call in which point k owns the pieces [a, x_k] and
-    [x_k, b], so a point's value does not depend on the others.
+    Splitting off f(x) (f(x)(1+x^2)/(1+t^2) with an infinite end) leaves a
+    bounded difference quotient plus an elementary principal value.  With
+    finite ends and exponents >= 0 point k owns the pieces [a, x_k] and
+    [x_k, b] of one adaptive call; else each side takes one call per
+    ``domains`` part, Jacobians taken where the rounded t lies.  A point's
+    value does not depend on the others.  It is NaN, without quadrature,
+    where rounding t near an end e of negative exponent (_UNRESOLVED |e|)
+    moves the quotient's integral, ~|f(x)|, by more than tol |x - e|.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise QuadratureError(f"principal value needs a finite interval, not ({a}, {b})")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    n = xs.size
     fx = np.asarray(f(xs), dtype=float)
+    lost = np.any([_UNRESOLVED * abs(e) * np.abs(fx) > tol * np.abs(xs - e)
+                   for e, p in ((a, p_left), (b, p_right)) if p < 0.0], axis=0)
+    if lost.any():
+        val = np.full(xs.shape, math.nan)
+        val[~lost] = pv_cauchy(f, a, b, xs[~lost], tol, p_left, p_right)
+        return val if np.ndim(x) else float(val[0])
+    n, finite = xs.size, math.isfinite(a) and math.isfinite(b)
 
     def quotient(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         d = t - xs[k]
-        out = (np.asarray(f(t)) - fx[k]) / np.where(d == 0.0, 1.0, d)
+        split = fx[k] if finite else fx[k] * (1.0 + xs[k] ** 2) / (1.0 + t * t)
+        out = (np.asarray(f(t)) - split) / np.where(d == 0.0, 1.0, d)
         return np.where(d == 0.0, 0.0, out)
 
-    val = integrate_pieces(quotient, np.concatenate([np.full(n, float(a)), xs]),
-                           np.concatenate([xs, np.full(n, float(b))]),
-                           np.tile(np.arange(n), 2), n, tol=tol).real
-    # libm's log: numpy's vectorized log differs from it in the last bit
-    # on some inputs
-    val = val + fx * np.asarray([math.log(r) for r in ((b - xs) / (xs - a)).tolist()])
+    if finite and p_left >= 0.0 and p_right >= 0.0:
+        parts = [(None, np.concatenate([np.full(n, float(a)), xs]),
+                  np.concatenate([xs, np.full(n, float(b))]), np.tile(np.arange(n), 2))]
+    else:
+        sides = ([domains(a, xk, p_left, 0.0) for xk in xs.tolist()],
+                 [domains(xk, b, 0.0, p_right) for xk in xs.tolist()])
+        parts = [(subs[0], lo, hi, np.arange(n)) for side in sides
+                 for lo, hi, subs in (zip(*part) for part in zip(*side))]
+    if finite:  # libm's log: numpy's vectorized log differs in the last bit on some inputs
+        val = fx * np.asarray([math.log(r) for r in ((b - xs) / (xs - a)).tolist()])
+    else:  # [log|t-x| - log(1+t^2)/2 - x atan t] from a to b: -+x pi/2 at t = +-inf
+        val = fx * (sum(s * (np.log(np.abs(e - xs)) - 0.5 * math.log1p(e * e))
+                        for s, e in ((1.0, b), (-1.0, a)) if math.isfinite(e))
+                    - xs * (math.atan(b) - math.atan(a)))
+    for sub, lo, hi, owner in parts:
+        g = substituted(quotient, sub and (lambda u, s=sub: _snapped(s, u)))
+        val = val + integrate_pieces(g, lo, hi, owner, n, tol=tol / len(parts)).real
     return val if np.ndim(x) else float(val[0])

@@ -35,10 +35,6 @@ class Branch:
     def contains(self, x: float) -> bool:
         return self.left < x < self.right
 
-    @property
-    def finite(self) -> bool:
-        return np.isfinite(self.left) and np.isfinite(self.right)
-
 
 def probe_points(branch: Branch) -> np.ndarray:
     """Strictly interior probe abscissae, geometric near every endpoint."""

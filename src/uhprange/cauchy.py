@@ -74,7 +74,7 @@ class CauchyTransform:
             hit = arr[np.isin(arr, self._pos)]
             if len(hit):
                 raise DomainError(f"Re G undefined exactly at a point mass ({hit[0]})")
-            out = kernel_integral(self.measure, cauchy_kernel, arr, tol=1e-10, pv=True)
+            out = kernel_integral(self.measure, cauchy_kernel, arr, tol=1e-10, pv=True).real
         return out if np.ndim(x) else float(out[0])
 
     def _resolvent_re(self, x: np.ndarray) -> np.ndarray:

@@ -19,11 +19,7 @@ import numpy as np
 from ._roots import SCAN_LIMIT, Branch, BranchTable
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      UnsupportedStructureError)
-from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
-
-#: y-ladder used for boundary limits of representation-defined maps.
-_BOUNDARY_YS = (1e-4, 1e-6, 1e-8)
-_BOUNDARY_AGREEMENT = 1e-6
+from .measures import AcPiece, RealMeasure, cauchy_kernel, gaps_between, kernel_integral
 
 
 @dataclass(frozen=True)
@@ -245,27 +241,19 @@ class NevanlinnaPhi(PhiFunction):
         out[pole] = complex(math.inf, 0.0)
         off = ~on & ~pole
         if off.any():
-            out[off] = self._boundary_limit(x[off])
+            out[off] = self._plemelj(x[off])
         return out
 
-    def _boundary_limit(self, x: np.ndarray) -> np.ndarray:
-        """Vertical limit with a two-step extrapolation agreement check."""
-        y1, y2, y3 = _BOUNDARY_YS
-        f1 = self._eval_complex(x + 1j * y1)
-        f2 = self._eval_complex(x + 1j * y2)
-        f3 = self._eval_complex(x + 1j * y3)
-        r12 = (y1 * f2 - y2 * f1) / (y1 - y2)
-        r23 = (y2 * f3 - y3 * f2) / (y2 - y3)
-        gap = np.abs(r12 - r23)
-        bad = gap > _BOUNDARY_AGREEMENT * (1.0 + np.abs(r23))
-        if bad.any():
-            worst = x[bad][int(np.argmax(gap[bad]))]
-            raise ConvergenceError(
-                f"boundary limit did not stabilize at x={worst!r} "
-                f"(gap {float(np.max(gap[bad])):.3e})")
-        out = r23.copy()
-        out.imag = np.maximum(out.imag, 0.0)
-        return out
+    def _plemelj(self, x: np.ndarray) -> np.ndarray:
+        """phi(x + i0) = alpha + (beta + |rho|) x + (1+x^2) G(x + i0), G the Cauchy
+        transform of rho (Plemelj, as (1+tx)/(t-x) = (1+x^2)/(t-x) + x)."""
+        g = kernel_integral(self.rho, cauchy_kernel, x, pv=True)
+        bad = x[np.isnan(g)]
+        if bad.size:
+            raise ConvergenceError(f"principal value not resolved at x={float(bad[0])!r}")
+        scale = 1.0 + x * x
+        return (self.data.alpha + (self.data.beta + self.rho.total_mass()) * x
+                + scale * g.real + 1j * scale * g.imag)
 
     def boundary_real(self, x) -> np.ndarray:
         arr, scalar = _as_array(x, float)

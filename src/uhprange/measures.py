@@ -24,7 +24,7 @@ from .errors import PreconditionError
 SC_EVAL_LEVEL = 12
 
 #: Memory bounds of a kernel integral: kernel entries per chunk of the
-#: atom sum, and points per adaptive call of a density piece.
+#: atom sum, and points per adaptive call near a density piece.
 _ATOM_CHUNK = 2**14
 _POINTS_PER_CALL = 8
 
@@ -361,30 +361,41 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     the density.  A nearer point passes 1 to the kernel, multiplies by the
     density and is integrated adaptively (``_quad.integrate_domains``),
     _POINTS_PER_CALL points per call, in which every point owns its
-    panels.  With ``pv`` (for the Cauchy kernel), real points strictly
-    inside a piece take the principal value instead.  Pieces are added in
-    order, and a point's value does not depend on the other points.
+    panels.  With ``pv`` (Cauchy kernel, real z) the result is G(x + i0):
+    inside a piece, its principal value (one ``_quad.pv_cauchy`` call) plus
+    i pi density(x); on a finite end where the density does not vanish, the
+    vertical limit of Re G: +inf on a left end, -inf on a right one.  Pieces
+    are added in order, and a point's value does not depend on the others.
     """
     z = np.asarray(z)
     total = start + atom_sum(kernel, *mu.nodes, z)
     flat = z.ravel()
     for piece in mu.ac_pieces:
         vals = np.empty(flat.shape, dtype=complex)
+        ends = {e: s * math.inf for e, p, s in ((piece.left, piece.left_exponent, 1.0),
+                                                 (piece.right, piece.right_exponent, -1.0))
+                if pv and e in flat and (p < 0.0 or p == 0.0 and
+                                         np.ravel(piece.density(np.asarray([e])))[0] != 0.0)}
         inside = ((piece.left < flat) & (flat < piece.right) if pv
                   else np.zeros(flat.shape, dtype=bool))
+        skip = inside.copy()
+        for end, value in ends.items():
+            vals[flat == end], skip = value, skip | (flat == end)
         far = np.zeros(flat.shape, dtype=bool)
         if piece.rule is not None:
             t, w_rho, panels = piece.rule
-            far[~inside] = _quad.clearance(panels, flat[~inside]) >= _FAR_CLEARANCE
+            far[~skip] = _quad.clearance(panels, flat[~skip]) >= _FAR_CLEARANCE
             vals[far] = atom_sum(kernel, t, w_rho, flat[far])
-        for principal, idx in ((False, np.flatnonzero(~inside & ~far)),
-                               (True, np.flatnonzero(inside))):
-            for i in range(0, len(idx), _POINTS_PER_CALL):
-                chunk = idx[i:i + _POINTS_PER_CALL]
-                vals[chunk] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,
-                                               flat[chunk], tol=tol) if principal
-                               else _density_integral(piece, kernel, flat[chunk], tol))
-        total = total + (vals if np.iscomplexobj(z) else vals.real).reshape(z.shape)
+        idx = np.flatnonzero(~skip & ~far)
+        for i in range(0, len(idx), _POINTS_PER_CALL):
+            chunk = idx[i:i + _POINTS_PER_CALL]
+            vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
+        if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
+            vals[inside] = (_quad.pv_cauchy(piece.density, piece.left, piece.right, flat[inside],
+                                            tol, piece.left_exponent, piece.right_exponent)
+                            + 1j * math.pi * piece.density(flat[inside]))
+        with np.errstate(invalid="ignore"):  # inf - inf on an end two pieces share
+            total = total + (vals if np.iscomplexobj(z) or pv else vals.real).reshape(z.shape)
     return total
 
 

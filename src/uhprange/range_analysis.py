@@ -582,6 +582,8 @@ def similarity_lower_bound(phi: PhiFunction, N: int = 6,
     """Interval-ratio infimum of each power up to N on a shared grid;
     a stable positive floor across powers supports similarity."""
     require_contraction(phi)
+    if int(N) < 1:
+        raise PreconditionError(f"composition depth must be at least 1, not {N}")
     grid = grid or default_grid(phi)
     values = []
     depth = 0
@@ -591,8 +593,8 @@ def similarity_lower_bound(phi: PhiFunction, N: int = 6,
             values.append(constant_B(phi_n, grid).value)
             depth = n
         except UhprangeError:
+            if n == 1:
+                raise  # no usable depth: the map itself is the reason
             break  # pullback failed at this depth; report what was usable
-    if not values:
-        raise PreconditionError("no usable composition depth")
     return SimilarityLowerBound(values=tuple(values), minimum=min(values),
                                 max_depth=depth)

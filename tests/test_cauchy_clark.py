@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uhprange import (AcPiece, NevanlinnaData, PreconditionError, QuadratureError,
-                      RealMeasure, cauchy_transform, clark_atoms, clark_density, clark_measure,
+from uhprange import (AcPiece, NevanlinnaData, PreconditionError, RealMeasure,
+                      cauchy_transform, clark_atoms, clark_density, clark_measure,
                       clark_measures, g_tau, phi_from_catalog, phi_from_nevanlinna,
                       phi_identity, phi_translation, singular_mass_tsereteli)
 
@@ -198,9 +198,12 @@ def test_clark_requires_contraction():
         clark_measure(phi, 0.0)
 
 
-def test_boundary_re_inside_infinite_piece_rejected():
+def test_boundary_re_inside_infinite_piece():
+    # p.v. of dt / ((1+t^2)(t-x)) over (-inf, -1): by partial fractions,
+    # (log|x+1| - log(2)/2 - x pi/4) / (1+x^2)
     halfline = AcPiece(-math.inf, -1.0, lambda t: 1.0 / (1.0 + t * t))
     G = cauchy_transform(RealMeasure(ac_pieces=(halfline,)))
-    with pytest.raises(QuadratureError):
-        G.boundary_re(-2.0)
+    for x in (-2.0, -100.0):
+        exact = (math.log(abs(x + 1.0)) - 0.5 * math.log(2.0) - 0.25 * math.pi * x) / (1 + x * x)
+        assert abs(G.boundary_re(x) - exact) < 1e-13
     assert np.isfinite(G.boundary_re(0.5))

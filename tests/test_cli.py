@@ -1,5 +1,8 @@
 import json
 import math
+import time
+
+import pytest
 
 from uhprange.cli import main
 
@@ -244,3 +247,65 @@ def test_sc_measure_config(tmp_path):
                 "--points", "2j"]) == 0
     # analysis requiring full branch enumeration is rejected cleanly
     assert run(["constants", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+# -- every named density, with and without an atom ------------------------------------
+
+_DENSITY_ROWS = [(name, atom, 3 if name == "arcsine" else 0)
+                 for name in ("uniform", "poisson", "arcsine") for atom in (False, True)]
+
+
+@pytest.mark.parametrize("name,atom,code", _DENSITY_ROWS)
+def test_density_config_matrix(tmp_path, capsys, name, atom, code):
+    """clark and constants on each named density over (0, 1), mass 0.5, with
+    and without an atom at 2.  Boundary values inside the density come from
+    Plemelj's formula: uniform and poisson run and every spectral measure is
+    normalized; arcsine fails fast, on a principal value too near an end
+    (both runs took 17 s with the vertical-limit rule)."""
+    block = {"alpha": 1.0, "beta": 1.0,
+             "densities": [{"name": name, "interval": [0, 1], "mass": 0.5}]}
+    if atom:
+        block["atoms"] = [[2.0, 0.5]]
+    cfg = write_config(tmp_path, {
+        "phi": {"nevanlinna": block}, "format": "json",
+        "grids": {"centers": [-1.0, 0.0, 0.5, 1.0, 3.0], "lengths": [1.0, 0.25],
+                  "tau": [-1.0, 0.0, 0.5, 2.0]}})
+    start = time.perf_counter()
+    for command in (["clark", "--tau=0,0.5"], ["constants"]):
+        assert run([command[0], "--config", cfg, "--out", str(tmp_path)] + command[1:]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    if code:
+        assert time.perf_counter() - start < 5.0
+    else:
+        rows = json.loads((tmp_path / "clark.json").read_text())["rows"]
+        assert [r["normalized"] for r in rows] == ["true", "true"]
+
+
+def test_eval_on_a_density_end_fails(tmp_path, capsys):
+    # Re phi(x + i0) diverges on an end of a uniform density
+    cfg = write_config(tmp_path, {
+        "phi": {"nevanlinna": {"alpha": 1.0, "beta": 1.0, "densities": [
+            {"name": "uniform", "interval": [0, 1], "mass": 0.5}]}}, "format": "csv"})
+    for point in ("0", "1"):
+        assert run(["eval", "--config", cfg, "--out", str(tmp_path), "--points", point]) == 2
+        assert f"boundary value diverges at {float(point)!r}" in capsys.readouterr().err
+
+
+def test_similarity_cantor_part_names_the_reason(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "phi": {"nevanlinna": {"alpha": 0.0, "beta": 1.0,
+                               "sc": [{"interval": [0, 1], "mass": 1.0, "depth": 10}]}},
+        "format": "csv"})
+    assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "real-branch structure is not fully enumerated" in err
+
+
+def test_similarity_depth_below_one_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "phi": {"catalog": "zloglin", "params": {"alpha": 5.0}},
+        "similarity_depth": 0, "format": "json"})
+    assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "composition depth must be at least 1" in err and "Traceback" not in err

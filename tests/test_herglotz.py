@@ -130,8 +130,8 @@ def test_poisson_boundary_imaginary_part():
     dens = AcPiece(-1.0, 1.0, lambda t: 1.0 / (math.pi * (1.0 + t * t)))
     phi = phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(dens,))))
     w = phi.boundary_value(0.0)
-    # vertical limit of the imaginary part is pi*(1+x^2)*density(x) = 1 at x=0
-    assert abs(w.imag - 1.0) < 1e-5
+    # the imaginary part is pi*(1+x^2)*density(x) = 1 at x=0
+    assert abs(w.imag - 1.0) < 1e-13
 
 
 def test_boundary_value_at_atom_raises():

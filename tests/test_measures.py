@@ -226,6 +226,16 @@ def test_pv_cauchy_batch_invariant(xs):
                  [_quad.pv_cauchy(_poisson, -1.0, 2.0, x) for x in xs])
 
 
+@settings(max_examples=20, deadline=None)
+@given(xs=st.lists(st.floats(-0.999999, 0.999999), min_size=1, max_size=12))
+def test_pv_cauchy_substituted_batch_invariant(xs):
+    """The same with singular ends (NaN points included) and an infinite one."""
+    for f, a, b, p, xs in ((_arcsine, -1.0, 1.0, -0.5, np.asarray(xs)),
+                           (_poisson, -math.inf, 2.0, 0.0, 2.0 - np.exp(10 * np.asarray(xs)))):
+        assert _same(_quad.pv_cauchy(f, a, b, xs, 1e-10, p, p),
+                     [_quad.pv_cauchy(f, a, b, x, 1e-10, p, p) for x in xs])
+
+
 # -- the graded rule of a density piece at far points -------------------------------
 
 from uhprange.herglotz import _kernel, _kernel_derivative  # noqa: E402
@@ -356,3 +366,62 @@ def test_piece_mass_integrated_once(monkeypatch):
     kernel_integral(both, cauchy_kernel, np.asarray([10.0, -4.0 + 1j]))
     assert calls == [(-1.0, 2.0)]
     assert both.total_mass() == piece.mass + 0.5 and piece.rule is not None
+
+
+# -- boundary values inside a density piece -----------------------------------------
+
+from uhprange import ConvergenceError, DomainError  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["uniform", "poisson", "halfline"])
+def test_plemelj_boundary_matches_closed_form(name):
+    """phi(x + i0) = alpha + (beta + |rho|) x + (1+x^2) p.v. G(x)
+    + i pi (1+x^2) rho'(x) at 2**-k inside every finite end of the piece,
+    k = 1..40, against the closed forms taken from above the axis."""
+    piece, exact, _ = _FAR_CASES[name]
+    phi = phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, RealMeasure(ac_pieces=(piece,))))
+    steps = 2.0 ** -np.arange(1, 41)
+    xs = np.concatenate([end + inward * steps for end, inward in
+                         ((piece.left, 1.0), (piece.right, -1.0)) if math.isfinite(end)])
+    z = xs + 1e-200j
+    ref = 0.5 + z + exact(_kernel, z)
+    assert np.all(np.abs(phi.boundary(xs) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_boundary_on_a_density_end():
+    """On an end where the density does not vanish, Re G(x + i0) is +inf
+    at the left end and -inf at the right one, and so is Re phi(x + i0).
+    On an end that two pieces share it is NaN, and the boundary value of a
+    map raises and names the point."""
+    uniform = _FAR_CASES["uniform"][0]
+    mu = RealMeasure(ac_pieces=(uniform,))
+    G, phi = cauchy_transform(mu), phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, mu))
+    assert list(G.boundary_re(np.asarray([0.0, 1.0]))) == [math.inf, -math.inf]
+    assert list(_TRANSFORMS["arcsine"].boundary_re(np.asarray([-1.0, 1.0]))) == [math.inf, -math.inf]
+    assert phi.boundary(0.0) == math.inf and phi.boundary(1.0) == -math.inf
+    with pytest.raises(DomainError, match="diverges"):
+        phi.boundary_value(0.0)
+    shared = RealMeasure(ac_pieces=(uniform, RealMeasure.uniform(1.0, 2.0).ac_pieces[0]))
+    assert math.isnan(cauchy_transform(shared).boundary_re(1.0))
+    with pytest.raises(ConvergenceError, match="x=1.0"):
+        phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, shared)).boundary(np.asarray([0.5, 1.0]))
+
+
+def test_arcsine_principal_values(monkeypatch):
+    """Re G of the arcsine law is 0 inside (-1, 1).  Nearer an end than the
+    rounding of t resolves, the principal value is NaN, found without
+    quadrature, and the boundary value of a map raises and names the point."""
+    G, phi = _TRANSFORMS["arcsine"], _PHIS["arcsine"]
+    resolved = np.concatenate([[0.3], 1.0 - 2.0 ** -np.arange(1, 10)])
+    assert np.all(np.abs(G.boundary_re(np.concatenate([resolved, -resolved]))) <= 1e-10)
+    integrate, calls = _quad.integrate_pieces, []
+    monkeypatch.setattr(_quad, "integrate_pieces",
+                        lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+    for k in range(10, 53):
+        for x in (1.0 - 2.0**-k, -1.0 + 2.0**-k):
+            calls.clear()
+            value = G.boundary_re(x)
+            assert (math.isnan(value) and not calls) or abs(value) <= 1e-10
+    x = 1.0 - 2.0**-30
+    with pytest.raises(ConvergenceError, match=repr(x)):
+        phi.boundary(np.asarray([0.0, x]))

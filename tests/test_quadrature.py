@@ -109,3 +109,17 @@ def test_pieces_independent_of_other_owners():
         assert alone[0] == together[k]
         assert abs(alone[0] - sum(_quad.integrate_interval(f, a, b, tol=1e-13)
                                   for a, b in zip(lo[mine], hi[mine]))) < 1e-10
+
+
+def test_pv_infinite_ends():
+    # f = 1/(1+t^2) is its own split-off part, so the principal value over
+    # the line is the bracket alone: -pi x / (1+x^2)
+    f = lambda t: 1.0 / (1.0 + t * t)
+    xs = np.asarray([-3.0, -0.5, 0.25, 2.0])
+    whole = _quad.pv_cauchy(f, -math.inf, math.inf, xs)
+    assert np.all(np.abs(whole + math.pi * xs / (1.0 + xs * xs)) <= 1e-15)
+    # over (0, inf): the bracket [log|t-x| - log(1+t^2)/2 - x atan t] from
+    # 0 to inf is -x pi/2 - log x
+    x = 2.0
+    half = _quad.pv_cauchy(f, 0.0, math.inf, x)
+    assert abs(half + (0.5 * math.pi * x + math.log(x)) / (1.0 + x * x)) < 1e-15
