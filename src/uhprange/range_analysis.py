@@ -289,11 +289,16 @@ def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
     ends = _branch_ends(phi, np.asarray([a]), np.asarray([b]))
     num = _weighted_numerators(phi, ends, disk_panels(phi, [a], [b])[0], 1)[0]
     den = math.atan(b) - math.atan(a)
-    evidence = {}
-    if with_rayleigh:
-        for c in c_values:
-            evidence[float(c)] = rayleigh_quotient(phi, TestFunctionUc(a, b, float(c)))
+    evidence = _rayleigh_evidence(phi, (a, b), c_values) if with_rayleigh else {}
     return AUpperResult(value=num / den, interval=(a, b), rayleigh_quotients=evidence)
+
+
+def _rayleigh_evidence(phi: PhiFunction, interval: tuple[float, float],
+                       c_values=(1.0, 4.0, 16.0)) -> dict:
+    """Rayleigh quotient of the concentrating test function over the
+    interval for each c, keyed by float(c)."""
+    a, b = float(interval[0]), float(interval[1])
+    return {float(c): rayleigh_quotient(phi, TestFunctionUc(a, b, float(c))) for c in c_values}
 
 
 # -- report ----------------------------------------------------------------------
@@ -354,9 +359,7 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
                       for l in grid.lengths])
     a_est = _grid_min(num / den, grid)
 
-    evidence = {}
-    if with_rayleigh:
-        evidence = constant_A_upper(phi, a_est.argmin, with_rayleigh=True).rayleigh_quotients
+    evidence = _rayleigh_evidence(phi, a_est.argmin) if with_rayleigh else {}
 
     ests = {"A_upper": a_est.value, "B": b_est.value, "C": c_est.value, "D": d_res.value}
     vals = list(ests.values())
@@ -430,7 +433,7 @@ class SimilarityCertificate:
     details: dict = field(default_factory=dict)
 
 
-def similarity_certificate(phi: PhiFunction, n_grid: int = 121) -> SimilarityCertificate:
+def similarity_certificate(phi: PhiFunction) -> SimilarityCertificate:
     """Constructive certificate that every power keeps a positive lower bound.
 
     Requires a compactly supported representing measure.  The hypothesis is
@@ -475,7 +478,7 @@ def similarity_certificate(phi: PhiFunction, n_grid: int = 121) -> SimilarityCer
     scale = max(1.0, d - c)
     offsets = np.concatenate([scale * 2.0 ** -np.arange(1, 21, dtype=float),
                               scale * 2.0 ** np.arange(0, 11, dtype=float)])
-    offsets = np.unique(offsets)[:n_grid]
+    offsets = np.unique(offsets)
 
     candidates = []  # (direction, c1, d1, eta)
     for up, outer, tbl in ((True, d + offsets, tbl_l), (False, c - offsets, tbl_r)):
@@ -527,16 +530,31 @@ def _outer_branches(phi: PhiFunction, hull: tuple[float, float]) -> tuple[Branch
 
 def _orbit_product_log_bound(k: float, eta: float, delta_d: float,
                              delta_c: float, tail_tol: float = 1e-12) -> float:
-    """log of prod over n >= 0 of (1 + k/(delta_d + n*eta)^2)(1 + k/(delta_c + n*eta)^2),
-    summed explicitly until terms drop below tail_tol and closed with the
-    integral bound k / (eta * (delta + n*eta))."""
-    delta = min(delta_d, delta_c)
-    n_stop = int(min(max(math.sqrt(k / tail_tol) / eta - delta / eta, 8.0), 2e6)) + 1
-    n = np.arange(n_stop, dtype=float)
-    total = float(np.sum(np.log1p(k / (delta_d + n * eta) ** 2)
-                         + np.log1p(k / (delta_c + n * eta) ** 2)))
-    total += (k / (eta * (delta_d + n_stop * eta))
-              + k / (eta * (delta_c + n_stop * eta)))
+    """Upper bound on the log of prod over n >= 0 of
+    (1 + k/(delta_d + n*eta)^2)(1 + k/(delta_c + n*eta)^2), for positive
+    eta and deltas.
+
+    Each factor's series sum g(n), g(n) = log1p(k/(delta + n*eta)^2), is
+    summed explicitly for n < N and closed with the midpoint integral
+
+        sum_{n >= N} g(n) <= int_{N-1/2}^inf g = F(u) / eta,
+        u = delta + (N - 1/2) eta,
+        F(u) = int_u^inf log(1 + k/t^2) dt = 2 sqrt(k) atan(sqrt(k)/u) - u log1p(k/u^2).
+
+    g is convex in n, so each g(n) is at most its mean over [n-1/2, n+1/2]
+    and the closure is an upper bound for every N >= 1.  It exceeds the
+    true tail by k*eta/(12 u^3) to leading order; N is the least count that
+    puts this below tail_tol, capped at 2e6 terms as a memory guard.
+    """
+    root_k = math.sqrt(k)
+    u_min = (k * eta / (12.0 * tail_tol)) ** (1.0 / 3.0)
+    total = 0.0
+    for delta in (delta_d, delta_c):
+        n_terms = int(min(max(math.ceil((u_min - delta) / eta + 0.5), 1), 2e6))
+        n = np.arange(n_terms, dtype=float)
+        u = delta + (n_terms - 0.5) * eta
+        total += float(np.sum(np.log1p(k / (delta + n * eta) ** 2)))
+        total += (2.0 * root_k * math.atan(root_k / u) - u * math.log1p(k / u ** 2)) / eta
     return total
 
 

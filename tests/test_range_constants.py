@@ -191,6 +191,14 @@ def test_report_routes_match_single_constants():
             assert value == atom_total + sc
 
 
+def test_report_rayleigh_evidence_matches_single_query():
+    for phi in (phi_from_catalog("zloglin", alpha=0.0), phi_from_catalog("sqrt")):
+        rep = closed_range_report(phi)
+        single = constant_A_upper(phi, rep.A_argmin, with_rayleigh=True)
+        assert rep.rayleigh_evidence == single.rayleigh_quotients
+        assert list(rep.rayleigh_evidence) == [1.0, 4.0, 16.0]
+
+
 def test_malformed_grids_rejected():
     phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0)))
     for centers, lengths in [((0.0, 1.0), (1.0, 0.0)), ((0.0,), (-0.5,)),

@@ -7,6 +7,7 @@ from uhprange import (PreconditionError, QueryGrid, backward_orbit,
                       contraction_check, phi_from_catalog, phi_identity,
                       phi_translation, similarity_certificate,
                       similarity_lower_bound)
+from uhprange.range_analysis import _orbit_product_log_bound
 
 
 def test_zloglin5_certified():
@@ -31,6 +32,35 @@ def test_zloglin5_orbit_gaps_and_product():
     assert all(x < cert.c1 or x > cert.d1 for x in orbit)
     product = float(np.prod([phi.derivative(t) for t in orbit]))
     assert product <= cert.product_bound
+
+
+def _exact_orbit_log(k, eta, m, half):
+    """log prod_{n>=0} (1 + k/(delta + n*eta)^2) at delta = (m + half)*eta,
+    from prod_{j>=1} (1 + a^2/j^2) = sinh(pi a)/(pi a) and
+    prod_{j>=0} (1 + a^2/(j + 1/2)^2) = cosh(pi a), a = sqrt(k)/eta,
+    with the first factors divided off."""
+    a = math.sqrt(k) / eta
+    x = math.pi * a
+    if half:
+        return math.log(math.cosh(x)) - math.fsum(
+            math.log1p(a * a / (j + 0.5) ** 2) for j in range(m))
+    return math.log(math.sinh(x) / x) - math.fsum(
+        math.log1p(a * a / j ** 2) for j in range(1, m))
+
+
+def test_orbit_product_bound_against_closed_form():
+    rng = np.random.default_rng(7)
+    cases = [(0.08, 0.01, (2, False), (300, False))]  # 2e-10 below exact with the old closure
+    for _ in range(60):
+        k = float(np.exp(rng.uniform(math.log(0.01), math.log(2.0))))
+        eta = float(np.exp(rng.uniform(math.log(0.01), math.log(4.0))))
+        ends = [(int(rng.integers(1, 301)), bool(rng.integers(2))) for _ in range(2)]
+        cases.append((k, eta, *ends))
+    for k, eta, (md, hd), (mc, hc) in cases:
+        exact = _exact_orbit_log(k, eta, md, hd) + _exact_orbit_log(k, eta, mc, hc)
+        bound = _orbit_product_log_bound(k, eta, (md + 0.5 * hd) * eta, (mc + 0.5 * hc) * eta)
+        assert exact - 4 * np.finfo(float).eps * (1 + abs(exact)) <= bound <= exact + 1e-11, \
+            (k, eta, md, hd, mc, hc, bound - exact)
 
 
 def test_sqrt_hypothesis_failed():
