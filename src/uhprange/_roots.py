@@ -71,12 +71,13 @@ class BranchTable:
         self.f = boundary_real
         xs = probe_points(branch)
         ys = np.asarray(boundary_real(xs), dtype=float)
-        # Guard against rounding-level non-monotonicity in the table only;
-        # bisection uses the exact function.
-        ys = np.maximum.accumulate(ys)
+        # Non-finite probes go first: a NaN would spread through the
+        # running maximum to the rest of the table.
         keep = np.isfinite(ys)
         self.xs = xs[keep]
-        self.ys = ys[keep]
+        # Guard against rounding-level non-monotonicity in the table only;
+        # bisection uses the exact function.
+        self.ys = np.maximum.accumulate(ys[keep])
         if len(self.xs) < 2:
             raise ConvergenceError(f"branch {branch} could not be tabulated")
 

@@ -28,7 +28,7 @@ from .herglotz import (CATALOG, NevanlinnaData, PhiFunction, phi_from_catalog,
                        phi_from_nevanlinna)
 from .levelset import (DiskQuery, preimage_disk_measure, preimage_interval_set,
                        tail_measures, tail_set_measure)
-from .measures import AcPiece, RealMeasure, ScCantorPiece
+from .measures import RealMeasure, ScCantorPiece
 from .range_analysis import (QueryGrid, boole_check, closed_range_report,
                              default_grid, default_tau_grid, letac_check,
                              similarity_certificate, similarity_lower_bound)
@@ -47,20 +47,8 @@ def _fnum(x) -> str:
 # -- config ---------------------------------------------------------------------
 
 
-_DENSITIES = {
-    "uniform": lambda lo, hi, mass: AcPiece(
-        lo, hi, lambda t, h=mass / (hi - lo): np.full_like(np.asarray(t, float), h),
-        label="uniform"),
-    "arcsine": lambda lo, hi, mass: AcPiece(
-        lo, hi,
-        lambda t, lo=lo, hi=hi, mass=mass: mass / (
-            math.pi * np.sqrt(np.clip((t - lo) * (hi - t), 1e-300, None))),
-        left_exponent=-0.5, right_exponent=-0.5, label="arcsine"),
-    "poisson": lambda lo, hi, mass: AcPiece(
-        lo, hi,
-        lambda t, c=mass / (math.atan(hi) - math.atan(lo)): c / (1.0 + t * t),
-        label="poisson"),
-}
+_DENSITIES = {"uniform": RealMeasure.uniform, "arcsine": RealMeasure.arcsine,
+              "poisson": RealMeasure.poisson}
 
 
 def load_config(path: str) -> dict:
@@ -98,7 +86,7 @@ def build_phi(cfg: dict) -> PhiFunction:
             if name not in _DENSITIES:
                 raise ConfigError(f"unknown density {name!r}; choices {sorted(_DENSITIES)}")
             lo, hi = (float(v) for v in dd["interval"])
-            pieces.append(_DENSITIES[name](lo, hi, float(dd.get("mass", hi - lo))))
+            pieces.extend(_DENSITIES[name](lo, hi, float(dd.get("mass", hi - lo))).ac_pieces)
         sc = []
         for ss in block.get("sc", []):
             lo, hi = (float(v) for v in ss["interval"])

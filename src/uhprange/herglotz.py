@@ -272,6 +272,11 @@ def _kernel_derivative(t, z, w):
     return (1.0 + t * t) / (t - z) ** 2 * w
 
 
+# (mass, G, G') coefficients (z, 1+z^2, 0) and (1, 2z, 1+z^2)
+_kernel.closed_form = lambda form, z: form.representation(z)
+_kernel_derivative.closed_form = lambda form, z: form.derivative(z)
+
+
 class ClosedFormPhi(PhiFunction):
     """Catalog map given by closed-form evaluation/boundary/derivative."""
 

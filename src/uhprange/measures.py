@@ -10,7 +10,7 @@ rather than detected numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -48,6 +48,10 @@ class AcPiece:
     negative exponents > -1 flag integrable singularities that quadrature
     must remove by substitution.  Endpoints may be infinite, in which case
     the density must decay fast enough for the piece mass to be finite.
+
+    ``closed_form`` carries the transforms of a named family (``RealMeasure``
+    constructors ``uniform``, ``arcsine`` and ``poisson``); kernel integrals
+    then take them at every point, and ``mass`` and ``cdf`` are closed.
     """
 
     left: float
@@ -56,6 +60,7 @@ class AcPiece:
     left_exponent: float = 0.0
     right_exponent: float = 0.0
     label: str = "density"
+    closed_form: "_ClosedForm | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.left < self.right:
@@ -74,7 +79,10 @@ class AcPiece:
 
     @cached_property
     def mass(self) -> float:
-        """The piece's mass, integrated to 1e-12 once, on first use."""
+        """The piece's mass: closed for a named family, else integrated to
+        1e-12 once, on first use."""
+        if self.closed_form is not None:
+            return self.closed_form.mass
         return self.integrate(np.ones_like, tol=1e-12).real
 
     @cached_property
@@ -229,10 +237,34 @@ class RealMeasure:
 
     @staticmethod
     def uniform(left: float, right: float, mass: float = None) -> "RealMeasure":
-        """Constant density on (left, right); defaults to density 1."""
-        height = (right - left if mass is None else mass) / (right - left)
-        piece = AcPiece(left, right, lambda t, h=height: np.full_like(np.asarray(t, float), h),
-                        label="uniform")
+        """Constant density on a finite (left, right); defaults to density 1."""
+        left, right = _interval("uniform", left, right, finite=True)
+        form = _Uniform(left, right, right - left if mass is None else float(mass))
+        piece = AcPiece(left, right, lambda t, h=form.height: np.full_like(np.asarray(t, float), h),
+                        label="uniform", closed_form=form)
+        return RealMeasure(ac_pieces=(piece,))
+
+    @staticmethod
+    def arcsine(left: float, right: float, mass: float = 1.0) -> "RealMeasure":
+        """The arcsine law mass / (pi sqrt((t - left)(right - t))) on a finite
+        (left, right)."""
+        left, right = _interval("arcsine", left, right, finite=True)
+        mass = float(mass)
+
+        def density(t):
+            t = np.asarray(t, float)
+            return mass / (math.pi * np.sqrt(t - left) * np.sqrt(right - t))
+        piece = AcPiece(left, right, density, -0.5, -0.5, label="arcsine",
+                        closed_form=_Arcsine(left, right, mass))
+        return RealMeasure(ac_pieces=(piece,))
+
+    @staticmethod
+    def poisson(left: float, right: float, mass: float = None) -> "RealMeasure":
+        """Density c / (1 + t^2) on (left, right), ends possibly infinite;
+        c is 1 unless a mass is given."""
+        form = _Poisson(*_interval("poisson", left, right, finite=False), mass)
+        piece = AcPiece(form.a, form.b, lambda t, c=form.c: c / (1.0 + t * t), label="poisson",
+                        closed_form=form)
         return RealMeasure(ac_pieces=(piece,))
 
     @staticmethod
@@ -263,6 +295,8 @@ class RealMeasure:
         for piece in self.ac_pieces:
             if x >= piece.right:
                 total += piece.mass
+            elif x > piece.left and piece.closed_form is not None:
+                total += float(piece.closed_form.cdf(x))
             elif x > piece.left:
                 total += float(_quad.integrate_domains(
                     lambda t, _owner: piece.density(t), piece.left, x,
@@ -326,12 +360,190 @@ def gaps_between(blocks) -> list[tuple[float, float]]:
     return gaps
 
 
+# -- closed forms of the named density families ------------------------------------
+
+
+def _interval(name: str, left, right, finite: bool) -> tuple[float, float]:
+    left, right = float(left), float(right)
+    if not left < right:
+        raise PreconditionError(f"empty density interval ({left}, {right})")
+    if finite and not (math.isfinite(left) and math.isfinite(right)):
+        raise PreconditionError(f"the {name} density needs a finite interval, got ({left}, {right})")
+    return left, right
+
+
+def _log_ratio(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log((b - z)/(a - z)) off [a, b], a and b finite: 2 atanh(u) with
+    u = (b - a)/((a - z) + (b - z)) where |u| <= 1/2, which keeps the digits
+    of the small logarithm far from the interval, and the ratio form nearer
+    it, where 1 -+ u would lose them."""
+    u = (b - a) / ((a - z) + (b - z))
+    near = np.abs(u) > 0.5
+    out = 2.0 * np.arctanh(np.where(near, 0.0, u))
+    out[near] = np.log((b - z[near]) / (a - z[near]))
+    return out
+
+
+class _ClosedForm:
+    """Transforms of a named density piece rho of mass m on (a, b).
+
+    ``g`` and ``dg`` give G(z) = int d(rho)(t) / (t - z) and G'(z) at real
+    points off the support or at complex points.  The kernels are linear in
+    (m, G, G'): the Cauchy kernel has coefficients (0, 1, 0); the
+    representation kernel (1+tz)/(t-z) = z + (1+z^2)/(t-z) has (z, 1+z^2, 0),
+    so it integrates to z m + H with H = (1+z^2) G; its derivative
+    (1+t^2)/(t-z)^2 = 1 + 2z/(t-z) + (1+z^2)/(t-z)^2 has (1, 2z, 1+z^2), which
+    is m + H'.  ``boundary`` gives G(x + i0) = p.v. G(x) + i pi rho'(x) inside
+    (a, b), and ``cdf`` rho((a, x]) there.
+    """
+
+    def __init__(self, a: float, b: float, mass: float):
+        self.a, self.b, self.mass = a, b, mass
+
+    def representation(self, z):
+        return z * self.mass + (1.0 + z * z) * self.g(z)
+
+    def derivative(self, z):
+        return self.mass + 2.0 * z * self.g(z) + (1.0 + z * z) * self.dg(z)
+
+
+class _Uniform(_ClosedForm):
+    """Height h = m / (b - a): G = h log((b-z)/(a-z)), G' = m / ((a-z)(b-z)),
+    written as a product, which keeps its digits far away."""
+
+    def __init__(self, a: float, b: float, mass: float):
+        super().__init__(a, b, mass)
+        self.height = mass / (b - a)
+
+    def g(self, z):
+        return self.height * _log_ratio(self.a, self.b, z)
+
+    def dg(self, z):
+        return self.mass / ((self.a - z) * (self.b - z))
+
+    def boundary(self, x):
+        return self.height * (np.log((self.b - x) / (x - self.a)) + 1j * math.pi)
+
+    def cdf(self, x):
+        return self.height * (x - self.a)
+
+
+class _Arcsine(_ClosedForm):
+    """G = -m / (sqrt(z-a) sqrt(z-b)) with principal roots, whose product
+    is -sqrt((a-x)(b-x)) at a real x < a; G' = -G/2 (1/(z-a) + 1/(z-b)).
+    The principal value inside is 0."""
+
+    def g(self, z):
+        z = np.asarray(z, dtype=complex)
+        return -self.mass / (np.sqrt(z - self.a) * np.sqrt(z - self.b))
+
+    def dg(self, z):
+        za, zb = z - self.a, z - self.b
+        return -0.5 * self.g(z) * (za + zb) / (za * zb)
+
+    def boundary(self, x):
+        return 1j * self.mass / (np.sqrt(x - self.a) * np.sqrt(self.b - x))
+
+    def cdf(self, x):
+        share = 2.0 / math.pi * math.asin(math.sqrt(min(x - self.a, self.b - x) / (self.b - self.a)))
+        return self.mass * (share if x - self.a <= self.b - x else 1.0 - share)
+
+
+class _Poisson(_ClosedForm):
+    """Density c / (1 + t^2), ends possibly infinite.  The representation
+    integral c [log((b-z)/(a-z)) + log|a - i| - log|b - i|] (an infinite
+    end's terms drop out in the limit) and its derivative are regular at
+    +-i and are used as they stand.  G = (that - z m) / (1 + z^2) cancels
+    near +-i; within _SERIES_RADIUS of them G is summed from the Taylor
+    series of that numerator instead."""
+
+    def __init__(self, a: float, b: float, mass: float | None):
+        span = math.atan(b) - math.atan(a)
+        if not span > 0.0:
+            raise PreconditionError(f"poisson density on ({a}, {b}) has no representable mass")
+        mass = span if mass is None else float(mass)
+        super().__init__(a, b, mass)
+        self.c = mass / span
+        self.shift = sum(s * math.log(math.hypot(1.0, e))
+                         for e, s in ((a, 1.0), (b, -1.0)) if math.isfinite(e))
+
+    def _log(self, z):
+        """log((b-z)/(a-z)) with an infinite end's log|end| dropped."""
+        a, b = self.a, self.b
+        if math.isfinite(a) and math.isfinite(b):
+            return _log_ratio(a, b, z)
+        if math.isfinite(b):
+            return np.log(z - b)
+        if math.isfinite(a):
+            return -np.log(a - z)
+        return 1j * math.pi * np.sign(np.imag(z))
+
+    def representation(self, z):
+        return self.c * (self._log(z) + self.shift)
+
+    def derivative(self, z):
+        a, b = self.a, self.b
+        if math.isfinite(a) and math.isfinite(b):
+            return self.c * (b - a) / ((a - z) * (b - z))
+        if math.isfinite(b):
+            return self.c / (z - b)
+        if math.isfinite(a):
+            return self.c / (a - z)
+        return np.zeros_like(z)
+
+    def g(self, z):
+        out = (self.representation(z) - z * self.mass) / (1.0 + z * z)
+        if np.iscomplexobj(z):
+            i0 = np.where(z.imag > 0.0, 1j, -1j)
+            near = np.abs(z - i0) < _SERIES_RADIUS
+            if near.any():
+                out[near] = self._g_series(z[near], i0[near])
+        return out
+
+    def _g_series(self, z, i0):
+        """G(z) = [c (p S(p w) - q S(q w)) - m] / (z + i0), w = z - i0, with
+        p = 1/(a - i0), q = 1/(b - i0) (0 for an infinite end) and
+        S(x) = sum_n x^n / (n + 1): the Taylor series at i0 of the numerator
+        above, which vanishes there, divided by (z - i0)(z + i0).  |p w| and
+        |q w| are at most _SERIES_RADIUS, as |t - i0| >= 1 on the axis."""
+        w, total = z - i0, -self.mass + 0j
+        for end, sign in ((self.a, 1.0), (self.b, -1.0)):
+            if math.isfinite(end):
+                p = 1.0 / (end - i0)
+                s = np.zeros_like(w)
+                for n in range(_SERIES_TERMS, 0, -1):
+                    s = s * (p * w) + 1.0 / n
+                total = total + sign * self.c * p * s
+        return total / (z + i0)
+
+    def boundary(self, x):
+        a, b = self.a, self.b
+        if math.isfinite(a) and math.isfinite(b):
+            log = np.log((b - x) / (x - a))
+        else:
+            log = ((np.log(b - x) if math.isfinite(b) else 0.0)
+                   - (np.log(x - a) if math.isfinite(a) else 0.0))
+        return (self.c * (log + self.shift) - x * self.mass + 1j * math.pi * self.c) / (1.0 + x * x)
+
+    def cdf(self, x):
+        return self.c * (math.atan(x) - math.atan(self.a))
+
+
+#: The poisson Cauchy transform takes its series within this distance of
+#: +-i; with _SERIES_TERMS terms the series is exact to 0.25**30 ~ 1e-18.
+_SERIES_RADIUS = 0.25
+_SERIES_TERMS = 30
+
+
 # -- kernel integrals -----------------------------------------------------------
 
 
 def cauchy_kernel(t, z, w):
     """w / (t - z): the Cauchy kernel weighted by w."""
     return w / (t - z)
+
+
+cauchy_kernel.closed_form = lambda form, z: form.g(z)  # (mass, G, G') coefficients (0, 1, 0)
 
 
 def atom_sum(kernel: Callable, pos: np.ndarray, w: np.ndarray, z) -> np.ndarray:
@@ -355,7 +567,10 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     or complex array (result in its shape and type).
 
     ``kernel(t, z, w)`` gives w * K(t, z).  Atoms and Cantor nodes pass
-    their masses to atom_sum.  A density piece gives a point far from it
+    their masses to atom_sum.  A named density piece (one with a
+    ``closed_form``) gives every point the kernel's ``closed_form(form, z)``
+    and, with ``pv``, G(x + i0) from ``form.boundary`` inside.  Any other
+    density piece gives a point far from it
     (``_quad.clearance`` from the panels of the piece's graded rule at
     least _FAR_CLEARANCE) one atom_sum over the rule's nodes, weighted by
     the density.  A nearer point passes 1 to the kernel, multiplies by the
@@ -381,19 +596,27 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
         skip = inside.copy()
         for end, value in ends.items():
             vals[flat == end], skip = value, skip | (flat == end)
-        far = np.zeros(flat.shape, dtype=bool)
-        if piece.rule is not None:
-            t, w_rho, panels = piece.rule
-            far[~skip] = _quad.clearance(panels, flat[~skip]) >= _FAR_CLEARANCE
-            vals[far] = atom_sum(kernel, t, w_rho, flat[far])
-        idx = np.flatnonzero(~skip & ~far)
-        for i in range(0, len(idx), _POINTS_PER_CALL):
-            chunk = idx[i:i + _POINTS_PER_CALL]
-            vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
-        if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
-            vals[inside] = (_quad.pv_cauchy(piece.density, piece.left, piece.right, flat[inside],
-                                            tol, piece.left_exponent, piece.right_exponent)
-                            + 1j * math.pi * piece.density(flat[inside]))
+        form = piece.closed_form if hasattr(kernel, "closed_form") else None
+        if form is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals[~skip] = kernel.closed_form(form, flat[~skip])
+                if inside.any():
+                    vals[inside] = form.boundary(flat[inside])
+        else:
+            far = np.zeros(flat.shape, dtype=bool)
+            if piece.rule is not None:
+                t, w_rho, panels = piece.rule
+                far[~skip] = _quad.clearance(panels, flat[~skip]) >= _FAR_CLEARANCE
+                vals[far] = atom_sum(kernel, t, w_rho, flat[far])
+            idx = np.flatnonzero(~skip & ~far)
+            for i in range(0, len(idx), _POINTS_PER_CALL):
+                chunk = idx[i:i + _POINTS_PER_CALL]
+                vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
+            if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
+                vals[inside] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,
+                                                flat[inside], tol, piece.left_exponent,
+                                                piece.right_exponent)
+                                + 1j * math.pi * piece.density(flat[inside]))
         with np.errstate(invalid="ignore"):  # inf - inf on an end two pieces share
             total = total + (vals if np.iscomplexobj(z) or pv else vals.real).reshape(z.shape)
     return total

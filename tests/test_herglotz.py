@@ -189,6 +189,33 @@ def test_untabulable_branch_is_package_error():
         BranchTable(Branch(0.0, 1.0), lambda x: np.full(np.shape(x), np.nan))
 
 
+def test_branch_table_drops_nan_probes():
+    """A NaN probe is dropped before the running maximum, so the finite
+    tail of the table survives; tables without NaN are the running maximum
+    of the probes with the non-finite entries dropped afterwards, as
+    before."""
+    from uhprange import Branch
+    from uhprange._roots import BranchTable, probe_points
+    branch = Branch(0.0, 1.0)
+    xs = probe_points(branch)
+
+    def f(x):
+        y = np.log(x / (1.0 - x))
+        y[np.isin(x, xs[:5])] = np.nan
+        return y
+    tbl = BranchTable(branch, f)
+    assert np.array_equal(tbl.xs, xs[5:]) and np.array_equal(tbl.ys, np.log(xs[5:] / (1 - xs[5:])))
+    maps = [phi_from_catalog(name, **({"alpha": 0.5} if name in ("zloglin", "sqrtpole") else {}))
+            for name in ("sqrt", "zlog", "zloglin", "sqrtpole")]
+    maps.append(delta_map(0.5))
+    for phi in maps:
+        for b in phi.real_branches:
+            ys = np.maximum.accumulate(phi.boundary_real(probe_points(b)))
+            tbl = phi.branch_table(b)
+            keep = np.isfinite(ys)
+            assert np.array_equal(tbl.xs, probe_points(b)[keep]) and np.array_equal(tbl.ys, ys[keep])
+
+
 def test_sc_measure_blocks_branch_enumeration():
     from uhprange import UnsupportedStructureError, preimage_interval_measure
     rho = RealMeasure.cantor(depth=8)
@@ -202,7 +229,8 @@ def test_boundary_value_on_a_quadrature_node_warns_nothing():
     # The point is a node of the first Gauss panel of the density's left
     # half, where the representation kernel divides by zero.
     from uhprange import _quad
-    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.uniform(0.0, 1.0, mass=0.5)))
+    uniform = AcPiece(0.0, 1.0, lambda t: np.full_like(np.asarray(t, float), 0.5))
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure(ac_pieces=(uniform,))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         phi.boundary_real([0.25 + 0.25 * _quad._NODES[3]])

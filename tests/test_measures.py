@@ -149,6 +149,9 @@ _MEASURES = {
     "halfline": RealMeasure(ac_pieces=(AcPiece(-math.inf, -1.0, _poisson),)),
     "cantor_atom": RealMeasure.cantor(0.0, 1.0, 0.5, depth=6).combined(
         RealMeasure.point_mass(-2.0, 0.5)),
+    "named_arcsine": RealMeasure.arcsine(-1.0, 1.0),
+    "named_poisson": RealMeasure.poisson(-1.0, 2.0),
+    "named_halfline": RealMeasure.poisson(-math.inf, -1.0),
 }
 _PHIS = {name: phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, mu))
          for name, mu in _MEASURES.items()}
@@ -173,8 +176,9 @@ def _batches(draw):
     points at 2**-k from a piece end lie on both sides of the distance at
     which a density piece switches from its graded rule to adaptive
     quadrature.  Imaginary parts go down to 1e-9, but to 1e-3 only above
-    the inside of a density piece: below that the adaptive path there can
-    exhaust its panel budget (ROADMAP item 2)."""
+    the inside of a piece given by its density alone: below that the
+    adaptive path there can exhaust its panel budget.  Named pieces take
+    their closed forms down to 1e-9 everywhere."""
     name = draw(st.sampled_from(sorted(_MEASURES)))
     mu = _MEASURES[name]
     ends = _ends(mu)
@@ -186,7 +190,8 @@ def _batches(draw):
           + draw(st.lists(offsets(st.integers(14, 40)), min_size=1, max_size=3))
           + draw(st.lists(st.floats(-4.0, 4.0), max_size=4)))
     xs = draw(st.permutations(xs))
-    ys = [draw(st.floats(-3.0 if any(q.left < x < q.right for q in mu.ac_pieces) else -9.0,
+    ys = [draw(st.floats(-3.0 if any(q.left < x < q.right and q.closed_form is None
+                                     for q in mu.ac_pieces) else -9.0,
                          0.7).map(lambda e: 10.0**e))
           for x in xs]
     return name, np.asarray(xs), np.asarray(ys)
@@ -277,12 +282,19 @@ def _poisson_exact(a, b):
 
 
 def _arcsine_exact(kernel, z):
-    return -1.0 / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0))
+    """Closed forms on arcsine(-1, 1): G = -1 / (sqrt(z-1) sqrt(z+1)) and
+    G' = -G z / ((z-1)(z+1)), combined as in _uniform_exact."""
+    g = -1.0 / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0))
+    if kernel is cauchy_kernel:
+        return g
+    if kernel is _kernel:
+        return z + (1.0 + z * z) * g
+    return 1.0 + 2.0 * z * g - (1.0 + z * z) * g * z / ((z - 1.0) * (z + 1.0))
 
 
 _FAR_CASES = {
-    "uniform": (RealMeasure.uniform(0.0, 1.0, mass=0.5).ac_pieces[0], _uniform_exact,
-                (cauchy_kernel, _kernel, _kernel_derivative)),
+    "uniform": (AcPiece(0.0, 1.0, lambda t: np.full_like(np.asarray(t, float), 0.5)),
+                _uniform_exact, (cauchy_kernel, _kernel, _kernel_derivative)),
     "arcsine": (_MEASURES["arcsine"].ac_pieces[0], _arcsine_exact, (cauchy_kernel,)),
     "poisson": (_MEASURES["poisson"].ac_pieces[0], _poisson_exact(-1.0, 2.0),
                 (cauchy_kernel, _kernel, _kernel_derivative)),
@@ -368,17 +380,174 @@ def test_piece_mass_integrated_once(monkeypatch):
     assert both.total_mass() == piece.mass + 0.5 and piece.rule is not None
 
 
+# -- closed forms of the named density pieces ---------------------------------------
+
+import time  # noqa: E402
+
+from uhprange import phi_from_catalog  # noqa: E402
+
+_NAMED = {
+    "uniform": (RealMeasure.uniform(0.0, 1.0, mass=0.5), _uniform_exact),
+    "arcsine": (RealMeasure.arcsine(-1.0, 1.0), _arcsine_exact),
+    "poisson": (RealMeasure.poisson(-1.0, 2.0), _poisson_exact(-1.0, 2.0)),
+    "halfline": (RealMeasure.poisson(-math.inf, -1.0), _poisson_exact(-math.inf, -1.0)),
+}
+
+
+def _oracle_scale(name, kernel, z):
+    """The sizes of the terms that the oracle of a _NAMED piece adds up.
+    Its rounding error is a few eps times this, which exceeds eps |value|
+    where the oracle cancels: the logarithms of the uniform and poisson
+    oracles far away, and the poisson one divided by 1 + z^2 near +-i."""
+    az, q = np.abs(z), np.abs(1.0 + z * z)
+    if name in ("poisson", "halfline"):
+        a, b = (-1.0, 2.0) if name == "poisson" else (-math.inf, -1.0)
+        if kernel is _kernel_derivative:
+            return (0.0 if math.isinf(a) else 1.0 / np.abs(a - z)) + 1.0 / np.abs(b - z)
+
+        def size(t):
+            return 1.0 + np.abs(np.log(t - z)) + 0.5 * math.log1p(t * t) + az * abs(math.atan(t))
+        num = size(b) + (math.pi * (1.0 + 0.5 * az) if math.isinf(a) else size(a))
+        if kernel is cauchy_kernel:
+            return (num + np.abs(_NAMED[name][1](cauchy_kernel, z)) * (1.0 + az * az)) / q
+        return az * _NAMED[name][0].total_mass() + num
+    if name == "uniform":  # a logarithm of a rounded ratio is off by eps (1 + |L|)
+        mass, g = 0.5, 0.5 * (1.0 + np.abs(np.log((1.0 - z) / (0.0 - z))))
+        dg = 0.5 * (1.0 / az + 1.0 / np.abs(1.0 - z))
+    else:
+        mass, g = 1.0, np.abs(_arcsine_exact(cauchy_kernel, z))
+        dg = g * az / np.abs((z - 1.0) * (z + 1.0))
+    if kernel is cauchy_kernel:
+        return g
+    if kernel is _kernel:
+        return az * mass + q * g
+    return mass + 2.0 * az * g + q * dg
+
+
+def _named_points(name, piece):
+    """Points at distances 2**-40 to 1e8 from each finite end of the piece,
+    outward along the axis, slanted and straight up, and above its inside;
+    for poisson pieces also points 1e-10 to 0.5 from +-i."""
+    ds = np.geomspace(2.0**-40, 1e8, 81)
+    zs = []
+    for end, out in ((piece.left, -1.0), (piece.right, 1.0)):
+        if math.isfinite(end):
+            for angle in (0.0, 0.25, 0.5):
+                zs.append(end + ds * complex(out * math.cos(angle * math.pi),
+                                             math.sin(angle * math.pi)))
+    if math.isfinite(piece.left) and math.isfinite(piece.right):
+        zs.append(piece.left + 0.3 * (piece.right - piece.left) + 1j * ds)
+    if name in ("poisson", "halfline"):
+        near = np.geomspace(1e-10, 0.5, 41)
+        for angle in np.arange(8) * 0.25 * math.pi:
+            zs += [1j + near * np.exp(1j * angle), -1j + near * np.exp(1j * angle)]
+    return np.concatenate(zs)
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED))
+def test_closed_form_pieces_match_oracles(name):
+    """The three kernels on a named piece agree with the oracles to 1e-13,
+    or to a few eps times the oracle's own terms where it cancels; real
+    points are also given as a real array."""
+    mu, exact = _NAMED[name]
+    zs = _named_points(name, mu.ac_pieces[0])
+    real = zs[zs.imag == 0].real
+    cases = [(kernel, zs) for kernel in (cauchy_kernel, _kernel, _kernel_derivative)]
+    for kernel, z in cases + [(cauchy_kernel, real)]:
+        value = kernel_integral(mu, kernel, z)
+        assert value.dtype == z.dtype
+        ref = exact(kernel, z.astype(complex))
+        tol = np.maximum(1e-13 * np.abs(ref), 8 * _EPS * _oracle_scale(name, kernel, z.astype(complex)))
+        assert np.all(np.abs(value - ref) <= tol), kernel.__name__
+    # Where the oracles cancel, G is also checked to 1e-13 against forms
+    # that do not: near +-i the mean of the oracle on a circle of radius 0.3
+    # (Cauchy's formula, 64 nodes), far from uniform(0, 1) the series
+    # -sum_k 0.5 / ((k+1) z^(k+1)) of its moments.
+    if name in ("poisson", "halfline"):
+        z = zs[np.minimum(np.abs(zs - 1j), np.abs(zs + 1j)) <= 0.1]
+        ref = exact(cauchy_kernel, z[:, None] + 0.3 * np.exp(2j * math.pi * np.arange(64) / 64)).mean(1)
+    elif name == "uniform":
+        z = zs[np.abs(zs) >= 10.0]
+        ref = -sum(0.5 / ((k + 1) * z ** (k + 1)) for k in range(24))
+    else:
+        return
+    assert np.all(np.abs(kernel_integral(mu, cauchy_kernel, z) - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED))
+def test_named_masses_and_cdfs(name):
+    """Closed masses and cdfs equal the integrals of the same density."""
+    piece = _NAMED[name][0].ac_pieces[0]
+    twin = RealMeasure(ac_pieces=(AcPiece(piece.left, piece.right, piece.density,
+                                          piece.left_exponent, piece.right_exponent),))
+    assert abs(piece.mass - twin.total_mass()) <= 1e-12 * piece.mass
+    lo, hi = (max(piece.left, -50.0), min(piece.right, 50.0))
+    for x in np.concatenate([lo + (hi - lo) * np.linspace(0.0, 1.0, 9), [piece.right + 1.0]]):
+        assert abs(_NAMED[name][0].cdf(x) - twin.cdf(x)) <= 1e-10 * piece.mass
+
+
+def test_named_poisson_maps_equal_the_catalog():
+    """A representation map with poisson(-1, 1) is zloglin(alpha), and one
+    with poisson(-inf, 0) is zlog: values, derivatives and boundary values,
+    on the branches and inside the support."""
+    x = np.concatenate([-np.geomspace(1e-6, 1e6, 24), np.geomspace(1e-6, 1e6, 24)])  # not +-1
+    z = (x[:, None] + 1j * np.geomspace(1e-9, 1e3, 13)[None, :]).ravel()
+    pairs = [(NevanlinnaData(alpha, 1.0, RealMeasure.poisson(-1.0, 1.0)),
+              phi_from_catalog("zloglin", alpha=alpha)) for alpha in (0.0, 5.0)]
+    pairs.append((NevanlinnaData(0.0, 1.0, RealMeasure.poisson(-math.inf, 0.0)),
+                  phi_from_catalog("zlog")))
+    for data, catalog in pairs:
+        phi = phi_from_nevanlinna(data)
+        for f, g, points in ((phi.eval, catalog.eval, z), (phi.derivative, catalog.derivative, z),
+                             (phi.boundary, catalog.boundary, x)):
+            ref = g(points)
+            assert np.all(np.abs(f(points) - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_named_pieces_close_to_their_support():
+    """Points next to the support that the adaptive path could not do:
+    the poisson half-line just above -1.5 and -1 - 2**-k (QuadratureError
+    after 2-3 s and over 1 GB each), arcsine(-1, 1) beside its ends at
+    1e-8 to 3.2e-3 (wrong by up to 2.5e137) and above 1 - 2**-k (0.5-2 s a
+    point).  All of them now take oracle values in well under a second."""
+    start = time.perf_counter()
+    halfline, poisson = _NAMED["halfline"]
+    phi = phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, halfline))
+    z = np.concatenate([[-1.5], -1.0 - 2.0 ** -np.arange(1, 9)]) + 1e-9j
+    assert np.all(np.abs(phi.derivative(z) - 1.0 - poisson(_kernel_derivative, z))
+                  <= 1e-13 * np.abs(phi.derivative(z)))
+    ref = 0.5 + z + poisson(_kernel, z)
+    assert np.all(np.abs(phi.eval(z) - ref) <= 1e-13 * np.abs(ref))
+    arcsine, exact = _NAMED["arcsine"]
+    G, phi = cauchy_transform(arcsine), phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, arcsine))
+    d = np.geomspace(1e-8, 3.2e-3, 25)
+    x = np.concatenate([-1.0 - d, 1.0 + d])
+    ref = exact(cauchy_kernel, x.astype(complex)).real
+    assert np.all(np.abs(G.real_value(x) - ref) <= 1e-13 * np.abs(ref))
+    z = 1.0 - 2.0 ** -np.arange(1, 9) + 1e-9j
+    for f, kernel, shift in ((G.eval, cauchy_kernel, 0.0), (phi.eval, _kernel, 0.5 + z),
+                             (phi.derivative, _kernel_derivative, 1.0)):
+        ref = shift + exact(kernel, z)
+        assert np.all(np.abs(f(z) - ref) <= 1e-13 * np.abs(ref)), kernel.__name__
+    assert time.perf_counter() - start < 1.0
+
+
 # -- boundary values inside a density piece -----------------------------------------
 
 from uhprange import ConvergenceError, DomainError  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["uniform", "poisson", "halfline"])
+@pytest.mark.parametrize("name", ["uniform", "poisson", "halfline", "named_uniform",
+                                  "named_arcsine", "named_poisson", "named_halfline"])
 def test_plemelj_boundary_matches_closed_form(name):
     """phi(x + i0) = alpha + (beta + |rho|) x + (1+x^2) p.v. G(x)
     + i pi (1+x^2) rho'(x) at 2**-k inside every finite end of the piece,
     k = 1..40, against the closed forms taken from above the axis."""
-    piece, exact, _ = _FAR_CASES[name]
+    if name.startswith("named_"):
+        mu, exact = _NAMED[name[len("named_"):]]
+        piece = mu.ac_pieces[0]
+    else:
+        piece, exact, _ = _FAR_CASES[name]
     phi = phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, RealMeasure(ac_pieces=(piece,))))
     steps = 2.0 ** -np.arange(1, 41)
     xs = np.concatenate([end + inward * steps for end, inward in
