@@ -9,13 +9,11 @@ ndarray of real or complex values.
 Infinite endpoints are folded to a bounded domain with t = tan(theta),
 which suits integrands with 1/(1+t^2)-type decay.  Integrable endpoint
 singularities of power type are removed with the substitution
-t = a + u**(1/(1+p)).
-
-For integrals of many kernels against one fixed weight, ``graded_rule``
-builds a composite rule instead: the same 15-point rule on panels of each
-domain that halve toward the ends of the interval.  ``clearance`` tells
-for which points z the rule integrates a kernel singular only at t = z to
-full precision.
+t = a + u**(1/(1+p)).  Each substitution takes its Jacobian at the t that
+a node rounds to, so that a density with a singular end, evaluated at that
+t, agrees with it.  The rounding of t still bounds what can be resolved
+next to such an end: points there are NaN, without quadrature, in
+``pv_cauchy`` and in ``measures.kernel_integral``.
 """
 
 from __future__ import annotations
@@ -59,130 +57,26 @@ def domains(a: float, b: float, p_left: float = 0.0, p_right: float = 0.0) -> li
     return [_half(a, mid, p_left, +1.0), _half(b, mid, p_right, -1.0)]
 
 
-class _TanFold:
+def _tan_fold(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t = tan(theta), with its Jacobian."""
-
-    def __call__(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = np.tan(theta)
-        return t, 1.0 + t * t
-
-    def preimages(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
-        """arctan(z) and its shifts by -+pi, where tan(theta) = z too: one
-        of them is the nearest to any panel in [-pi/2, pi/2] (infinite
-        for z = +-i, which has none)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = np.arctan(np.asarray(z, dtype=complex))
-        return theta, theta - math.pi, theta + math.pi
-
-
-_tan_fold = _TanFold()
-
-
-class _Power:
-    """t = end + sign * u**m, with its Jacobian."""
-
-    def __init__(self, end: float, sign: float, m: float):
-        self.end, self.sign, self.m = end, sign, m
-
-    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        end, sign, m = self.end, self.sign, self.m
-        return end + sign * u**m, m * u ** (m - 1.0)
-
-    def preimages(self, z: np.ndarray) -> tuple[np.ndarray]:
-        """The principal u with t(u) = z, the one nearest the domain."""
-        return ((self.sign * (np.asarray(z, dtype=complex) - self.end)) ** (1.0 / self.m),)
-
-
-def _snapped(sub: Callable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sub(u), with the Jacobian taken at the u that the rounded t stands for."""
-    t = sub(u)[0]
-    return t, sub(sub.preimages(t)[0].real)[1]
+    t = np.tan(theta)
+    return t, 1.0 + t * t
 
 
 def _half(end: float, mid: float, p: float, sign: float) -> tuple:
     if p >= 0.0:
         return (min(end, mid), max(end, mid), None)
     m = 1.0 / (1.0 + p)
-    return (0.0, abs(mid - end) ** (1.0 / m), _Power(end, sign, m))
 
-
-#: Halvings by which a graded rule refines its panels toward an end: the
-#: finest panel spans 2**-_GRADE_DEPTH of the part of the domain it grades.
-_GRADE_DEPTH = 10
-
-#: At a power-substituted end, the graded rule's nodes stay this fraction of
-#: max(|end|, half length) away from the end in t, some 2**12 roundings of
-#: t, so that no node rounds onto the end.
-_SUB_NODE_FLOOR = 2.0**-40
-
-
-def graded_rule(a: float, b: float, p_left: float = 0.0, p_right: float = 0.0) -> tuple:
-    """Nodes t, weights w (Jacobian included) and panels of a composite rule
-    for integrals over (a, b): the 15-point rule on panels of each of the
-    ``domains``, halving toward every end of (a, b) that the domain touches
-    (both ends of a tangent fold).  The panels are listed per domain as
-    (edges, sub), for ``clearance``.
-
-    At a power-substituted end the grading stops before a node's t would
-    come within _SUB_NODE_FLOOR of the end, and each node's Jacobian is
-    taken at the u that its rounded t stands for: a density with a
-    singular end, evaluated at that t, then agrees with the Jacobian.
-    """
-    ts, ws, panels = [], [], []
-    for lo, hi, sub in domains(a, b, p_left, p_right):
-        depth = _GRADE_DEPTH
-        if sub is None:
-            graded = (lo == a, hi == b)
-        elif isinstance(sub, _Power):
-            graded = (True, False)
-            # The first node of the finest panel, x0 * hi * 2**-depth, must
-            # keep its t at least _SUB_NODE_FLOOR * max(|end|, hi**m) away.
-            x0 = 0.5 * (1.0 + _NODES[0])
-            floor = _SUB_NODE_FLOOR * max(abs(sub.end), hi**sub.m) / hi**sub.m
-            depth = min(depth, max(0, math.floor(math.log2(x0) - math.log2(floor) / sub.m)))
-        else:
-            graded = (True, True)
-        edges = _graded_edges(lo, hi, graded, depth)
-        c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        t = (c[:, None] + h[:, None] * _NODES).ravel()
-        w = (h[:, None] * _WEIGHTS).ravel()
-        if sub is not None:
-            t, jac = _snapped(sub, t)
-            w = w * jac
-        ts.append(t)
-        ws.append(w)
-        panels.append((edges, sub))
-    return np.concatenate(ts), np.concatenate(ws), panels
-
-
-def _graded_edges(lo: float, hi: float, graded: tuple[bool, bool], depth: int) -> np.ndarray:
-    """Panel edges of [lo, hi] halving geometrically toward the graded ends,
-    down to 2**-depth of the length (of each half when both are graded)."""
-    steps = 2.0 ** -np.arange(depth, -1, -1)  # 2**-depth, ..., 1/2, 1
-    fracs = np.concatenate([[0.0], steps])
-    if graded == (True, True):
-        fracs = np.concatenate([0.5 * fracs, 1.0 - 0.5 * fracs[-2::-1]])
-    elif graded == (False, True):
-        fracs = 1.0 - fracs[::-1]
-    return lo + (hi - lo) * fracs
-
-
-def clearance(panels: list, z) -> np.ndarray:
-    """For every point z_k (result in the shape of z): the least Bernstein
-    parameter rho of a preimage of z_k under a domain's substitution with
-    respect to a panel of that domain, NaN for a NaN point.  A preimage
-    zeta lies on the ellipse with foci at the panel's ends and semi-axes
-    summing to rho half-widths; the 15-point rule's error on a function
-    analytic inside that ellipse falls like rho**-30."""
-    z = np.asarray(z)
-    out = np.full(z.shape, np.inf)
-    for edges, sub in panels:
-        lo, hi = edges[:-1], edges[1:]
-        for zeta in ((z,) if sub is None else sub.preimages(z)):
-            zeta = np.asarray(zeta)[..., None]
-            a = (np.abs(zeta - lo) + np.abs(zeta - hi)) / (hi - lo)  # semi-major axis
-            out = np.minimum(out, (a + np.sqrt(a * a - 1.0)).min(axis=-1))
-    return out
+    def power(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """t = end + sign * u**m, with its Jacobian m u**(m-1) written in the
+        rounded t: m (sign (t - end))**(1 - 1/m).  A t that rounds onto the
+        end is moved to the next float inside, where the density is finite
+        and the Jacobian is not 0."""
+        t = end + sign * u**m
+        t[t == end] = np.nextafter(end, sign * math.inf)
+        return t, m * (sign * (t - end)) ** (1.0 - 1.0 / m)
+    return (0.0, abs(mid - end) ** (1.0 / m), power)
 
 
 def integrate_interval(
@@ -360,6 +254,6 @@ def pv_cauchy(f: Callable, a: float, b: float, x, tol: float = 1e-10,
                         for s, e in ((1.0, b), (-1.0, a)) if math.isfinite(e))
                     - xs * (math.atan(b) - math.atan(a)))
     for sub, lo, hi, owner in parts:
-        g = substituted(quotient, sub and (lambda u, s=sub: _snapped(s, u)))
-        val = val + integrate_pieces(g, lo, hi, owner, n, tol=tol / len(parts)).real
+        val = val + integrate_pieces(substituted(quotient, sub), lo, hi, owner, n,
+                                     tol=tol / len(parts)).real
     return val if np.ndim(x) else float(val[0])

@@ -416,10 +416,6 @@ def _sqrt_density(t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - t * t, 0.0, None)) / (math.pi * (1.0 + t * t))
 
 
-def _poisson_density(t: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + t * t)
-
-
 def _make_sqrt() -> ClosedFormPhi:
     rho = RealMeasure(ac_pieces=(AcPiece(-1.0, 1.0, _sqrt_density, 0.5, 0.5,
                                          label="semicircle-over-cauchy"),))
@@ -443,8 +439,7 @@ def _make_sqrt() -> ClosedFormPhi:
 
 
 def _make_zlog() -> ClosedFormPhi:
-    rho = RealMeasure(ac_pieces=(AcPiece(-math.inf, 0.0, _poisson_density,
-                                         label="poisson-halfline"),))
+    rho = RealMeasure.poisson(-math.inf, 0.0)
 
     def eval_fn(z):
         z = np.asarray(z, dtype=complex)
@@ -472,8 +467,7 @@ def _make_zlog() -> ClosedFormPhi:
 
 def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
     alpha = float(alpha)
-    rho = RealMeasure(ac_pieces=(AcPiece(-1.0, 1.0, _poisson_density,
-                                         label="poisson-interval"),))
+    rho = RealMeasure.poisson(-1.0, 1.0)
 
     def eval_fn(z):
         z = np.asarray(z, dtype=complex)
@@ -492,7 +486,7 @@ def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
 
     def deriv_fn(z):
         z = np.asarray(z, dtype=complex)
-        return 1.0 + 2.0 / (z * z - 1.0)
+        return 1.0 + 2.0 / ((z - 1.0) * (z + 1.0))
 
     return ClosedFormPhi(
         name=f"zloglin(alpha={alpha})", eval_fn=eval_fn, boundary_fn=boundary_fn,

@@ -28,15 +28,14 @@ SC_EVAL_LEVEL = 12
 _ATOM_CHUNK = 2**14
 _POINTS_PER_CALL = 8
 
-#: A point is far from a density piece, and takes the piece's graded rule,
-#: when its ``_quad.clearance`` from the rule's panels is at least this:
-#: the rule's error then falls like 4**-30 ~ 1e-18.
-_FAR_CLEARANCE = 4.0
-
-#: A piece's graded rule is used only when it reproduces the piece's mass
-#: to this relative tolerance; else its density has a feature (a kink, a
-#: jump, a narrow peak) that the fixed panels do not resolve.
-_RULE_MASS_TOL = 1e-12
+#: A point nearer than _NEAR_END |e| to an end e of negative exponent of a
+#: density piece without a closed form is NaN (an end at 0 has no such
+#: points).  The power substitution there resolves t only to its rounding,
+#: eps |e|: on the arcsine law on (-1, 1) the error grows to 3e-12 relative
+#: at 2**-21.5, and the adaptive path chases the rounding steps, from 2e3
+#: panels a point at 2**-20 to 5e5 at 2**-28, until the panel budget runs
+#: out below 2**-31.
+_NEAR_END = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -84,19 +83,6 @@ class AcPiece:
         if self.closed_form is not None:
             return self.closed_form.mass
         return self.integrate(np.ones_like, tol=1e-12).real
-
-    @cached_property
-    def rule(self) -> tuple | None:
-        """Nodes t, weights w * density(t) and panels of the piece's graded
-        rule (``_quad.graded_rule``), computed once; None when the rule
-        does not reproduce the piece's mass."""
-        t, w, panels = _quad.graded_rule(self.left, self.right,
-                                         self.left_exponent, self.right_exponent)
-        w_rho = w * np.asarray(self.density(t), dtype=float)
-        mass = self.mass
-        if not abs(float(w_rho.sum()) - mass) <= _RULE_MASS_TOL * mass:
-            return None
-        return t, w_rho, panels
 
 
 @dataclass(frozen=True)
@@ -570,14 +556,13 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     their masses to atom_sum.  A named density piece (one with a
     ``closed_form``) gives every point the kernel's ``closed_form(form, z)``
     and, with ``pv``, G(x + i0) from ``form.boundary`` inside.  Any other
-    density piece gives a point far from it
-    (``_quad.clearance`` from the panels of the piece's graded rule at
-    least _FAR_CLEARANCE) one atom_sum over the rule's nodes, weighted by
-    the density.  A nearer point passes 1 to the kernel, multiplies by the
-    density and is integrated adaptively (``_quad.integrate_domains``),
-    _POINTS_PER_CALL points per call, in which every point owns its
-    panels.  With ``pv`` (Cauchy kernel, real z) the result is G(x + i0):
-    inside a piece, its principal value (one ``_quad.pv_cauchy`` call) plus
+    density piece passes 1 to the kernel, multiplies by the density and
+    integrates adaptively (``_quad.integrate_domains``), _POINTS_PER_CALL
+    points per call, in which every point owns its panels; a point within
+    _NEAR_END |e| of an end e of negative exponent is NaN, without
+    quadrature.
+    With ``pv`` (Cauchy kernel, real z) the result is G(x + i0): inside a
+    piece, its principal value (one ``_quad.pv_cauchy`` call) plus
     i pi density(x); on a finite end where the density does not vanish, the
     vertical limit of Re G: +inf on a left end, -inf on a right one.  Pieces
     are added in order, and a point's value does not depend on the others.
@@ -603,12 +588,12 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
                 if inside.any():
                     vals[inside] = form.boundary(flat[inside])
         else:
-            far = np.zeros(flat.shape, dtype=bool)
-            if piece.rule is not None:
-                t, w_rho, panels = piece.rule
-                far[~skip] = _quad.clearance(panels, flat[~skip]) >= _FAR_CLEARANCE
-                vals[far] = atom_sum(kernel, t, w_rho, flat[far])
-            idx = np.flatnonzero(~skip & ~far)
+            lost = np.zeros(flat.shape, dtype=bool)
+            for e, p in ((piece.left, piece.left_exponent), (piece.right, piece.right_exponent)):
+                if p < 0.0:
+                    lost |= ~skip & (np.abs(flat - e) < _NEAR_END * abs(e))
+            vals[lost] = math.nan
+            idx = np.flatnonzero(~skip & ~lost)
             for i in range(0, len(idx), _POINTS_PER_CALL):
                 chunk = idx[i:i + _POINTS_PER_CALL]
                 vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)

@@ -270,37 +270,36 @@ def _density_config(tmp_path, name: str, atom: bool) -> str:
 
 @pytest.mark.parametrize("name,atom,code", _DENSITY_ROWS)
 def test_density_config_matrix(tmp_path, capsys, name, atom, code):
-    """clark and constants on each named density, with and without an atom.
-    The named densities carry closed-form transforms, so each row's two
-    runs take well under 2 s (1.4-1.9 s for a uniform row when the density
-    was integrated at every point), and every spectral measure is
-    normalized, arcsine included (its principal values near the ends were
-    NaN, and both runs exited 3)."""
+    """clark, constants, similarity and eval on each named density, with
+    and without an atom.  The named densities carry closed-form
+    transforms, so clark and constants take well under 2 s together
+    (1.4-1.9 s for a uniform row when the density was integrated at every
+    point), and every spectral measure is normalized, arcsine included
+    (its principal values near the ends were NaN, and both runs exited 3).
+    similarity certifies each map with a positive lower bound for every one
+    of the similarity_depth powers, in well under 2 s (111 s with default
+    grids when the density was integrated at every point)."""
     cfg = _density_config(tmp_path, name, atom)
-    start = time.perf_counter()
-    for command in (["clark", "--tau=0,0.5"], ["constants"]):
-        assert run([command[0], "--config", cfg, "--out", str(tmp_path)] + command[1:]) == code
+
+    def check(*command):
+        assert run([command[0], "--config", cfg, "--out", str(tmp_path)] + list(command[1:])) == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+    start = time.perf_counter()
+    check("clark", "--tau=0,0.5")
+    check("constants")
     assert time.perf_counter() - start < 2.0
     rows = json.loads((tmp_path / "clark.json").read_text())["rows"]
     assert [r["normalized"] for r in rows] == ["true", "true"]
-
-
-def test_density_config_similarity(tmp_path, capsys):
-    """similarity on the uniform row of the matrix: certified, with a
-    positive lower bound for each of the similarity_depth powers, in well
-    under 2 s (111 s with default grids when the density was integrated at
-    every point)."""
-    cfg = _density_config(tmp_path, "uniform", False)
     start = time.perf_counter()
-    assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 0
+    check("similarity")
     assert time.perf_counter() - start < 2.0
-    assert "Traceback" not in capsys.readouterr().err
     assert json.loads((tmp_path / "similarity.json").read_text())["rows"][0]["status"] == "certified"
     powers = json.loads((tmp_path / "similarity_powers.json").read_text())["rows"]
     assert [r["power"] for r in powers] == [1, 2, 3, 4]
     assert all(float(r["lower_bound"]) > 0.0 for r in powers)
+    check("eval", "--points", "-0.5,0.25,0.5+0.001j,1.5,2.5")
 
 
 def test_eval_on_a_density_end_fails(tmp_path, capsys):
