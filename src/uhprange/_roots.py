@@ -23,6 +23,9 @@ SCAN_LIMIT = 1e8
 #: Absolute abscissa tolerance for bisection.
 XTOL = 1e-12
 
+#: Most targets in one bisection call of BranchTable.solve.
+SOLVE_SLICE = 2 ** 14
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -87,16 +90,16 @@ class BranchTable:
 
     def solve(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Roots of f(x) = target on the branch; NaN where the target is
-        outside the tabulated value range."""
+        outside the tabulated value range.  Targets are bisected in slices
+        of SOLVE_SLICE, which bounds the temporaries of f."""
         targets = np.asarray(targets, dtype=float)
         flat = targets.ravel()
         out = np.full(flat.shape, np.nan)
         idx = np.searchsorted(self.ys, flat)
-        ok = (idx > 0) & (idx < len(self.ys))
-        if ok.any():
-            lo = self.xs[idx[ok] - 1]
-            hi = self.xs[idx[ok]]
-            out[ok] = bisect_increasing(self.f, lo, hi, flat[ok], xtol=xtol)
+        ok = np.flatnonzero((idx > 0) & (idx < len(self.ys)))
+        for k in (ok[i:i + SOLVE_SLICE] for i in range(0, ok.size, SOLVE_SLICE)):
+            out[k] = bisect_increasing(self.f, self.xs[idx[k] - 1], self.xs[idx[k]], flat[k],
+                                       xtol=xtol)
         return out.reshape(targets.shape)
 
     def solve_clamped(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:

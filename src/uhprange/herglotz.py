@@ -156,6 +156,21 @@ class PhiFunction:
         self._require_branches()
         return [self.branch_table(b) for b in self.real_branches]
 
+    def pullback(self, lo, hi) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per real branch, the clamped preimages (xa, xb) of the intervals
+        (lo, hi), shaped like lo and hi: every distinct end is solved once,
+        and an infinite end maps to the branch's own end."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        ends, inv = np.unique(np.concatenate([lo.ravel(), hi.ravel()]), return_inverse=True)
+        solved = ~np.isinf(ends)
+        out = []
+        for tbl in self.branch_tables():
+            x = np.where(ends < 0.0, tbl.branch.left, tbl.branch.right)
+            x[solved] = tbl.solve_clamped(ends[solved])
+            x = x[inv]
+            out.append((x[:lo.size].reshape(lo.shape), x[lo.size:].reshape(hi.shape)))
+        return out
+
     def _require_branches(self):
         if not self.branches_complete:
             raise UnsupportedStructureError(
@@ -177,10 +192,7 @@ class PhiFunction:
     def preimage_window(self, lo: float, hi: float, pad_frac: float = 0.1) -> tuple[float, float]:
         """A finite window provably containing {x: phi(x) in [lo, hi]} up to
         the outward scan limit, padded for Monte Carlo use."""
-        self._require_branches()
-        ends: list[float] = []
-        for tbl in self.branch_tables():
-            ends.extend(tbl.solve_clamped(np.asarray([lo, hi])).tolist())
+        ends = [float(x[0]) for pair in self.pullback([lo], [hi]) for x in pair]
         for (l, r) in self.nonreal_segments:
             if np.isfinite(l):
                 ends.append(l)
@@ -314,7 +326,16 @@ class IteratedPhi(PhiFunction):
     def __init__(self, base: PhiFunction, n: int):
         branches = list(base.real_branches)
         for _ in range(n - 1):
-            branches = _pullback(base, branches)
+            # preimages narrower than 1e-11 of their scale are dropped
+            pulled = base.pullback(*np.asarray([(b.left, b.right) for b in branches]).T)
+            branches = []
+            for xa, xb in pulled:
+                for lo, hi in zip(xa.tolist(), xb.tolist()):
+                    scale = max(1.0, abs(lo) if np.isfinite(lo) else 0.0,
+                                abs(hi) if np.isfinite(hi) else 0.0)
+                    if hi > lo and (not np.isfinite(hi - lo) or hi - lo > 1e-11 * scale):
+                        branches.append(Branch(lo, hi))
+            branches.sort(key=lambda b: b.left)
             if not branches:
                 raise UnsupportedStructureError(
                     f"branch pullback emptied at depth while iterating {base.name}")
@@ -361,32 +382,6 @@ class IteratedPhi(PhiFunction):
         if (~real).any():
             out[~real] = self.base._eval_complex(w[~real])
         return out
-
-    def boundary_real(self, x) -> np.ndarray:
-        arr, scalar = _as_array(x, float)
-        w = arr.copy()
-        for _ in range(self.n):
-            w = np.asarray(self.base.boundary_real(w), dtype=float)
-        return float(w[0]) if scalar else w
-
-
-def _pullback(base: PhiFunction, prev: list[Branch]) -> list[Branch]:
-    """Preimages of the branches prev under each base branch J: every
-    finite end is solved in one call per J, an infinite end maps to J's."""
-    ends = np.asarray([(K.left, K.right) for K in prev], dtype=float).reshape(-1, 2)
-    finite = np.isfinite(ends)
-    out: list[Branch] = []
-    for J in base.real_branches:
-        x = np.tile([J.left, J.right], (len(prev), 1))
-        x[finite] = base.branch_table(J).solve_clamped(ends[finite])
-        for lo, hi in x.tolist():
-            if hi > lo:
-                scale = max(1.0, abs(lo) if np.isfinite(lo) else 0.0,
-                            abs(hi) if np.isfinite(hi) else 0.0)
-                if not np.isfinite(hi - lo) or hi - lo > 1e-11 * scale:
-                    out.append(Branch(float(lo), float(hi)))
-    out.sort(key=lambda b: b.left)
-    return out
 
 
 # -- construction -------------------------------------------------------------

@@ -42,18 +42,6 @@ class DiskQuery:
 # -- interval preimages --------------------------------------------------------
 
 
-def _branch_ends(phi: PhiFunction, a: np.ndarray, b: np.ndarray
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per real branch, the clamped preimages (xa, xb) of the interval
-    endpoints a and b; every distinct endpoint is solved once."""
-    ends, inv = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
-    out = []
-    for tbl in phi.branch_tables():
-        x = tbl.solve_clamped(ends)[inv]
-        out.append((x[:a.size].reshape(a.shape), x[a.size:].reshape(b.shape)))
-    return out
-
-
 def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> IntervalSet:
     """{x : phi(x) real and in (a, b)}, one subinterval per real branch.
 
@@ -65,8 +53,7 @@ def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> In
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise PreconditionError("interval must be finite with a < b")
-    return IntervalSet.build([(xa[0], xb[0]) for xa, xb in
-                              _branch_ends(phi, np.asarray([a]), np.asarray([b]))])
+    return IntervalSet.build([(xa[0], xb[0]) for xa, xb in phi.pullback([a], [b])])
 
 
 def preimage_interval_measure(phi: PhiFunction, interval: tuple[float, float]
@@ -167,7 +154,7 @@ def disk_preimages(phi: PhiFunction, a, b, tol: float = 1e-8
     solved once per branch and one disk_panels call serves all disks."""
     rows, unresolved = disk_panels(phi, a, b, tol=tol)
     a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
-    ends = _branch_ends(phi, a, b)
+    ends = phi.pullback(a, b)
     cuts = np.searchsorted(rows[:, 0], np.arange(a.size + 1))
     sets = [IntervalSet.build([(xa[k], xb[k]) for xa, xb in ends]
                               + rows[cuts[k]:cuts[k + 1], 1:].tolist())

@@ -478,13 +478,14 @@ class _Poisson(_ClosedForm):
         return np.zeros_like(z)
 
     def g(self, z):
-        out = (self.representation(z) - z * self.mass) / (1.0 + z * z)
+        out = self.representation(z) - z * self.mass
+        near = np.zeros(out.shape, dtype=bool)
         if np.iscomplexobj(z):
             i0 = np.where(z.imag > 0.0, 1j, -1j)
             near = np.abs(z - i0) < _SERIES_RADIUS
-            if near.any():
-                out[near] = self._g_series(z[near], i0[near])
-        return out
+            out[near] = self._g_series(z[near], i0[near])
+        # next to +-i, 1 + z^2 can be subnormal and the quotient overflow
+        return np.divide(out, 1.0 + z * z, out=out, where=~near)
 
     def _g_series(self, z, i0):
         """G(z) = [c (p S(p w) - q S(q w)) - m] / (z + i0), w = z - i0, with

@@ -21,9 +21,9 @@ from . import _quad
 from ._roots import Branch
 from .cauchy import cauchy_transform
 from .clark import clark_singular_masses
-from .errors import OrbitBreakError, PreconditionError, UhprangeError
+from .errors import OrbitBreakError, PreconditionError
 from .herglotz import PhiFunction, require_contraction
-from .levelset import _branch_ends, disk_panels, preimage_interval_measure, tail_measures
+from .levelset import disk_panels, preimage_interval_measure, tail_measures
 from .measures import IntervalSet, RealMeasure
 
 VERDICT_FLOOR = 1e-3
@@ -64,24 +64,26 @@ def _clamped_hull(phi: PhiFunction, infinite_clamp: float = 30.0) -> tuple[float
     return lo, hi
 
 
+def _hull_points(phi: PhiFunction, n: int, pad: float, *extra: float) -> tuple[float, ...]:
+    """n points spanning the padded hull, dyadic points accumulating at the
+    hull endpoints from both sides, and the extra points, sorted."""
+    lo, hi = _clamped_hull(phi)
+    dy = [e + s * 2.0**-k for e in (lo, hi) for s in (1.0, -1.0) for k in range(11)]
+    return tuple(np.unique(np.concatenate([np.linspace(lo - pad, hi + pad, n),
+                                           np.asarray(dy + list(extra))])).tolist())
+
+
 def default_grid(phi: PhiFunction, n_centers: int = 201, n_lengths: int = 11,
                  pad: float = 10.0) -> QueryGrid:
     """Centers covering the padded hull plus dyadic points accumulating at
     the hull endpoints; lengths 1, 1/2, ..., 2**-(n_lengths-1)."""
-    lo, hi = _clamped_hull(phi)
-    base = np.linspace(lo - pad, hi + pad, n_centers)
-    dy = [e + s * 2.0**-k for e in (lo, hi) for s in (1.0, -1.0) for k in range(11)]
-    centers = np.unique(np.concatenate([base, np.asarray(dy)]))
     lengths = 2.0 ** -np.arange(n_lengths, dtype=float)
-    return QueryGrid(tuple(centers.tolist()), tuple(lengths.tolist()))
+    return QueryGrid(_hull_points(phi, n_centers, pad), tuple(lengths.tolist()))
 
 
 def default_tau_grid(phi: PhiFunction, n: int = 81, pad: float = 10.0) -> tuple[float, ...]:
-    lo, hi = _clamped_hull(phi)
-    base = np.linspace(lo - pad, hi + pad, n)
-    dy = [e + s * 2.0**-k for e in (lo, hi) for s in (1.0, -1.0) for k in range(11)]
-    taus = np.unique(np.concatenate([base, np.asarray(dy), np.asarray([0.0])]))
-    return tuple(taus.tolist())
+    """The centers of default_grid with n points over the padded hull, and 0."""
+    return _hull_points(phi, n, pad, 0.0)
 
 
 # -- test functions and Rayleigh quotients ---------------------------------------
@@ -187,11 +189,20 @@ def _interval_measures(phi: PhiFunction, grid: QueryGrid
     """Matrix of interval-preimage measures, shape (n_lengths, n_centers),
     and the per-branch preimage endpoints (xa, xb) of every interval."""
     a, b = _grid_intervals(grid)
-    ends = _branch_ends(phi, a, b)
+    ends = phi.pullback(a, b)
     out = np.zeros(a.shape)
     for xa, xb in ends:
         out += np.maximum(xb - xa, 0.0)
     return out, ends
+
+
+def _nonempty(owner: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-branch preimages (xa, xb) of flat interval k, owned by
+    owner[k], as flat (owner, lo, hi) rows, branch by branch, empty ones
+    dropped."""
+    lo, hi = (np.concatenate([x.ravel() for x in side]) for side in zip(*ends))
+    keep = hi > lo
+    return np.tile(owner, len(ends))[keep], lo[keep], hi[keep]
 
 
 def _grid_min(ratios: np.ndarray, grid: QueryGrid) -> ConstantEstimate:
@@ -261,13 +272,9 @@ def _weighted_numerators(phi: PhiFunction, ends, panels: np.ndarray, n: int) -> 
     """Integral of 1/(1+|phi|^2) over each of n disk preimages: the
     (query, u, v) panel rows, then the real-branch intervals of the
     per-branch ends (xa, xb), query q being flat index q of xa and xb."""
-    owner, lo, hi = [panels[:, 0].astype(int)], [panels[:, 1]], [panels[:, 2]]
-    for xa, xb in ends:
-        q = np.flatnonzero(xb > xa)
-        owner.append(q)
-        lo.append(xa.ravel()[q])
-        hi.append(xb.ravel()[q])
-    owner, lo, hi = np.concatenate(owner), np.concatenate(lo), np.concatenate(hi)
+    owner, lo, hi = _nonempty(np.arange(n), ends)
+    owner = np.concatenate([panels[:, 0].astype(int), owner])
+    lo, hi = np.concatenate([panels[:, 1], lo]), np.concatenate([panels[:, 2], hi])
 
     def weight(x: np.ndarray, _query: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.abs(phi.boundary(x)) ** 2)
@@ -286,7 +293,7 @@ def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
     """
     require_contraction(phi)
     a, b = float(interval[0]), float(interval[1])
-    ends = _branch_ends(phi, np.asarray([a]), np.asarray([b]))
+    ends = phi.pullback([a], [b])
     num = _weighted_numerators(phi, ends, disk_panels(phi, [a], [b])[0], 1)[0]
     den = math.atan(b) - math.atan(a)
     evidence = _rayleigh_evidence(phi, (a, b), c_values) if with_rayleigh else {}
@@ -410,7 +417,7 @@ def letac_check(phi: PhiFunction, intervals) -> float:
     a, b = np.asarray(intervals, dtype=float).reshape(-1, 2).T
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise PreconditionError("interval must be finite with a < b")
-    ends = _branch_ends(phi, a, b)
+    ends = phi.pullback(a, b)
     meas = np.asarray([IntervalSet.build([(xa[k], xb[k]) for xa, xb in ends]).total_length
                        for k in range(a.size)])
     return float(np.max(np.abs(meas - (b - a)) / (b - a), initial=0.0))
@@ -590,7 +597,10 @@ def backward_orbit(phi: PhiFunction, t: float, n: int,
 
 @dataclass(frozen=True)
 class SimilarityLowerBound:
-    values: tuple[float, ...]   # interval-ratio infimum per power 1..N
+    """Interval-ratio infimum per power 1..N; max_depth is N, as pulled
+    intervals cannot fail."""
+
+    values: tuple[float, ...]
     minimum: float
     max_depth: int
 
@@ -598,21 +608,22 @@ class SimilarityLowerBound:
 def similarity_lower_bound(phi: PhiFunction, N: int = 6,
                            grid: QueryGrid | None = None) -> SimilarityLowerBound:
     """Interval-ratio infimum of each power up to N on a shared grid;
-    a stable positive floor across powers supports similarity."""
+    a stable positive floor across powers supports similarity.
+
+    Power 1 is constant_B.  The preimages under power n are those under
+    power n - 1 pulled back through the base map's branches,
+    phi_n^-1(I) = phi^-1(phi_(n-1)^-1(I)); each pulled interval keeps the
+    grid interval it came from."""
     require_contraction(phi)
     if int(N) < 1:
         raise PreconditionError(f"composition depth must be at least 1, not {N}")
     grid = grid or default_grid(phi)
-    values = []
-    depth = 0
-    for n in range(1, int(N) + 1):
-        try:
-            phi_n = phi.iterate(n)
-            values.append(constant_B(phi_n, grid).value)
-            depth = n
-        except UhprangeError:
-            if n == 1:
-                raise  # no usable depth: the map itself is the reason
-            break  # pullback failed at this depth; report what was usable
-    return SimilarityLowerBound(values=tuple(values), minimum=min(values),
-                                max_depth=depth)
+    lengths = np.asarray(grid.lengths)[:, None]
+    measures, ends = _interval_measures(phi, grid)
+    values = [_grid_min(measures / lengths, grid).value]
+    owner, lo, hi = _nonempty(np.arange(measures.size), ends)
+    for _ in range(1, int(N)):
+        owner, lo, hi = _nonempty(owner, phi.pullback(lo, hi))
+        pulled = np.bincount(owner, hi - lo, minlength=measures.size)
+        values.append(_grid_min(pulled.reshape(measures.shape) / lengths, grid).value)
+    return SimilarityLowerBound(values=tuple(values), minimum=min(values), max_depth=int(N))

@@ -8,6 +8,7 @@ from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, RealMeasure,
                       phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, preimage_disk_measure,
                       preimage_interval_measure, tail_set_measure)
+from uhprange._roots import SOLVE_SLICE
 from uhprange.levelset import disk_panels, disk_preimages, tail_measures
 from uhprange.measures import AcPiece
 
@@ -243,6 +244,16 @@ def test_branch_solve_batch_invariant(name, fractions):
         single = [tbl.solve(np.asarray([t]))[0] for t in targets]
         # bit for bit; a target on the table's low end is nan either way
         assert np.array_equal(tbl.solve(targets), single, equal_nan=True)
+
+
+def test_branch_solve_slices_batch_invariant():
+    """A batch longer than one bisection slice equals its two halves solved
+    apart, bit for bit."""
+    tbl = _SOLVE_MAPS["translation_pole"].branch_tables()[1]
+    targets = np.linspace(-40.0, 40.0, SOLVE_SLICE + 40)
+    half = targets.size // 2
+    assert np.array_equal(tbl.solve(targets),
+                          np.concatenate([tbl.solve(targets[:half]), tbl.solve(targets[half:])]))
 
 
 _DISK_MAPS = {"zloglin0": _SOLVE_MAPS["zloglin0"], "sqrt": _SOLVE_MAPS["sqrt"],

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -491,6 +492,17 @@ def test_closed_form_pieces_match_oracles(name):
     else:
         return
     assert np.all(np.abs(kernel_integral(mu, cauchy_kernel, z) - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_poisson_series_point_without_warnings():
+    """At 5e-324 + i, where 1 + z^2 is subnormal, G is the series value and
+    no quotient overflows on the way."""
+    mu = RealMeasure.poisson(-1.0, 2.0)
+    z = np.asarray([5e-324 + 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = cauchy_transform(mu).eval(z[0])
+    assert value == mu.ac_pieces[0].closed_form._g_series(z, np.asarray([1j]))[0]
 
 
 @pytest.mark.parametrize("name", sorted(_NAMED))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uhprange import (PreconditionError, QueryGrid, backward_orbit,
-                      contraction_check, phi_from_catalog, phi_identity,
+from uhprange import (NevanlinnaData, PreconditionError, QueryGrid, RealMeasure,
+                      backward_orbit, constant_B, contraction_check,
+                      phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, similarity_certificate,
                       similarity_lower_bound)
 from uhprange.range_analysis import _orbit_product_log_bound
@@ -118,6 +119,38 @@ def test_lower_bound_zloglin5():
     lb = similarity_lower_bound(phi_from_catalog("zloglin", alpha=5.0), N=4)
     assert lb.max_depth == 4
     assert lb.minimum >= 1e-3
+
+
+_POWER_GRID = QueryGrid(tuple(np.linspace(-4.0, 4.0, 33).tolist()), (1.0, 0.25, 1.0 / 16.0))
+
+
+@pytest.mark.parametrize("atoms", [[(0.0, 1.0)], [(-1.0, 0.5), (0.0, 1.0), (2.0, 0.3)]],
+                         ids=["translation_pole", "three_atoms"])
+def test_lower_bound_letac_powers(atoms):
+    """A purely atomic rho preserves Lebesgue measure (Letac), so every
+    power's interval ratio is 1, also where a preimage ends at a pole."""
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(atoms)))
+    lb = similarity_lower_bound(phi, N=4, grid=_POWER_GRID)
+    assert lb.max_depth == 4
+    assert all(abs(v - 1.0) < 1e-7 for v in lb.values), lb.values
+
+
+def test_lower_bound_sqrtpole_powers():
+    lb = similarity_lower_bound(phi_from_catalog("sqrtpole", alpha=-1.0), N=4)
+    assert lb.max_depth == 4
+    assert min(lb.values) > 0.1, lb.values
+
+
+def test_lower_bound_powers_match_composed_tables():
+    """On zloglin(5), which has no poles, the pulled powers agree with
+    constant_B on the tables of the composed map; power 1 is constant_B."""
+    phi = phi_from_catalog("zloglin", alpha=5.0)
+    grid = QueryGrid(tuple(np.linspace(-8.0, 8.0, 17).tolist()), (1.0, 0.25, 1.0 / 16.0))
+    lb = similarity_lower_bound(phi, N=5, grid=grid)
+    assert lb.values[0] == constant_B(phi, grid).value
+    for n, value in enumerate(lb.values[1:], start=2):
+        ref = constant_B(phi.iterate(n), grid).value
+        assert abs(value - ref) <= 1e-8 * ref, (n, value, ref)
 
 
 def test_lower_bound_sqrt_decays():
