@@ -2,10 +2,16 @@
 
 Boundary restrictions of half-plane self-maps are strictly increasing on
 each real branch, so every equation f(x) = target has at most one solution
-per branch and bisection is total.  Branches are tabulated once on a probe
-grid (geometric clustering toward endpoints, where values typically blow
-up); solving then reduces to a searchsorted bracket plus vectorized
-bisection.
+per branch and a bracket with evaluated signs always holds it.  Branches
+are tabulated once on a probe grid (geometric clustering toward endpoints,
+where values typically blow up); solving then reduces to a searchsorted
+bracket plus a vectorized safeguarded Newton iteration.  Given the slope
+f', each step is Newton's; a step leaving the bracket is replaced by the
+one-pole step, exact for f = a + c/(p - x) with the pole p at the bracket
+end beyond the root (values blow up at branch ends and at the atoms of a
+Cauchy transform); a step that is not finite, leaves the bracket, or is
+not shorter than half the step before the last (a lying slope) is replaced
+by bisection.  Without a slope every step bisects.
 """
 
 from __future__ import annotations
@@ -17,14 +23,17 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+_EPS = np.finfo(float).eps
+
 #: Outward scan limit for branches with infinite endpoints.
 SCAN_LIMIT = 1e8
 
-#: Absolute abscissa tolerance for bisection.
+#: Absolute abscissa tolerance of a root bracket.
 XTOL = 1e-12
 
-#: Most targets in one bisection call of BranchTable.solve.
-SOLVE_SLICE = 2 ** 14
+#: Most roots solved together: bounds the root finder's state, the
+#: temporaries of f and its slope, and the brackets BranchTable.solve gathers.
+SOLVE_SLICE = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -67,11 +76,14 @@ def probe_points(branch: Branch) -> np.ndarray:
 
 
 class BranchTable:
-    """Tabulated increasing boundary values of one branch."""
+    """Tabulated increasing boundary values of one branch, with the slope
+    of the boundary function (None: roots are bisected)."""
 
-    def __init__(self, branch: Branch, boundary_real: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, branch: Branch, boundary_real: Callable[[np.ndarray], np.ndarray],
+                 slope: Callable[[np.ndarray], np.ndarray] | None = None):
         self.branch = branch
         self.f = boundary_real
+        self.slope = slope
         xs = probe_points(branch)
         ys = np.asarray(boundary_real(xs), dtype=float)
         # Non-finite probes go first: a NaN would spread through the
@@ -79,7 +91,7 @@ class BranchTable:
         keep = np.isfinite(ys)
         self.xs = xs[keep]
         # Guard against rounding-level non-monotonicity in the table only;
-        # bisection uses the exact function.
+        # the root finder uses the exact function.
         self.ys = np.maximum.accumulate(ys[keep])
         if len(self.xs) < 2:
             raise ConvergenceError(f"branch {branch} could not be tabulated")
@@ -90,8 +102,8 @@ class BranchTable:
 
     def solve(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Roots of f(x) = target on the branch; NaN where the target is
-        outside the tabulated value range.  Targets are bisected in slices
-        of SOLVE_SLICE, which bounds the temporaries of f."""
+        outside the tabulated value range.  Brackets are gathered for
+        SOLVE_SLICE targets at a time."""
         targets = np.asarray(targets, dtype=float)
         flat = targets.ravel()
         out = np.full(flat.shape, np.nan)
@@ -99,7 +111,7 @@ class BranchTable:
         ok = np.flatnonzero((idx > 0) & (idx < len(self.ys)))
         for k in (ok[i:i + SOLVE_SLICE] for i in range(0, ok.size, SOLVE_SLICE)):
             out[k] = bisect_increasing(self.f, self.xs[idx[k] - 1], self.xs[idx[k]], flat[k],
-                                       xtol=xtol)
+                                       xtol=xtol, slope=self.slope)
         return out.reshape(targets.shape)
 
     def solve_clamped(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
@@ -117,24 +129,82 @@ class BranchTable:
 
 
 def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
-                      max_iter: int = 200) -> np.ndarray:
-    """Vectorized bisection for increasing f with valid brackets.  Each
-    element leaves on its own tolerance, so a root does not depend on its
-    batch; converged elements are compacted out rather than masked."""
+                      max_iter: int = 200, slope: Callable | None = None) -> np.ndarray:
+    """Roots of increasing f(x) = target in valid brackets (lo, hi), with
+    f(lo) < target <= f(hi).  Every evaluation moves one end of its
+    element's bracket; an element is done once its bracket is at most
+    tol = max(xtol, 8 eps |x|) wide.  Without ``slope`` every step bisects
+    and a root is its bracket's midpoint.  With ``slope`` (f'), the steps
+    are those of the module docstring, a step shorter than tol/2 goes tol/2
+    (so that the next evaluation closes the bracket), and a root is the
+    Newton point of the last evaluation, taken with the slope of the step
+    that led there (no further evaluation) and clipped to the bracket, or
+    the midpoint where that point is not a number.  Each element keeps its
+    own state, so a root does not depend on its batch; elements are solved
+    SOLVE_SLICE at a time, and done ones are compacted out."""
     lo = np.array(lo, dtype=float).ravel()
     hi = np.array(hi, dtype=float).ravel()
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    out = np.empty(lo.shape)
+    for i in range(0, lo.size, SOLVE_SLICE):
+        k = slice(i, i + SOLVE_SLICE)
+        out[k] = _solve_slice(f, lo[k], hi[k], target[k], xtol, max_iter, slope)
+    return out
+
+
+def _solve_slice(f, lo, hi, target, xtol, max_iter, slope) -> np.ndarray:
+    """bisect_increasing on one slice; lo and hi are updated in place."""
     out, active = np.empty(lo.shape), np.arange(lo.size)
+    x = 0.5 * (lo + hi)
+    d = np.full(lo.shape, np.nan)  # the slope of the step to x
+    last, before = 0.5 * (hi - lo), hi - lo  # the last two step lengths
     for _ in range(max_iter):
         if not active.size:
             break
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(f(mid)) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        done = hi - lo <= np.maximum(xtol, 8.0 * np.finfo(float).eps * np.abs(mid))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.asarray(f(x)) - target  # exact in sign: r < 0 is f(x) < target
+        below = r < 0.0
+        np.copyto(lo, x, where=below)
+        np.copyto(hi, x, where=~below)
+        done = hi - lo <= np.maximum(xtol, 8.0 * _EPS * np.abs(x))
         if done.any():
-            out[active[done]] = 0.5 * (lo[done] + hi[done])
-            active, lo, hi, target = (v[~done] for v in (active, lo, hi, target))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.clip(x[done] - r[done] / d[done], lo[done], hi[done])
+            out[active[done]] = np.where(np.isnan(root), 0.5 * (lo[done] + hi[done]), root)
+            keep = ~done
+            active, lo, hi, target, x, r, below, d, last, before = (
+                v[keep] for v in (active, lo, hi, target, x, r, below, d, last, before))
+            if not active.size:
+                break
+        if slope is None:
+            x = 0.5 * (lo + hi)
+            continue
+        d = np.array(slope(x), dtype=float)  # a copy: a real view would hold its complex base
+        new = _safeguarded_point(x, r, d, lo, hi, below, xtol, before)
+        x, last, before = new, np.abs(new - x), last
     out[active] = 0.5 * (lo + hi)
     return out
+
+
+def _safeguarded_point(x, r, d, lo, hi, below, xtol, before) -> np.ndarray:
+    """The next point from the iterate x (an end of the bracket (lo, hi),
+    with residual r = f(x) - target and slope d): Newton's, if it lies
+    between x and p, the bracket end on the root's side; else the one-pole
+    point x' = p - d (p-x)^2 / (d (p-x) - r), which lies in (x, p) for
+    d > 0.  Within tol/2 of x it moves to tol/2 from x.  The midpoint
+    replaces a point that is not finite, not between x and p, or not
+    nearer x than half of ``before``, the step before the last (which
+    bounds the work of a lying slope by about twice bisection's)."""
+    p = np.where(below, hi, lo)
+
+    def valid(v):  # from x toward the root, short of p
+        return (lo <= v) & (v <= hi) & (v != p)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new = x - r / d
+        new = np.where(valid(new), new, p - d * (p - x) ** 2 / (d * (p - x) - r))
+    # within tol/2 of x, go tol/2 toward the root: the next evaluation closes the bracket
+    half = 0.5 * np.maximum(xtol, 8.0 * _EPS * np.abs(x))
+    new = np.where(np.abs(new - x) < half, x + np.where(below, half, -half), new)
+    ok = valid(new) & (np.abs(new - x) <= 0.5 * before)
+    return np.where(ok, new, 0.5 * (lo + hi))

@@ -116,6 +116,11 @@ class PhiFunction:
         out = np.real(self._boundary_complex(arr))
         return float(out[0]) if scalar else out
 
+    def _slope_real(self, x: np.ndarray) -> np.ndarray:
+        """Real part of the derivative at real points, without domain
+        checks: the slope of boundary_real on the real branches."""
+        return np.real(self._derivative_complex(x.astype(complex)))
+
     def derivative(self, z):
         """Derivative at z in the open upper half-plane, or at a real x
         strictly inside a real branch (where it is real and positive)."""
@@ -149,7 +154,7 @@ class PhiFunction:
     def branch_table(self, branch: Branch) -> BranchTable:
         key = self.real_branches.index(branch)
         if key not in self._tables:
-            self._tables[key] = BranchTable(branch, self.boundary_real)
+            self._tables[key] = BranchTable(branch, self.boundary_real, self._slope_real)
         return self._tables[key]
 
     def branch_tables(self) -> list[BranchTable]:

@@ -18,7 +18,8 @@ from ._roots import SCAN_LIMIT, bisect_increasing
 from .cauchy import CauchyTransform
 from .errors import PreconditionError, WindowError
 from .herglotz import PhiFunction
-from .measures import IntervalSet, atom_sum, cauchy_kernel, gaps_between
+from .measures import (IntervalSet, atom_sum, cauchy_kernel, cauchy_kernel_derivative,
+                       gaps_between, kernel_integral)
 
 _EPS = np.finfo(float).eps
 
@@ -245,9 +246,11 @@ def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
     """The tail sets off the singular support, where Re G is real and
     increasing: the bounded components (gaps between blocks), where it runs
     from -inf to +inf, plus the unbounded end component where it tends to 0
-    from the tail's side.  One evaluation of the component ends, one
-    bisection for every crossing of every query."""
+    from the tail's side.  One evaluation of the component ends, one root
+    solve for every crossing of every query, with the slope
+    Re G' = int d(mu)(t) / (t - x)^2."""
     f = lambda xs: G.real_value(xs, tol=1e-9)
+    slope = lambda xs: kernel_integral(G.measure, cauchy_kernel_derivative, xs, tol=1e-9)
     upper = sgn > 0
     gaps = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
                        and c[1] > c[0]]).reshape(-1, 2)
@@ -271,7 +274,7 @@ def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
     roots = bisect_increasing(f, np.concatenate([lo[gm], np.minimum(far, near)[outer]]),
                               np.concatenate([hi[gm], np.maximum(far, near)[outer]]),
                               (sgn * level)[np.concatenate([km, np.flatnonzero(outer)])],
-                              xtol=1e-15)
+                              xtol=1e-15, slope=slope)
     inner = roots[:km.size]
     total = _owner_sums(width[gf], kf, level.size)
     total += _owner_sums(np.where(upper[km], gr[gm] - inner, inner - gl[gm]), km, level.size)

@@ -440,8 +440,8 @@ class _Poisson(_ClosedForm):
     integral c [log((b-z)/(a-z)) + log|a - i| - log|b - i|] (an infinite
     end's terms drop out in the limit) and its derivative are regular at
     +-i and are used as they stand.  G = (that - z m) / (1 + z^2) cancels
-    near +-i; within _SERIES_RADIUS of them G is summed from the Taylor
-    series of that numerator instead."""
+    near +-i; within _SERIES_RADIUS of them G and G' are summed from the
+    Taylor series of that numerator instead."""
 
     def __init__(self, a: float, b: float, mass: float | None):
         span = math.atan(b) - math.atan(a)
@@ -479,29 +479,43 @@ class _Poisson(_ClosedForm):
 
     def g(self, z):
         out = self.representation(z) - z * self.mass
-        near = np.zeros(out.shape, dtype=bool)
+        return self._near_i(out, z, 0)
+
+    def dg(self, z):
+        """G' = (H' - m - 2z G) / (1 + z^2), H' the representation's
+        derivative; near +-i the series' derivative."""
+        return self._near_i(self.derivative(z) - self.mass - 2.0 * z * self.g(z), z, 1)
+
+    def _near_i(self, numerator, z, k):
+        """numerator / (1 + z^2), but entry k of _g_series (G or G')
+        within _SERIES_RADIUS of +-i."""
+        near = np.zeros(numerator.shape, dtype=bool)
         if np.iscomplexobj(z):
             i0 = np.where(z.imag > 0.0, 1j, -1j)
             near = np.abs(z - i0) < _SERIES_RADIUS
-            out[near] = self._g_series(z[near], i0[near])
+            numerator[near] = self._g_series(z[near], i0[near])[k]
         # next to +-i, 1 + z^2 can be subnormal and the quotient overflow
-        return np.divide(out, 1.0 + z * z, out=out, where=~near)
+        return np.divide(numerator, 1.0 + z * z, out=numerator, where=~near)
 
     def _g_series(self, z, i0):
-        """G(z) = [c (p S(p w) - q S(q w)) - m] / (z + i0), w = z - i0, with
-        p = 1/(a - i0), q = 1/(b - i0) (0 for an infinite end) and
-        S(x) = sum_n x^n / (n + 1): the Taylor series at i0 of the numerator
-        above, which vanishes there, divided by (z - i0)(z + i0).  |p w| and
+        """(G, G'): G(z) = N(w) / (z + i0), w = z - i0, with
+        N(w) = c (p S(p w) - q S(q w)) - m, p = 1/(a - i0), q = 1/(b - i0)
+        (0 for an infinite end) and S(x) = sum_n x^n / (n + 1): the Taylor
+        series at i0 of the numerator above, which vanishes there, divided
+        by (z - i0)(z + i0); and G' = (N'(w) - G) / (z + i0).  |p w| and
         |q w| are at most _SERIES_RADIUS, as |t - i0| >= 1 on the axis."""
-        w, total = z - i0, -self.mass + 0j
+        w, total, dtotal = z - i0, -self.mass + 0j, 0j
         for end, sign in ((self.a, 1.0), (self.b, -1.0)):
             if math.isfinite(end):
                 p = 1.0 / (end - i0)
-                s = np.zeros_like(w)
-                for n in range(_SERIES_TERMS, 0, -1):
+                s, ds = np.zeros_like(w), np.zeros_like(w)
+                for n in range(_SERIES_TERMS, 0, -1):  # Horner, with S' alongside
+                    ds = ds * (p * w) + s
                     s = s * (p * w) + 1.0 / n
                 total = total + sign * self.c * p * s
-        return total / (z + i0)
+                dtotal = dtotal + sign * self.c * p * p * ds
+        g = total / (z + i0)
+        return g, (dtotal - g) / (z + i0)
 
     def boundary(self, x):
         a, b = self.a, self.b
@@ -531,6 +545,14 @@ def cauchy_kernel(t, z, w):
 
 
 cauchy_kernel.closed_form = lambda form, z: form.g(z)  # (mass, G, G') coefficients (0, 1, 0)
+
+
+def cauchy_kernel_derivative(t, z, w):
+    """w / (t - z)^2: the Cauchy kernel's derivative in z."""
+    return w / (t - z) ** 2
+
+
+cauchy_kernel_derivative.closed_form = lambda form, z: form.dg(z)  # coefficients (0, 0, 1)
 
 
 def atom_sum(kernel: Callable, pos: np.ndarray, w: np.ndarray, z) -> np.ndarray:

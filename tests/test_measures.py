@@ -246,7 +246,8 @@ def test_pv_cauchy_substituted_batch_invariant(xs):
 # -- density pieces given by a callable, far from and next to their ends ------------
 
 from uhprange.herglotz import _kernel, _kernel_derivative  # noqa: E402
-from uhprange.measures import _NEAR_END, cauchy_kernel, kernel_integral  # noqa: E402
+from uhprange.measures import (_NEAR_END, cauchy_kernel, cauchy_kernel_derivative,  # noqa: E402
+                               kernel_integral)
 
 _EPS = np.finfo(float).eps
 
@@ -503,6 +504,29 @@ def test_poisson_series_point_without_warnings():
         warnings.simplefilter("error")
         value = cauchy_transform(mu).eval(z[0])
     assert value == mu.ac_pieces[0].closed_form._g_series(z, np.asarray([1j]))[0]
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED) + ["atoms"])
+def test_cauchy_derivative_kernel_matches_cauchy_formula(name):
+    """G' from the derivative kernel (closed form, series within 1/4 of
+    +-i, atom sum) equals Cauchy's formula G'(z) = mean of
+    G(z + r e^(i t)) e^(-i t) / r over 64 nodes of a circle of radius 0.2
+    that stays 0.3 away from the support: complex points, points near +-i,
+    and real points off the support, as complex and as real arrays."""
+    mu = _NAMED[name][0] if name in _NAMED else _MEASURES["atoms"]
+    zs = np.asarray([3.5 + 0.5j, -0.4 + 2.0j, 1.7 - 0.8j, 1j + 0.1, -1j - 0.05j, 0.02 + 0.97j,
+                     -2.5 + 0j, 4.0 + 0j, 25.0 + 0j])
+    if name == "halfline":
+        zs = zs[(zs.imag != 0) | (zs.real > -0.5)]
+    if name == "atoms":
+        zs = zs[(zs.imag != 0) | (zs.real > 2.5)]
+    node = 0.2 * np.exp(2j * math.pi * np.arange(64) / 64)
+    ref = (kernel_integral(mu, cauchy_kernel, zs[:, None] + node) / node).mean(axis=1)
+    value = kernel_integral(mu, cauchy_kernel_derivative, zs)
+    assert np.all(np.abs(value - ref) <= 1e-12 * np.abs(ref))
+    real = zs[zs.imag == 0].real
+    assert np.array_equal(kernel_integral(mu, cauchy_kernel_derivative, real),
+                          value[zs.imag == 0].real)
 
 
 @pytest.mark.parametrize("name", sorted(_NAMED))

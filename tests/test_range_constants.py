@@ -9,6 +9,7 @@ from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, QueryGrid,
                       constant_D, letac_check, phi_from_catalog, phi_from_nevanlinna,
                       phi_identity, phi_translation, preimage_disk_measure,
                       rayleigh_quotient)
+from uhprange.measures import AcPiece
 from uhprange.range_analysis import _D_Y_GRID
 
 
@@ -214,17 +215,41 @@ def test_malformed_grids_rejected():
                                 with_rayleigh=False)
 
 
-def test_d_reports_nonconverged_tail_limits():
+def test_d_zlog_deep_taus_converge():
+    """zlog's roots at these taus sit near 8.8e-8, 3.1e-7 and 7e-6, and
+    their tail sets at y = 1e6 are 1e-13 to 1e-11 wide.  Every tau
+    converges, and the D values match those of a reference that bisects
+    every root to xtol 0."""
     phi = phi_from_catalog("zlog")
     taus = (-16.25, -15.0, -11.875, 0.5)
     est = constant_D(phi, tau_grid=taus)
-    assert est.detail["nonconverged"] == (-16.25, -15.0, -11.875)
+    assert est.detail["nonconverged"] == ()
+    reference = (8.764246683203004e-08, 3.0590213334949497e-07, 6.962207777632486e-06,
+                 0.43382828703782245)
+    for value, ref in zip(est.detail["values"], reference):
+        assert abs(value - ref) <= 1e-9 * ref
     for tau in taus:
-        _, _, tails = clark_singular_mass(phi, tau, y_grid=_D_Y_GRID)
-        assert tails.converged == (tau not in est.detail["nonconverged"])
-    rep = closed_range_report(phi, grid=small_grid([0.0, 3.0], (1.0,)), tau_grid=taus,
+        assert clark_singular_mass(phi, tau, y_grid=_D_Y_GRID)[2].converged
+
+
+def test_d_reports_nonconverged_tail_limits():
+    """rho = 0.1 sqrt(t (1 - t)) dt on (0, 1) gives phi(0) = 0.05 pi and no
+    atom at that tau; the density of mu_tau blows up like 1/sqrt(t) at 0
+    from one side only, so only the upper tail is non-empty and the two
+    tails disagree at every y (as they do under bisection to xtol 0)."""
+    rho = RealMeasure(ac_pieces=(AcPiece(0.0, 1.0, lambda t: 0.1 * np.sqrt(t * (1.0 - t)),
+                                         0.5, 0.5),))
+    phi = phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, rho))
+    taus = (0.05 * math.pi, 1.0)
+    est = constant_D(phi, tau_grid=taus)
+    assert est.detail["nonconverged"] == (taus[0],)
+    tails = {tau: clark_singular_mass(phi, tau, y_grid=_D_Y_GRID)[2] for tau in taus}
+    for tau in taus:
+        assert tails[tau].converged == (tau not in est.detail["nonconverged"])
+    assert min(tails[taus[0]].upper) > 1e-5 and max(tails[taus[0]].lower) == 0.0
+    rep = closed_range_report(phi, grid=small_grid([3.0], (1.0,)), tau_grid=taus,
                               with_rayleigh=False)
-    assert rep.d_nonconverged == 3
+    assert rep.d_nonconverged == 1
 
 
 def test_report_identity_long_interval():
