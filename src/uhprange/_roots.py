@@ -5,13 +5,17 @@ each real branch, so every equation f(x) = target has at most one solution
 per branch and a bracket with evaluated signs always holds it.  Branches
 are tabulated once on a probe grid (geometric clustering toward endpoints,
 where values typically blow up); solving then reduces to a searchsorted
-bracket plus a vectorized safeguarded Newton iteration.  Given the slope
-f', each step is Newton's; a step leaving the bracket is replaced by the
-one-pole step, exact for f = a + c/(p - x) with the pole p at the bracket
-end beyond the root (values blow up at branch ends and at the atoms of a
-Cauchy transform); a step that is not finite, leaves the bracket, or is
-not shorter than half the step before the last (a lying slope) is replaced
-by bisection.  Without a slope every step bisects.
+bracket plus a vectorized safeguarded Newton iteration.  The solver takes
+one callable that returns f and its slope f' together (one pass where
+both come from the same sums), or f and None.  Each element starts at a
+point its caller gives (between two atoms of a Cauchy transform, the root
+of a model with poles at both ends) or at its bracket's midpoint.  Given
+the slope, each step is Newton's; a step leaving the bracket is replaced
+by the one-pole step, exact for f = a + c/(p - x) with the pole p at the
+bracket end beyond the root (values blow up at branch ends and at the
+atoms of a Cauchy transform); a step that is not finite, leaves the
+bracket, or is not shorter than half the step before the last (a lying
+slope) is replaced by bisection.  Without a slope every step bisects.
 """
 
 from __future__ import annotations
@@ -110,9 +114,12 @@ class BranchTable:
         idx = np.searchsorted(self.ys, flat)
         ok = np.flatnonzero((idx > 0) & (idx < len(self.ys)))
         for k in (ok[i:i + SOLVE_SLICE] for i in range(0, ok.size, SOLVE_SLICE)):
-            out[k] = bisect_increasing(self.f, self.xs[idx[k] - 1], self.xs[idx[k]], flat[k],
-                                       xtol=xtol, slope=self.slope)
+            out[k] = bisect_increasing(self._value_and_slope, self.xs[idx[k] - 1],
+                                       self.xs[idx[k]], flat[k], xtol=xtol)
         return out.reshape(targets.shape)
+
+    def _value_and_slope(self, x: np.ndarray) -> tuple:
+        return self.f(x), None if self.slope is None else self.slope(x)
 
     def solve_clamped(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Like solve, but targets off the low/high end of the value range
@@ -129,40 +136,49 @@ class BranchTable:
 
 
 def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
-                      max_iter: int = 200, slope: Callable | None = None) -> np.ndarray:
+                      max_iter: int = 200, start=None) -> np.ndarray:
     """Roots of increasing f(x) = target in valid brackets (lo, hi), with
-    f(lo) < target <= f(hi).  Every evaluation moves one end of its
-    element's bracket; an element is done once its bracket is at most
-    tol = max(xtol, 8 eps |x|) wide.  Without ``slope`` every step bisects
-    and a root is its bracket's midpoint.  With ``slope`` (f'), the steps
-    are those of the module docstring, a step shorter than tol/2 goes tol/2
-    (so that the next evaluation closes the bracket), and a root is the
-    Newton point of the last evaluation, taken with the slope of the step
-    that led there (no further evaluation) and clipped to the bracket, or
-    the midpoint where that point is not a number.  Each element keeps its
-    own state, so a root does not depend on its batch; elements are solved
-    SOLVE_SLICE at a time, and done ones are compacted out."""
+    f(lo) < target <= f(hi).  ``f(x)`` returns the pair (f(x), f'(x)), or
+    (f(x), None) where there is no slope.  The first point of an element
+    is its ``start``, or the bracket's midpoint where the start is not
+    strictly inside the bracket (NaN and +-inf included) or not given.
+    Every evaluation moves one end of its element's bracket; an element is
+    done once its bracket is at most tol = max(xtol, 8 eps |x|) wide.
+    Without a slope every later step bisects and a root is its bracket's
+    midpoint.  With one, the steps are those of the module docstring, a
+    step shorter than tol/2 goes tol/2 (so that the next evaluation closes
+    the bracket), and a root is the Newton point of the last evaluation,
+    taken with the slope of the step that led there and clipped to the
+    bracket, or the midpoint where that point is not a number.  Each
+    element keeps its own state, so a root does not depend on its batch;
+    elements are solved SOLVE_SLICE at a time, and done ones are compacted
+    out."""
     lo = np.array(lo, dtype=float).ravel()
     hi = np.array(hi, dtype=float).ravel()
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    x = 0.5 * (lo + hi)
+    if start is not None:
+        start = np.broadcast_to(np.asarray(start, dtype=float), lo.shape)
+        x = np.where((lo < start) & (start < hi), start, x)
     out = np.empty(lo.shape)
     for i in range(0, lo.size, SOLVE_SLICE):
         k = slice(i, i + SOLVE_SLICE)
-        out[k] = _solve_slice(f, lo[k], hi[k], target[k], xtol, max_iter, slope)
+        out[k] = _solve_slice(f, lo[k], hi[k], target[k], x[k], xtol, max_iter)
     return out
 
 
-def _solve_slice(f, lo, hi, target, xtol, max_iter, slope) -> np.ndarray:
-    """bisect_increasing on one slice; lo and hi are updated in place."""
+def _solve_slice(f, lo, hi, target, x, xtol, max_iter) -> np.ndarray:
+    """bisect_increasing on one slice from the points x; lo and hi are
+    updated in place."""
     out, active = np.empty(lo.shape), np.arange(lo.size)
-    x = 0.5 * (lo + hi)
     d = np.full(lo.shape, np.nan)  # the slope of the step to x
     last, before = 0.5 * (hi - lo), hi - lo  # the last two step lengths
     for _ in range(max_iter):
         if not active.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            r = np.asarray(f(x)) - target  # exact in sign: r < 0 is f(x) < target
+            value, slope = f(x)
+            r = np.asarray(value) - target  # exact in sign: r < 0 is f(x) < target
         below = r < 0.0
         np.copyto(lo, x, where=below)
         np.copyto(hi, x, where=~below)
@@ -174,12 +190,14 @@ def _solve_slice(f, lo, hi, target, xtol, max_iter, slope) -> np.ndarray:
             keep = ~done
             active, lo, hi, target, x, r, below, d, last, before = (
                 v[keep] for v in (active, lo, hi, target, x, r, below, d, last, before))
+            if slope is not None:
+                slope = np.asarray(slope)[keep]
             if not active.size:
                 break
         if slope is None:
             x = 0.5 * (lo + hi)
             continue
-        d = np.array(slope(x), dtype=float)  # a copy: a real view would hold its complex base
+        d = np.array(slope, dtype=float)  # a copy: a real view would hold its complex base
         new = _safeguarded_point(x, r, d, lo, hi, below, xtol, before)
         x, last, before = new, np.abs(new - x), last
     out[active] = 0.5 * (lo + hi)

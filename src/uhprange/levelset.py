@@ -18,8 +18,7 @@ from ._roots import SCAN_LIMIT, bisect_increasing
 from .cauchy import CauchyTransform
 from .errors import PreconditionError, WindowError
 from .herglotz import PhiFunction
-from .measures import (IntervalSet, atom_sum, cauchy_kernel, cauchy_kernel_derivative,
-                       gaps_between, kernel_integral)
+from .measures import IntervalSet, atom_sum, cauchy_kernel, gaps_between
 
 _EPS = np.finfo(float).eps
 
@@ -247,10 +246,11 @@ def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
     increasing: the bounded components (gaps between blocks), where it runs
     from -inf to +inf, plus the unbounded end component where it tends to 0
     from the tail's side.  One evaluation of the component ends, one root
-    solve for every crossing of every query, with the slope
-    Re G' = int d(mu)(t) / (t - x)^2."""
-    f = lambda xs: G.real_value(xs, tol=1e-9)
-    slope = lambda xs: kernel_integral(G.measure, cauchy_kernel_derivative, xs, tol=1e-9)
+    solve for every crossing of every query, each step taking Re G and
+    Re G' = int d(mu)(t) / (t - x)^2 from one pass over the atoms.  A
+    crossing starts at the root of a model with poles at the component's
+    finite ends, whose strengths the end values give (_secular_start)."""
+    f = lambda xs: G.real_value(xs, tol=1e-9, slope=True)
     upper = sgn > 0
     gaps = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
                        and c[1] > c[0]]).reshape(-1, 2)
@@ -262,8 +262,8 @@ def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
                         next((l for l, r in comps if r == math.inf and np.isfinite(l)), np.nan)])
     nears, has = _nudge_in(edges, np.ones(2), np.asarray([-1.0, 1.0])), ~np.isnan(edges)
     fnears = np.full(2, np.nan)
-    flo, fhi, fnears[has] = np.split(np.asarray(f(np.concatenate([lo, hi, nears[has]]))),
-                                     [len(lo), 2 * len(lo)])
+    probes = np.concatenate([lo, hi, nears[has]])
+    flo, fhi, fnears[has] = np.split(G.real_value(probes, tol=1e-9), [len(lo), 2 * len(lo)])
     side = np.where(upper, 0, 1)
     edge, near = edges[side], nears[side]
     far = edge - sgn * np.maximum(4.0 * G.total_mass / level, 16.0 * _EPS * (np.abs(edge) + 1.0))
@@ -271,15 +271,37 @@ def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
     full = np.where(upper[:, None], flo >= level[:, None], fhi <= -level[:, None])
     mid = ~full & ~np.where(upper[:, None], fhi <= level[:, None], flo >= -level[:, None])
     (kf, gf), (km, gm) = np.nonzero(full), np.nonzero(mid)
+    targets = sgn * level
+    starts = np.concatenate([
+        _secular_start(gl[gm], gr[gm], -flo[gm] * (lo[gm] - gl[gm]),
+                       fhi[gm] * (gr[gm] - hi[gm]), targets[km]),
+        (edge - fnears[side] * (edge - near) / targets)[outer]])
     roots = bisect_increasing(f, np.concatenate([lo[gm], np.minimum(far, near)[outer]]),
                               np.concatenate([hi[gm], np.maximum(far, near)[outer]]),
-                              (sgn * level)[np.concatenate([km, np.flatnonzero(outer)])],
-                              xtol=1e-15, slope=slope)
+                              targets[np.concatenate([km, np.flatnonzero(outer)])],
+                              xtol=1e-15, start=starts)
     inner = roots[:km.size]
     total = _owner_sums(width[gf], kf, level.size)
     total += _owner_sums(np.where(upper[km], gr[gm] - inner, inner - gl[gm]), km, level.size)
     total[outer] += sgn[outer] * (edge[outer] - roots[km.size:])
     return total
+
+
+def _secular_start(gl, gr, a, b, y) -> np.ndarray:
+    """The root in (gl, gr) of the two-pole model -a/(x - gl) + b/(gr - x) = y
+    (a, b > 0), as secular-equation solvers start between two poles.  With
+    u = x - gl and W = gr - gl it is the root in (0, W) of
+    y u^2 + c u - a W = 0, c = a + b - y W, whose discriminant
+    c^2 + 4 y a W = (y W + a - b)^2 + 4 a b is positive: u = 2 a W / (c + s)
+    for c >= 0 and (s - c) / (2 y) for c < 0 (then y > 0), with s the root of
+    the discriminant, so neither form cancels.  NaN (the solver's midpoint
+    start) where a or b is not finite and positive."""
+    w = gr - gl
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # both forms, everywhere
+        c = a + b - y * w
+        s = np.sqrt((y * w + a - b) ** 2 + 4.0 * a * b)
+        u = np.where(c >= 0.0, 2.0 * a * w / (c + s), (s - c) / (2.0 * y))
+    return np.where((a > 0.0) & (b > 0.0) & np.isfinite(a + b), gl + u, np.nan)
 
 
 def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarray,
@@ -321,7 +343,7 @@ def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarra
     rise, fall = ~end[first - 1], ~end[last + 1]
     for s in (1.0, -1.0):
         r, f = rise & (sgn[kf] == s), fall & (sgn[kl] == -s)
-        roots = bisect_increasing(lambda x: s * G.boundary_re(x),
+        roots = bisect_increasing(lambda x: (s * G.boundary_re(x), None),
                                   np.concatenate([a[r], xs[last[f]]]),
                                   np.concatenate([xs[first[r]], b[f]]),
                                   np.concatenate([level[kf[r]], -level[kl[f]]]), xtol=1e-13)

@@ -592,42 +592,76 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     """
     z = np.asarray(z)
     total = start + atom_sum(kernel, *mu.nodes, z)
-    flat = z.ravel()
     for piece in mu.ac_pieces:
-        vals = np.empty(flat.shape, dtype=complex)
-        ends = {e: s * math.inf for e, p, s in ((piece.left, piece.left_exponent, 1.0),
-                                                 (piece.right, piece.right_exponent, -1.0))
-                if pv and e in flat and (p < 0.0 or p == 0.0 and
-                                         np.ravel(piece.density(np.asarray([e])))[0] != 0.0)}
-        inside = ((piece.left < flat) & (flat < piece.right) if pv
-                  else np.zeros(flat.shape, dtype=bool))
-        skip = inside.copy()
-        for end, value in ends.items():
-            vals[flat == end], skip = value, skip | (flat == end)
-        form = piece.closed_form if hasattr(kernel, "closed_form") else None
-        if form is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals[~skip] = kernel.closed_form(form, flat[~skip])
-                if inside.any():
-                    vals[inside] = form.boundary(flat[inside])
-        else:
-            lost = np.zeros(flat.shape, dtype=bool)
-            for e, p in ((piece.left, piece.left_exponent), (piece.right, piece.right_exponent)):
-                if p < 0.0:
-                    lost |= ~skip & (np.abs(flat - e) < _NEAR_END * abs(e))
-            vals[lost] = math.nan
-            idx = np.flatnonzero(~skip & ~lost)
-            for i in range(0, len(idx), _POINTS_PER_CALL):
-                chunk = idx[i:i + _POINTS_PER_CALL]
-                vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
-            if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
-                vals[inside] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,
-                                                flat[inside], tol, piece.left_exponent,
-                                                piece.right_exponent)
-                                + 1j * math.pi * piece.density(flat[inside]))
+        vals = _piece_values(piece, kernel, z.ravel(), tol, pv)
         with np.errstate(invalid="ignore"):  # inf - inf on an end two pieces share
             total = total + (vals if np.iscomplexobj(z) or pv else vals.real).reshape(z.shape)
     return total
+
+
+def cauchy_value_and_slope(mu: RealMeasure, x, tol: float = 1e-11
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """G(x) and G'(x) at real points x off the support, in one pass over
+    the atoms and Cantor nodes: per chunk q = w / (t - x) once, G sums q
+    and G' sums q / (t - x).  G equals kernel_integral(mu, cauchy_kernel,
+    x, tol=tol) bit for bit; G' differs from kernel_integral(mu,
+    cauchy_kernel_derivative, x, tol=tol) by the rounding of its terms.
+    Density pieces add their two kernel integrals, as kernel_integral does."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    g, dg = np.zeros(flat.shape), np.zeros(flat.shape)
+    pos, w = mu.nodes
+    if len(pos):
+        step = max(1, _ATOM_CHUNK // len(pos))  # atom_sum's chunks
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(0, len(flat), step):
+                d = pos[None, :] - flat[i:i + step, None]
+                q = w[None, :] / d
+                g[i:i + step], dg[i:i + step] = q.sum(axis=1), (q / d).sum(axis=1)
+    g, dg = 0.0 + g, 0.0 + dg  # kernel_integral's start
+    for piece in mu.ac_pieces:
+        with np.errstate(invalid="ignore"):
+            g = g + _piece_values(piece, cauchy_kernel, flat, tol, False).real
+            dg = dg + _piece_values(piece, cauchy_kernel_derivative, flat, tol, False).real
+    return g.reshape(x.shape), dg.reshape(x.shape)
+
+
+def _piece_values(piece: AcPiece, kernel: Callable, flat: np.ndarray, tol: float,
+                  pv: bool) -> np.ndarray:
+    """The integral of K(t, z_k) against one density piece at every point
+    of a flat array, as complex numbers (see kernel_integral)."""
+    vals = np.empty(flat.shape, dtype=complex)
+    ends = {e: s * math.inf for e, p, s in ((piece.left, piece.left_exponent, 1.0),
+                                             (piece.right, piece.right_exponent, -1.0))
+            if pv and e in flat and (p < 0.0 or p == 0.0 and
+                                     np.ravel(piece.density(np.asarray([e])))[0] != 0.0)}
+    inside = ((piece.left < flat) & (flat < piece.right) if pv
+              else np.zeros(flat.shape, dtype=bool))
+    skip = inside.copy()
+    for end, value in ends.items():
+        vals[flat == end], skip = value, skip | (flat == end)
+    form = piece.closed_form if hasattr(kernel, "closed_form") else None
+    if form is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals[~skip] = kernel.closed_form(form, flat[~skip])
+            if inside.any():
+                vals[inside] = form.boundary(flat[inside])
+        return vals
+    lost = np.zeros(flat.shape, dtype=bool)
+    for e, p in ((piece.left, piece.left_exponent), (piece.right, piece.right_exponent)):
+        if p < 0.0:
+            lost |= ~skip & (np.abs(flat - e) < _NEAR_END * abs(e))
+    vals[lost] = math.nan
+    idx = np.flatnonzero(~skip & ~lost)
+    for i in range(0, len(idx), _POINTS_PER_CALL):
+        chunk = idx[i:i + _POINTS_PER_CALL]
+        vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
+    if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
+        vals[inside] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,
+                                        flat[inside], tol, piece.left_exponent,
+                                        piece.right_exponent)
+                        + 1j * math.pi * piece.density(flat[inside]))
+    return vals
 
 
 def _density_integral(piece: AcPiece, kernel: Callable, z: np.ndarray, tol: float) -> np.ndarray:

@@ -247,7 +247,7 @@ def test_pv_cauchy_substituted_batch_invariant(xs):
 
 from uhprange.herglotz import _kernel, _kernel_derivative  # noqa: E402
 from uhprange.measures import (_NEAR_END, cauchy_kernel, cauchy_kernel_derivative,  # noqa: E402
-                               kernel_integral)
+                               cauchy_value_and_slope, kernel_integral)
 
 _EPS = np.finfo(float).eps
 
@@ -527,6 +527,50 @@ def test_cauchy_derivative_kernel_matches_cauchy_formula(name):
     real = zs[zs.imag == 0].real
     assert np.array_equal(kernel_integral(mu, cauchy_kernel_derivative, real),
                           value[zs.imag == 0].real)
+
+
+_FUSED = {
+    "atoms": _MEASURES["atoms"],
+    "cantor": _MEASURES["cantor_atom"],
+    "named": RealMeasure.uniform(-1.0, 0.5, mass=0.7).combined(RealMeasure.arcsine(2.0, 3.0)
+                                                                 ).combined(
+        RealMeasure.poisson(-math.inf, -3.0)).combined(RealMeasure.point_mass(1.5, 0.3)),
+    "callable": _MEASURES["poisson"].combined(RealMeasure.point_mass(3.0, 0.4)),
+}
+
+
+def _off_support_points(mu):
+    """Points 2^-k (k 1, 4, 12, 30) from every atom, Cantor node and piece
+    end, on both sides, plus a grid over (-6, 6) and +-1e3; those on the
+    closed density pieces or at a node are dropped."""
+    pos, _ = mu.nodes
+    ends = np.concatenate([pos, [e for p in mu.ac_pieces for e in (p.left, p.right)
+                                 if math.isfinite(e)]])
+    step = 2.0 ** -np.asarray([1.0, 4.0, 12.0, 30.0])
+    x = np.concatenate([(ends[:, None] + step).ravel(), (ends[:, None] - step).ravel(),
+                        np.linspace(-6.0, 6.0, 49), [-1e3, 1e3]])
+    keep = ~np.isin(x, pos)
+    for p in mu.ac_pieces:
+        keep &= ~((p.left <= x) & (x <= p.right))
+    return x[keep]
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+def test_value_and_slope_in_one_pass(name):
+    """Off the support, cauchy_value_and_slope gives kernel_integral's G
+    bit for bit and its G' (derivative kernel) within 4 ulp, and each
+    point alone gives the batch's bits: atoms, Cantor nodes, named pieces
+    and a piece given by a callable."""
+    mu = _FUSED[name]
+    x = _off_support_points(mu)
+    g, dg = cauchy_value_and_slope(mu, x)
+    assert np.array_equal(g, kernel_integral(mu, cauchy_kernel, x))
+    ref = kernel_integral(mu, cauchy_kernel_derivative, x)
+    assert np.all(np.abs(dg - ref) <= 4.0 * np.spacing(np.abs(ref)))
+    alone = np.asarray([cauchy_value_and_slope(mu, x[k:k + 1]) for k in range(x.size)])
+    assert np.array_equal(alone[:, :, 0].T, np.asarray([g, dg]))
+    G = cauchy_transform(mu)
+    assert np.array_equal(G.real_value(x, slope=True)[0], G.real_value(x))
 
 
 @pytest.mark.parametrize("name", sorted(_NAMED))

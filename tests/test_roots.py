@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uhprange import (NevanlinnaData, RealMeasure, cauchy_transform, constant_B,
+from uhprange import (NevanlinnaData, RealMeasure, boole_check, cauchy_transform, constant_B,
                       phi_from_catalog, phi_from_nevanlinna)
 from uhprange import levelset
 from uhprange._roots import XTOL, BranchTable, bisect_increasing
@@ -52,10 +52,9 @@ def _recording(monkeypatch, count_evals):
 
     def recorded(f, lo, hi, target, **kw):
         counted = count_evals(f)
-        if kw.get("slope") is not None:
-            kw["slope"] = count_evals(kw["slope"])
         roots = bisect_increasing(counted, lo, hi, target, **kw)
-        calls.append((f, counted, kw, np.broadcast_to(target, roots.shape), roots))
+        value = lambda x: f(x)[0]
+        calls.append((value, counted, kw, np.broadcast_to(target, roots.shape), roots))
         return roots
 
     monkeypatch.setattr(levelset, "bisect_increasing", recorded)
@@ -63,14 +62,90 @@ def _recording(monkeypatch, count_evals):
 
 
 def test_tail_sets_take_few_evaluations(monkeypatch, count_evals):
-    """cantor(depth=9) over the default y grid: at most 8 evaluations of f
-    per root, and every root in a certified bracket."""
+    """cantor(depth=9) over the default y grid: at most 5 evaluations of
+    (f, f') per root, and every root in a certified bracket."""
     calls = _recording(monkeypatch, count_evals)
     tail_measures(cauchy_transform(RealMeasure.cantor(depth=9)), _DEFAULT_Y_GRID)
     (f, counted, kw, targets, roots), = [c for c in calls if c[4].size]
     assert roots.size > 9000
-    assert counted.points <= 8 * roots.size and kw["slope"].points <= counted.points
+    assert counted.points <= 5 * roots.size
     _assert_contract(f, roots, targets, kw["xtol"])
+
+
+def _boole_measures(count=25, seed=0):
+    """Seeded atomic probability measures: 1 to 6 atoms on (-5, 5)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 1 + i % 6
+        pos, w = np.sort(rng.uniform(-5.0, 5.0, n)), rng.uniform(0.05, 1.0, n)
+        yield RealMeasure.from_atoms(list(zip(pos.tolist(), (w / w.sum()).tolist())))
+
+
+def test_boole_checks_take_few_evaluations(monkeypatch, count_evals):
+    """25 atomic measures at boole_check's default levels: at most 6
+    evaluations per root pooled and 7.5 in any one check, every root in a
+    certified bracket, and Boole's identity to 1e-6."""
+    calls = _recording(monkeypatch, count_evals)
+    evals = roots_total = 0
+    for mu in _boole_measures():
+        calls.clear()
+        assert boole_check(mu) <= 1e-6
+        (f, counted, kw, targets, roots), = [c for c in calls if c[4].size]
+        assert counted.points <= 7.5 * roots.size
+        _assert_contract(f, roots, targets, kw["xtol"])
+        evals, roots_total = evals + counted.points, roots_total + roots.size
+    assert evals <= 6 * roots_total
+
+
+def test_secular_start_solves_the_two_pole_model():
+    """_secular_start is within 4 ulp of the root of
+    -a/(x - gl) + b/(gr - x) = y, found by bisection in extended precision,
+    for pole strengths 1e-8 to 1e3 and levels of both signs from 1e-6 to
+    1e12, on a gap at 0 (where a root near gl keeps its relative digits)
+    and one at 1e6."""
+    a, b, y = np.meshgrid(np.geomspace(1e-8, 1e3, 12), np.geomspace(1e-8, 1e3, 12),
+                          np.concatenate([-np.geomspace(1e-6, 1e12, 10), [0.0],
+                                          np.geomspace(1e-6, 1e12, 10)]))
+    a, b, y = a.ravel(), b.ravel(), y.ravel()
+    ld = np.longdouble
+    ul, uh = np.zeros(a.size, dtype=ld), np.full(a.size, ld(3.0))
+    for _ in range(200):  # down to 3 * 2^-200, below 1e-19 of the least root, 1e-20
+        u = 0.5 * (ul + uh)
+        with np.errstate(divide="ignore"):  # u can reach 3 for a root within 1e-19 of it
+            below = -a.astype(ld) / u + b.astype(ld) / (ld(3.0) - u) < y.astype(ld)
+        ul, uh = np.where(below, u, ul), np.where(below, uh, u)
+    for gl in (0.0, 1e6):
+        ref = (ld(gl) + 0.5 * (ul + uh)).astype(float)
+        x = levelset._secular_start(gl, gl + 3.0, a, b, y)
+        assert np.all(np.abs(x - ref) <= 4.0 * np.spacing(ref))
+
+
+def _atom_gap_problem():
+    """Re G with its slope for 40 seeded atoms, and one crossing per gap
+    between neighbours, at levels from -30 to 1e3, each bracketed by the
+    gap's ends moved in by 1e-6 of its width."""
+    rng = np.random.default_rng(5)
+    pos, w = np.sort(rng.uniform(-5.0, 5.0, 40)), rng.uniform(0.05, 1.0, 40)
+    G = cauchy_transform(RealMeasure.from_atoms(list(zip(pos.tolist(), w.tolist()))))
+    nudge = 1e-6 * np.diff(pos)
+    targets = np.resize([-30.0, -1.0, 0.5, 1e3], pos.size - 1)
+    return lambda x: G.real_value(x, slope=True), pos[:-1] + nudge, pos[1:] - nudge, targets
+
+
+@pytest.mark.parametrize("slope", [True, False])
+def test_unusable_starts_give_the_midpoint_roots(slope):
+    """A start that is NaN, +-inf, a bracket end or outside the bracket
+    gives the roots of the midpoint start bit for bit; a start inside
+    gives certified roots."""
+    fs, lo, hi, targets = _atom_gap_problem()
+    f = fs if slope else (lambda x: (fs(x)[0], None))
+    base = bisect_increasing(f, lo, hi, targets, xtol=1e-15)
+    _assert_contract(lambda x: fs(x)[0], base, targets, 1e-15)
+    for start in (np.nan, np.inf, -np.inf, lo, hi, lo - 1.0, hi + 1.0):
+        got = bisect_increasing(f, lo, hi, targets, xtol=1e-15, start=start)
+        assert np.array_equal(got, base)
+    inside = bisect_increasing(f, lo, hi, targets, xtol=1e-15, start=lo + 0.25 * (hi - lo))
+    _assert_contract(lambda x: fs(x)[0], inside, targets, 1e-15)
 
 
 @pytest.mark.parametrize("lie", ["scaled", "zero", "nan", "negative"])
@@ -86,15 +161,21 @@ def test_lying_slope_keeps_the_contract(lie):
              "nan": lambda x: np.full(x.shape, np.nan), "negative": lambda x: -table.slope(x)}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        roots = bisect_increasing(table.f, table.xs[idx - 1], table.xs[idx], targets,
-                                  slope=lying[lie])
+        roots = bisect_increasing(lambda x: (table.f(x), lying[lie](x)), table.xs[idx - 1],
+                                  table.xs[idx], targets)
     _assert_contract(table.f, roots, targets, XTOL)
 
 
-def test_tail_sets_batch_invariant():
-    """Each level of cantor(depth=7) alone gives the bits of the batch."""
-    G = cauchy_transform(RealMeasure.cantor(depth=7))
-    ys = np.geomspace(1e2, 1e6, 9)
+@pytest.mark.parametrize("mu", [
+    RealMeasure.cantor(depth=7),
+    RealMeasure.point_mass(-1.0, 0.5).combined(RealMeasure.uniform(0.0, 1.0, 0.5)),
+    list(_boole_measures(6))[-1]], ids=["cantor7", "atom_uniform", "boole6"])
+def test_tail_sets_batch_invariant(mu):
+    """Each level alone gives the bits of the batch: cantor(depth=7), a
+    point mass beside uniform(0, 1) (whose gap end at the density is a log
+    singularity, not a pole) and six atoms."""
+    G = cauchy_transform(mu)
+    ys = np.geomspace(1e-1, 1e6, 15)
     alone = np.vstack([tail_measures(G, [y]) for y in ys])
     assert np.array_equal(tail_measures(G, ys), alone)
 
