@@ -2,12 +2,13 @@
 
 Boundary restrictions of half-plane self-maps are strictly increasing on
 each real branch, so every equation f(x) = target has at most one solution
-per branch and a bracket with evaluated signs always holds it.  Branches
-are tabulated once on a probe grid (geometric clustering toward endpoints,
-where values typically blow up); solving then reduces to a searchsorted
-bracket plus a vectorized safeguarded Newton iteration.  The solver takes
-one callable that returns f and its slope f' together (one pass where
-both come from the same sums), or f and None.  Each element starts at a
+per branch and a bracket with evaluated signs always holds it.  The solver
+and the branch tables take one callable that returns f and its slope f'
+together (one kernel pass for a representation map or a Cauchy
+transform), or f and None.  A table holds the values on a probe grid
+(geometric clustering toward endpoints, where values typically blow up);
+solving then reduces to a searchsorted bracket plus a vectorized
+safeguarded Newton iteration.  Each element starts at a
 point its caller gives (between two atoms of a Cauchy transform, the root
 of a model with poles at both ends) or at its bracket's midpoint.  Given
 the slope, each step is Newton's; a step leaving the bracket is replaced
@@ -80,16 +81,15 @@ def probe_points(branch: Branch) -> np.ndarray:
 
 
 class BranchTable:
-    """Tabulated increasing boundary values of one branch, with the slope
-    of the boundary function (None: roots are bisected)."""
+    """Tabulated increasing boundary values of one branch.  ``f(x)``
+    returns the pair (boundary values, slopes), or (values, None) where
+    there is no slope and roots are bisected: bisect_increasing's callable."""
 
-    def __init__(self, branch: Branch, boundary_real: Callable[[np.ndarray], np.ndarray],
-                 slope: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, branch: Branch, f: Callable[[np.ndarray], tuple]):
         self.branch = branch
-        self.f = boundary_real
-        self.slope = slope
+        self.f = f
         xs = probe_points(branch)
-        ys = np.asarray(boundary_real(xs), dtype=float)
+        ys = np.asarray(f(xs)[0], dtype=float)
         # Non-finite probes go first: a NaN would spread through the
         # running maximum to the rest of the table.
         keep = np.isfinite(ys)
@@ -114,12 +114,9 @@ class BranchTable:
         idx = np.searchsorted(self.ys, flat)
         ok = np.flatnonzero((idx > 0) & (idx < len(self.ys)))
         for k in (ok[i:i + SOLVE_SLICE] for i in range(0, ok.size, SOLVE_SLICE)):
-            out[k] = bisect_increasing(self._value_and_slope, self.xs[idx[k] - 1],
-                                       self.xs[idx[k]], flat[k], xtol=xtol)
+            out[k] = bisect_increasing(self.f, self.xs[idx[k] - 1], self.xs[idx[k]], flat[k],
+                                       xtol=xtol)
         return out.reshape(targets.shape)
-
-    def _value_and_slope(self, x: np.ndarray) -> tuple:
-        return self.f(x), None if self.slope is None else self.slope(x)
 
     def solve_clamped(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Like solve, but targets off the low/high end of the value range

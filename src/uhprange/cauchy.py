@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .herglotz import PhiFunction, require_contraction
-from .measures import RealMeasure, cauchy_kernel, cauchy_value_and_slope, kernel_integral
+from .measures import RealMeasure, cauchy_kernel, cauchy_kernel_pair, kernel_integral
 
 
 class CauchyTransform:
@@ -52,9 +52,8 @@ class CauchyTransform:
 
     def real_value(self, x, tol: float = 1e-10, slope: bool = False):
         """G at real x lying off the support (where the integral is proper).
-        With ``slope`` (measure sources), the pair (G, G') in the shape of x,
-        from one pass over the atoms (measures.cauchy_value_and_slope); G
-        has the same bits either way."""
+        With ``slope`` (measure sources), the pair (G, G') in the shape of x
+        from one cauchy_kernel_pair pass; G has the same bits either way."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         if self.kind == "phi_tau":
             if slope:
@@ -68,7 +67,7 @@ class CauchyTransform:
                         f"real evaluation at {inside[0]} inside the support "
                         f"({piece.left}, {piece.right}); use boundary_re for principal values")
             if slope:
-                return cauchy_value_and_slope(self.measure, x, tol=tol)
+                return kernel_integral(self.measure, cauchy_kernel_pair, x, tol=tol)
             out = kernel_integral(self.measure, cauchy_kernel, arr, tol=tol)
         return out if np.ndim(x) else float(out[0])
 

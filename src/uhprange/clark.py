@@ -60,6 +60,8 @@ def singular_mass_tsereteli(G: CauchyTransform, y_grid=None) -> TsereteliEstimat
 
 def _y_grid(y_grid) -> np.ndarray:
     ys = np.asarray(_DEFAULT_Y_GRID if y_grid is None else y_grid, dtype=float)
+    if not np.all(np.isfinite(ys)):
+        raise PreconditionError(f"y grid must be finite, got {ys.tolist()}")
     if len(ys) < 3 or not (ys[0] > 0 and np.all(np.diff(ys) > 0)):
         raise PreconditionError("y grid must be positive and increasing with >= 3 points")
     if math.log10(ys[-1] / ys[0]) < 3.0 - 1e-9:

@@ -86,7 +86,8 @@ def build_phi(cfg: dict) -> PhiFunction:
             if name not in _DENSITIES:
                 raise ConfigError(f"unknown density {name!r}; choices {sorted(_DENSITIES)}")
             lo, hi = (float(v) for v in dd["interval"])
-            pieces.extend(_DENSITIES[name](lo, hi, float(dd.get("mass", hi - lo))).ac_pieces)
+            mass = {"mass": float(dd["mass"])} if "mass" in dd else {}
+            pieces.extend(_DENSITIES[name](lo, hi, **mass).ac_pieces)
         sc = []
         for ss in block.get("sc", []):
             lo, hi = (float(v) for v in ss["interval"])

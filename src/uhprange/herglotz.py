@@ -19,7 +19,7 @@ import numpy as np
 from ._roots import SCAN_LIMIT, Branch, BranchTable
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      UnsupportedStructureError)
-from .measures import AcPiece, RealMeasure, cauchy_kernel, gaps_between, kernel_integral
+from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,11 @@ class PhiFunction:
         out = np.real(self._boundary_complex(arr))
         return float(out[0]) if scalar else out
 
-    def _slope_real(self, x: np.ndarray) -> np.ndarray:
-        """Real part of the derivative at real points, without domain
-        checks: the slope of boundary_real on the real branches."""
-        return np.real(self._derivative_complex(x.astype(complex)))
+    def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Re phi(x + i0), Re phi'(x)) at real points, without domain
+        checks: the callable of the branch tables.  Here from the boundary
+        and derivative hooks (closed forms, or a composition's chain rule)."""
+        return self.boundary_real(x), np.real(self._derivative_complex(x.astype(complex)))
 
     def derivative(self, z):
         """Derivative at z in the open upper half-plane, or at a real x
@@ -154,7 +155,7 @@ class PhiFunction:
     def branch_table(self, branch: Branch) -> BranchTable:
         key = self.real_branches.index(branch)
         if key not in self._tables:
-            self._tables[key] = BranchTable(branch, self.boundary_real, self._slope_real)
+            self._tables[key] = BranchTable(branch, self._boundary_and_slope)
         return self._tables[key]
 
     def branch_tables(self) -> list[BranchTable]:
@@ -188,7 +189,7 @@ class PhiFunction:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         tbl = self.branch_table(branch)
-        v1, v2, v3 = map(float, tbl.f(tbl.xs[:3] if side == "left" else tbl.xs[:-4:-1]))
+        v1, v2, v3 = map(float, tbl.f(tbl.xs[:3] if side == "left" else tbl.xs[:-4:-1])[0])
         d12, d23 = abs(v1 - v2), abs(v2 - v3)
         if d12 >= 0.9 * d23 and d12 > 1e-9 * (1.0 + abs(v1)):
             return -math.inf if side == "left" else math.inf
@@ -249,34 +250,23 @@ class NevanlinnaPhi(PhiFunction):
         return kernel_integral(self.rho, _kernel_derivative, z, start=self.data.beta)
 
     def _boundary_complex(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape, dtype=complex)
-        on = self._on_branch_mask(x)
-        if on.any():
-            out[on] = self.boundary_real(x[on])  # exactly real on branches
-        # Every atom of rho (the excluded points) is a pole of phi.
-        pole = np.isin(x, self.excluded_points)
-        out[pole] = complex(math.inf, 0.0)
-        off = ~on & ~pole
-        if off.any():
-            out[off] = self._plemelj(x[off])
+        """phi(x + i0) in one kernel pass (Plemelj limits inside the pieces),
+        inf at the atoms of rho.  NaN off the branches raises
+        ConvergenceError naming the point; on a branch it stays NaN."""
+        out = np.asarray(kernel_integral(self.rho, _kernel, x, pv=True,
+                                         start=self.data.alpha + self.data.beta * x), dtype=complex)
+        odd = ~np.isfinite(out)  # atoms, piece ends and unresolved principal values
+        if odd.any():
+            out[odd & np.isin(x, self.excluded_points)] = complex(math.inf, 0.0)
+            bad = x[np.isnan(out) & ~self._on_branch_mask(x)]
+            if bad.size:
+                raise ConvergenceError(f"principal value not resolved at x={float(bad[0])!r}")
         return out
 
-    def _plemelj(self, x: np.ndarray) -> np.ndarray:
-        """phi(x + i0) = alpha + (beta + |rho|) x + (1+x^2) G(x + i0), G the Cauchy
-        transform of rho (Plemelj, as (1+tx)/(t-x) = (1+x^2)/(t-x) + x)."""
-        g = kernel_integral(self.rho, cauchy_kernel, x, pv=True)
-        bad = x[np.isnan(g)]
-        if bad.size:
-            raise ConvergenceError(f"principal value not resolved at x={float(bad[0])!r}")
-        scale = 1.0 + x * x
-        return (self.data.alpha + (self.data.beta + self.rho.total_mass()) * x
-                + scale * g.real + 1j * scale * g.imag)
-
-    def boundary_real(self, x) -> np.ndarray:
-        arr, scalar = _as_array(x, float)
-        vals = np.real(kernel_integral(self.rho, _kernel, arr.astype(complex),
-                                       start=self.data.alpha + self.data.beta * arr))
-        return float(vals[0]) if scalar else vals
+    def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value and slope from one pass over rho (off its support)."""
+        return kernel_integral(self.rho, _kernel_pair, x,
+                               start=(self.data.alpha + self.data.beta * x, self.data.beta))
 
 
 def _kernel(t, z, w):
@@ -289,9 +279,18 @@ def _kernel_derivative(t, z, w):
     return (1.0 + t * t) / (t - z) ** 2 * w
 
 
+def _kernel_pair(t, z, w):
+    """Yields _kernel's entries, then _kernel_derivative's, from one t - z."""
+    d = t - z
+    yield (1.0 + t * z) / d * w
+    yield (1.0 + t * t) / d ** 2 * w
+
+
 # (mass, G, G') coefficients (z, 1+z^2, 0) and (1, 2z, 1+z^2)
 _kernel.closed_form = lambda form, z: form.representation(z)
+_kernel.boundary = lambda mass, x, g: x * mass + (1.0 + x * x) * g
 _kernel_derivative.closed_form = lambda form, z: form.derivative(z)
+_kernel_pair.halves = (_kernel, _kernel_derivative)
 
 
 class ClosedFormPhi(PhiFunction):

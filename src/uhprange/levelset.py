@@ -365,6 +365,8 @@ def mc_oracle_measure(target, region, n: int = 10**6, seed: int = 0,
     sampling window must contain the set; samples hitting the outer margin
     of the window raise WindowError.  Deterministic for a fixed seed.
     """
+    if int(n) < 1:
+        raise PreconditionError(f"the oracle needs n >= 1 samples, got {n}")
     if isinstance(target, PhiFunction):
         if isinstance(region, DiskQuery):
             member = lambda x: region.contains(target.boundary(x))

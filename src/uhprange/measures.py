@@ -545,6 +545,7 @@ def cauchy_kernel(t, z, w):
 
 
 cauchy_kernel.closed_form = lambda form, z: form.g(z)  # (mass, G, G') coefficients (0, 1, 0)
+cauchy_kernel.boundary = lambda mass, x, g: g  # the Plemelj limit G(x + i0) itself
 
 
 def cauchy_kernel_derivative(t, z, w):
@@ -555,75 +556,73 @@ def cauchy_kernel_derivative(t, z, w):
 cauchy_kernel_derivative.closed_form = lambda form, z: form.dg(z)  # coefficients (0, 0, 1)
 
 
-def atom_sum(kernel: Callable, pos: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+def cauchy_kernel_pair(t, z, w):
+    """Yields q = w / (t - z), then q / (t - z), once q is summed."""
+    d = t - z
+    q = w / d
+    yield q
+    yield q / d
+
+
+cauchy_kernel_pair.halves = (cauchy_kernel, cauchy_kernel_derivative)
+
+
+def atom_sum(kernel: Callable, pos: np.ndarray, w: np.ndarray, z):
     """sum_j kernel(pos_j, z_k, w_j) for every point z_k (result in the
     shape of z): one broadcast row per point, in chunks of at most
-    _ATOM_CHUNK entries."""
+    _ATOM_CHUNK entries.  A kernel with ``halves`` yields two arrays of
+    entries, each summed on its own, and gives a pair of results."""
     z = np.asarray(z)
-    if not len(pos):
-        return np.zeros(z.shape, dtype=np.result_type(z, float))
-    flat = z.ravel()
-    step = max(1, _ATOM_CHUNK // len(pos))
+    flat, pair = z.ravel(), hasattr(kernel, "halves")
+    sums = [np.empty(flat.size, complex if z.dtype.kind == "c" else float) for _ in range(1 + pair)]
+    step = max(1, _ATOM_CHUNK // max(1, len(pos)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = [kernel(pos[None, :], flat[i:i + step, None], w[None, :]).sum(axis=1)
-                for i in range(0, max(1, len(flat)), step)]
-    return (rows[0] if len(rows) == 1 else np.concatenate(rows)).reshape(z.shape)
+        for i in range(0, max(1, flat.size), step):
+            rows = kernel(pos[None, :], flat[i:i + step, None], w[None, :])
+            for total, row in zip(sums, rows if pair else (rows,)):
+                np.add.reduce(row, axis=1, out=total[i:i + step])
+    return tuple(total.reshape(z.shape) for total in sums) if pair else sums[0].reshape(z.shape)
 
 
 def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float = 1e-11,
-                    pv: bool = False) -> np.ndarray:
+                    pv: bool = False):
     """start + integral of K(t, z_k) d(mu)(t) at every point z_k of a real
-    or complex array (result in its shape and type).
-
-    ``kernel(t, z, w)`` gives w * K(t, z).  Atoms and Cantor nodes pass
-    their masses to atom_sum.  A named density piece (one with a
-    ``closed_form``) gives every point the kernel's ``closed_form(form, z)``
-    and, with ``pv``, G(x + i0) from ``form.boundary`` inside.  Any other
-    density piece passes 1 to the kernel, multiplies by the density and
-    integrates adaptively (``_quad.integrate_domains``), _POINTS_PER_CALL
-    points per call, in which every point owns its panels; a point within
-    _NEAR_END |e| of an end e of negative exponent is NaN, without
-    quadrature.
-    With ``pv`` (Cauchy kernel, real z) the result is G(x + i0): inside a
-    piece, its principal value (one ``_quad.pv_cauchy`` call) plus
-    i pi density(x); on a finite end where the density does not vanish, the
-    vertical limit of Re G: +inf on a left end, -inf on a right one.  Pieces
-    are added in order, and a point's value does not depend on the others.
+    or complex array (result in its shape and type), ``kernel(t, z, w)``
+    giving w * K(t, z): the one pass over mu of every measure transform.
+    Atoms and Cantor nodes pass their masses to atom_sum.  A named density
+    piece (one with a ``closed_form``) gives every point the kernel's
+    ``closed_form(form, z)``.  Any other density piece passes 1 to the
+    kernel, multiplies by the density and integrates adaptively
+    (``_quad.integrate_domains``), _POINTS_PER_CALL points per call, in
+    which every point owns its panels; a point within _NEAR_END |e| of an
+    end e of negative exponent is NaN, without quadrature.
+    With ``pv`` (real z) the result is the Plemelj limit from above:
+    inside a piece ``kernel.boundary(mass, x, G(x + i0))``, G(x + i0) =
+    p.v. + i pi density(x) from ``form.boundary`` or one ``_quad.pv_cauchy``
+    call (G for the Cauchy kernel, x m + (1+x^2) G for the representation
+    kernel); on a finite end where the density does not vanish, +inf on a
+    left end and -inf on a right one.  Pieces are added in order, and a
+    point's value does not depend on the others.  A kernel with ``halves``
+    (a kernel and its derivative, as cauchy_kernel_pair) gives (value,
+    slope) from one atom_sum pass, each piece taking each half; ``start`` is
+    a pair or one number for both; the value has the first half's bits.
     """
     z = np.asarray(z)
-    total = start + atom_sum(kernel, *mu.nodes, z)
+    sums = atom_sum(kernel, *mu.nodes, z)
+    if not hasattr(kernel, "halves"):
+        return _add_pieces(mu, kernel, z, start + sums, tol, pv)
+    value, slope = kernel.halves
+    v, d = start if isinstance(start, tuple) else (start, start)
+    return (_add_pieces(mu, value, z, v + sums[0], tol, pv),
+            _add_pieces(mu, slope, z, d + sums[1], tol, pv))
+
+
+def _add_pieces(mu: RealMeasure, kernel: Callable, z: np.ndarray, total, tol: float, pv: bool):
     for piece in mu.ac_pieces:
         vals = _piece_values(piece, kernel, z.ravel(), tol, pv)
         with np.errstate(invalid="ignore"):  # inf - inf on an end two pieces share
             total = total + (vals if np.iscomplexobj(z) or pv else vals.real).reshape(z.shape)
     return total
-
-
-def cauchy_value_and_slope(mu: RealMeasure, x, tol: float = 1e-11
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """G(x) and G'(x) at real points x off the support, in one pass over
-    the atoms and Cantor nodes: per chunk q = w / (t - x) once, G sums q
-    and G' sums q / (t - x).  G equals kernel_integral(mu, cauchy_kernel,
-    x, tol=tol) bit for bit; G' differs from kernel_integral(mu,
-    cauchy_kernel_derivative, x, tol=tol) by the rounding of its terms.
-    Density pieces add their two kernel integrals, as kernel_integral does."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    g, dg = np.zeros(flat.shape), np.zeros(flat.shape)
-    pos, w = mu.nodes
-    if len(pos):
-        step = max(1, _ATOM_CHUNK // len(pos))  # atom_sum's chunks
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, len(flat), step):
-                d = pos[None, :] - flat[i:i + step, None]
-                q = w[None, :] / d
-                g[i:i + step], dg[i:i + step] = q.sum(axis=1), (q / d).sum(axis=1)
-    g, dg = 0.0 + g, 0.0 + dg  # kernel_integral's start
-    for piece in mu.ac_pieces:
-        with np.errstate(invalid="ignore"):
-            g = g + _piece_values(piece, cauchy_kernel, flat, tol, False).real
-            dg = dg + _piece_values(piece, cauchy_kernel_derivative, flat, tol, False).real
-    return g.reshape(x.shape), dg.reshape(x.shape)
 
 
 def _piece_values(piece: AcPiece, kernel: Callable, flat: np.ndarray, tol: float,
@@ -644,23 +643,22 @@ def _piece_values(piece: AcPiece, kernel: Callable, flat: np.ndarray, tol: float
     if form is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals[~skip] = kernel.closed_form(form, flat[~skip])
-            if inside.any():
-                vals[inside] = form.boundary(flat[inside])
-        return vals
-    lost = np.zeros(flat.shape, dtype=bool)
-    for e, p in ((piece.left, piece.left_exponent), (piece.right, piece.right_exponent)):
-        if p < 0.0:
-            lost |= ~skip & (np.abs(flat - e) < _NEAR_END * abs(e))
-    vals[lost] = math.nan
-    idx = np.flatnonzero(~skip & ~lost)
-    for i in range(0, len(idx), _POINTS_PER_CALL):
-        chunk = idx[i:i + _POINTS_PER_CALL]
-        vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
+    else:
+        lost = np.zeros(flat.shape, dtype=bool)
+        for e, p in ((piece.left, piece.left_exponent), (piece.right, piece.right_exponent)):
+            if p < 0.0:
+                lost |= ~skip & (np.abs(flat - e) < _NEAR_END * abs(e))
+        vals[lost] = math.nan
+        idx = np.flatnonzero(~skip & ~lost)
+        for i in range(0, len(idx), _POINTS_PER_CALL):
+            chunk = idx[i:i + _POINTS_PER_CALL]
+            vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
     if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
-        vals[inside] = (_quad.pv_cauchy(piece.density, piece.left, piece.right,
-                                        flat[inside], tol, piece.left_exponent,
-                                        piece.right_exponent)
-                        + 1j * math.pi * piece.density(flat[inside]))
+        x = flat[inside]
+        g = (form.boundary(x) if form is not None else
+             _quad.pv_cauchy(piece.density, piece.left, piece.right, x, tol, piece.left_exponent,
+                             piece.right_exponent) + 1j * math.pi * piece.density(x))
+        vals[inside] = kernel.boundary(piece.mass, x, g)
     return vals
 
 

@@ -192,6 +192,21 @@ def test_tsereteli_grid_validation():
         singular_mass_tsereteli(G, y_grid=(1e2, 2e2, 3e2))
 
 
+def test_nonfinite_y_grid_is_rejected():
+    """A y grid with a non-finite level is named as the wrong input, by
+    Tsereteli's estimate (it gave NaN with a RuntimeWarning), by the
+    spectral measures and by D (they blamed the disks' diameters)."""
+    from uhprange import constant_D
+    grid = [1.0, 10.0, math.inf]
+    G = cauchy_transform(RealMeasure.point_mass(0.0))
+    phi = phi_translation(1.0)
+    for call in (lambda: singular_mass_tsereteli(G, y_grid=grid),
+                 lambda: clark_measure(phi, 0.0, y_grid=grid),
+                 lambda: constant_D(phi, y_grid=grid)):
+        with pytest.raises(PreconditionError, match="y grid must be finite"):
+            call()
+
+
 def test_clark_requires_contraction():
     phi = phi_from_nevanlinna(NevanlinnaData(0.0, 0.5, RealMeasure.zero()))
     with pytest.raises(PreconditionError):

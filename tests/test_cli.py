@@ -262,6 +262,10 @@ def _density_config(tmp_path, name: str, atom: bool) -> str:
              "densities": [{"name": name, "interval": [0, 1], "mass": 0.5}]}
     if atom:
         block["atoms"] = [[2.0, 0.5]]
+    return _small_grid_config(tmp_path, block)
+
+
+def _small_grid_config(tmp_path, block: dict) -> str:
     return write_config(tmp_path, {
         "phi": {"nevanlinna": block}, "format": "json", "similarity_depth": 4,
         "grids": {"centers": [-1.0, 0.0, 0.5, 1.0, 3.0], "lengths": [1.0, 0.25],
@@ -329,3 +333,82 @@ def test_similarity_depth_below_one_rejected(tmp_path, capsys):
     assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "composition depth must be at least 1" in err and "Traceback" not in err
+
+
+def test_named_densities_take_their_default_mass(tmp_path):
+    """A density without a mass in the config gets its constructor's
+    default (poisson c = 1, arcsine mass 1, uniform density 1), not
+    hi - lo: poisson(-1, 1) is zloglin(0), arcsine(0, 4) has mass 1, and
+    the poisson half-line, rejected when its mass was inf, runs clark with
+    a normalized measure."""
+    import numpy as np
+
+    from uhprange import phi_from_catalog
+    from uhprange.cli import build_phi
+
+    def named(name, lo, hi):
+        return build_phi({"phi": {"nevanlinna": {
+            "densities": [{"name": name, "interval": [lo, hi]}]}}})
+    assert named("arcsine", 0, 4).rho.total_mass() == 1.0
+    assert named("uniform", 0, 4).rho.total_mass() == 4.0
+    phi, catalog = named("poisson", -1, 1), phi_from_catalog("zloglin", alpha=0.0)
+    x = np.concatenate([-np.geomspace(1e-3, 1e3, 13), np.geomspace(1e-3, 1e3, 13)])
+    x = x[np.abs(x) != 1.0]
+    z = (x[:, None] + 1j * np.geomspace(1e-6, 1e2, 5)[None, :]).ravel()
+    for f, g, points in ((phi.eval, catalog.eval, z), (phi.boundary, catalog.boundary, x)):
+        ref = g(points)
+        assert np.all(np.abs(f(points) - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    cfg = write_config(tmp_path, {"phi": {"nevanlinna": {"alpha": 1.0, "beta": 1.0, "densities": [
+        {"name": "poisson", "interval": ["-inf", -1]}]}}, "format": "json"})
+    assert run(["clark", "--config", cfg, "--out", str(tmp_path), "--tau=0"]) == 0
+    rows = json.loads((tmp_path / "clark.json").read_text())["rows"]
+    assert [r["normalized"] for r in rows] == ["true"]
+
+
+# -- representation configs ------------------------------------------------------------
+
+_README_MAP = {"alpha": 1.0, "beta": 1.0, "atoms": [[0.0, 1.0]],
+               "densities": [{"name": "uniform", "interval": [0, 1], "mass": 0.5}]}
+_HALFLINE = [{"name": "poisson", "interval": ["-inf", -1]}]
+
+#: config block -> exit codes of eval, clark, constants and similarity
+_REPRESENTATION_ROWS = {
+    "cantor": ({"alpha": 0.0, "beta": 1.0,
+                "sc": [{"interval": [0, 1], "mass": 1.0, "depth": 10}]}, (0, 2, 2, 2)),
+    "beta2": ({"alpha": 0.0, "beta": 2.0}, (0, 2, 2, 2)),
+    "empty": ({"alpha": 0.5, "beta": 1.0}, (0, 0, 0, 0)),
+    "halfline": ({"alpha": 1.0, "beta": 1.0, "densities": _HALFLINE}, (0, 0, 0, 2)),
+    "halfline_atom": ({"alpha": 1.0, "beta": 1.0, "atoms": [[2.0, 0.5]], "densities": _HALFLINE},
+                      (0, 0, 0, 2)),
+    "atoms3": ({"alpha": 1.0, "beta": 1.0, "atoms": [[-1.0, 0.5], [0.0, 1.0], [2.0, 0.3]]},
+               (0, 0, 0, 0)),
+    "translation_pole": ({"alpha": 1.0, "beta": 1.0, "atoms": [[0.0, 1.0]]}, (0, 0, 0, 0)),
+    "readme": (dict(_README_MAP, sc=[{"interval": [0, 1], "mass": 0.5, "depth": 16,
+                                      "middle": 0.3333}]), (0, 2, 2, 2)),
+    "readme_no_cantor": (_README_MAP, (0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPRESENTATION_ROWS))
+def test_representation_config_matrix(tmp_path, capsys, name):
+    """eval, clark, constants and similarity on representation configs,
+    on the small grids of _density_config, exit with the codes listed:
+    2 names a Cantor part (no real-branch enumeration), beta != 1, or a
+    support that is not compact (similarity's certificate).  The poisson
+    half-line rows exited 2 while a config density's mass defaulted to
+    hi - lo.  Each run writes at most one stderr line and no traceback,
+    and clark with --jobs 2 writes the bytes of --jobs 1."""
+    block, codes = _REPRESENTATION_ROWS[name]
+    cfg = _small_grid_config(tmp_path, block)
+    commands = (["eval", "--points", "-0.5,0.25,0.5+0.001j,1.5,2.5"], ["clark", "--tau=0,0.5"],
+                ["constants"], ["similarity"])
+    for command, code in zip(commands, codes):
+        assert run([command[0], "--config", cfg, "--out", str(tmp_path)] + command[1:]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert run(["clark", "--config", cfg, "--out", str(out), "--tau=0,0.5",
+                    "--jobs", jobs]) == codes[1]
+    if codes[1] == 0:
+        assert (outs[0] / "clark.json").read_bytes() == (outs[1] / "clark.json").read_bytes()

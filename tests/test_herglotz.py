@@ -186,7 +186,7 @@ def test_untabulable_branch_is_package_error():
     from uhprange import Branch, UhprangeError
     from uhprange._roots import BranchTable
     with pytest.raises(UhprangeError, match="could not be tabulated"):
-        BranchTable(Branch(0.0, 1.0), lambda x: np.full(np.shape(x), np.nan))
+        BranchTable(Branch(0.0, 1.0), lambda x: (np.full(np.shape(x), np.nan), None))
 
 
 def test_branch_table_drops_nan_probes():
@@ -203,7 +203,7 @@ def test_branch_table_drops_nan_probes():
         y = np.log(x / (1.0 - x))
         y[np.isin(x, xs[:5])] = np.nan
         return y
-    tbl = BranchTable(branch, f)
+    tbl = BranchTable(branch, lambda x: (f(x), None))
     assert np.array_equal(tbl.xs, xs[5:]) and np.array_equal(tbl.ys, np.log(xs[5:] / (1 - xs[5:])))
     maps = [phi_from_catalog(name, **({"alpha": 0.5} if name in ("zloglin", "sqrtpole") else {}))
             for name in ("sqrt", "zlog", "zloglin", "sqrtpole")]

@@ -195,6 +195,12 @@ def test_mc_tail_cantor():
         assert abs(est - tail_set_measure(G, 2.0, side)) <= 3 * err
 
 
+def test_mc_oracle_needs_a_sample():
+    for n in (0, -3):
+        with pytest.raises(PreconditionError, match="n >= 1"):
+            mc_oracle_measure(phi_identity(), (0.0, 1.0), n=n)
+
+
 def test_mc_window_too_small():
     with pytest.raises(WindowError):
         mc_oracle_measure(phi_identity(), (0.0, 1.0), n=10**5, seed=0,

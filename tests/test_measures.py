@@ -245,9 +245,9 @@ def test_pv_cauchy_substituted_batch_invariant(xs):
 
 # -- density pieces given by a callable, far from and next to their ends ------------
 
-from uhprange.herglotz import _kernel, _kernel_derivative  # noqa: E402
+from uhprange.herglotz import _kernel, _kernel_derivative, _kernel_pair  # noqa: E402
 from uhprange.measures import (_NEAR_END, cauchy_kernel, cauchy_kernel_derivative,  # noqa: E402
-                               cauchy_value_and_slope, kernel_integral)
+                               cauchy_kernel_pair, kernel_integral)
 
 _EPS = np.finfo(float).eps
 
@@ -557,18 +557,20 @@ def _off_support_points(mu):
 
 @pytest.mark.parametrize("name", sorted(_FUSED))
 def test_value_and_slope_in_one_pass(name):
-    """Off the support, cauchy_value_and_slope gives kernel_integral's G
-    bit for bit and its G' (derivative kernel) within 4 ulp, and each
-    point alone gives the batch's bits: atoms, Cantor nodes, named pieces
-    and a piece given by a callable."""
+    """Off the support, the Cauchy and the representation pair give
+    kernel_integral's value bit for bit and its slope (derivative kernel)
+    within 4 ulp, and each point alone gives the batch's bits: atoms,
+    Cantor nodes, named pieces and a piece given by a callable."""
     mu = _FUSED[name]
     x = _off_support_points(mu)
-    g, dg = cauchy_value_and_slope(mu, x)
-    assert np.array_equal(g, kernel_integral(mu, cauchy_kernel, x))
-    ref = kernel_integral(mu, cauchy_kernel_derivative, x)
-    assert np.all(np.abs(dg - ref) <= 4.0 * np.spacing(np.abs(ref)))
-    alone = np.asarray([cauchy_value_and_slope(mu, x[k:k + 1]) for k in range(x.size)])
-    assert np.array_equal(alone[:, :, 0].T, np.asarray([g, dg]))
+    for pair, kernel, derivative in ((cauchy_kernel_pair, cauchy_kernel, cauchy_kernel_derivative),
+                                     (_kernel_pair, _kernel, _kernel_derivative)):
+        g, dg = kernel_integral(mu, pair, x)
+        assert np.array_equal(g, kernel_integral(mu, kernel, x))
+        ref = kernel_integral(mu, derivative, x)
+        assert np.all(np.abs(dg - ref) <= 4.0 * np.spacing(np.abs(ref)))
+        alone = np.asarray([kernel_integral(mu, pair, x[k:k + 1]) for k in range(x.size)])
+        assert np.array_equal(alone[:, :, 0].T, np.asarray([g, dg]))
     G = cauchy_transform(mu)
     assert np.array_equal(G.real_value(x, slope=True)[0], G.real_value(x))
 
@@ -658,6 +660,33 @@ def test_plemelj_boundary_matches_closed_form(name):
     z = xs + 1e-200j
     ref = 0.5 + z + exact(_kernel, z)
     assert np.all(np.abs(phi.boundary(xs) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_boundary_matches_the_plemelj_formula():
+    """phi(x + i0), one kernel pass, equals Plemelj's formula
+    alpha + (beta + |rho|) x + (1+x^2) G(x + i0), G the Cauchy transform of
+    rho, within 1e-13 relative: inside a named and a callable piece,
+    between the pieces, inside the Cantor hull, on the piece ends (+-inf)
+    and at the atoms (inf).  On the branches boundary_real has the bits of
+    the value half of the branch tables' (value, slope) callable."""
+    rho = (RealMeasure.from_atoms([(-3.0, 0.4), (4.5, 0.2)])
+           .combined(RealMeasure.uniform(-2.0, -1.0, mass=0.5))
+           .combined(RealMeasure(ac_pieces=(AcPiece(0.0, 1.0, _poisson),)))
+           .combined(RealMeasure.cantor(2.0, 3.0, 0.3, depth=8)))
+    phi = phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, rho))
+    x = np.concatenate([np.linspace(-1.95, -1.05, 7), np.linspace(0.05, 0.95, 7),
+                        [-1e3, -40.0, -3.5, -2.5, -0.5, 1.5, 2.2, 2.5, 3.5, 4.0, 7.0, 1e3],
+                        [-2.0, -1.0, 0.0, 1.0, -3.0, 4.5]])
+    g = kernel_integral(rho, cauchy_kernel, x, pv=True)
+    scale = 1.0 + x * x
+    ref = 0.5 + (1.0 + rho.total_mass()) * x + scale * g.real + 1j * (scale * g.imag)
+    got = phi.boundary(x)
+    assert np.all(np.abs(got[:-6] - ref[:-6]) <= 1e-13 * np.abs(ref[:-6]))
+    assert np.array_equal(got[-6:], ref[-6:])
+    assert list(got[-6:].real) == [math.inf, -math.inf, math.inf, -math.inf, math.inf, math.inf]
+    on = x[phi._on_branch_mask(x)]
+    assert on.size == 10
+    assert np.array_equal(phi.boundary_real(on), phi._boundary_and_slope(on)[0])
 
 
 def test_boundary_on_a_density_end():
