@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -162,20 +163,36 @@ class PhiFunction:
         self._require_branches()
         return [self.branch_table(b) for b in self.real_branches]
 
-    def pullback(self, lo, hi) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per real branch, the clamped preimages (xa, xb) of the intervals
-        (lo, hi), shaped like lo and hi: every distinct end is solved once,
-        and an infinite end maps to the branch's own end."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        ends, inv = np.unique(np.concatenate([lo.ravel(), hi.ravel()]), return_inverse=True)
-        solved = ~np.isinf(ends)
-        out = []
-        for tbl in self.branch_tables():
-            x = np.where(ends < 0.0, tbl.branch.left, tbl.branch.right)
-            x[solved] = tbl.solve_clamped(ends[solved])
-            x = x[inv]
-            out.append((x[:lo.size].reshape(lo.shape), x[lo.size:].reshape(hi.shape)))
-        return out
+    def pullback(self, lo, hi) -> np.ndarray:
+        """The nonempty clamped preimages of the intervals (lo_k, hi_k), k
+        the flat index, as rows (k, xa, xb), branch by branch: every distinct
+        end is solved once per branch, and an infinite end maps to the
+        branch's own end."""
+        lo, hi = (np.asarray(v, dtype=float).ravel() for v in (lo, hi))
+        ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        solved, tables = ~np.isinf(ends), self.branch_tables()
+        x = np.empty((len(tables), ends.size))
+        for i, tbl in enumerate(tables):
+            x[i] = np.where(ends < 0.0, tbl.branch.left, tbl.branch.right)
+            x[i, solved] = tbl.solve_clamped(ends[solved])
+        xa, xb = x[:, inv[:lo.size]], x[:, inv[lo.size:]]
+        del x  # freed before the rows are built: the peak of a deep power's pullback
+        keep = xb > xa
+        # stored by column, so that pulling the rows back reads contiguous ends
+        return np.stack([np.flatnonzero(keep) % lo.size, xa[keep], xb[keep]]).T
+
+    def pullbacks(self, lo, hi):
+        """Yields the preimages of the intervals (lo_k, hi_k) under phi, phi_2,
+        phi_3, ... as pullback's rows (k, xa, xb): power n's rows are power
+        n - 1's pulled back through the map, phi_n^-1(I) = phi^-1(phi_(n-1)^-1(I)),
+        each keeping the k of the row it came from.  No composition is
+        tabulated."""
+        rows = self.pullback(lo, hi)
+        while True:
+            yield rows
+            pulled = self.pullback(rows[:, 1], rows[:, 2])
+            pulled[:, 0] = rows[pulled[:, 0].astype(int), 0]
+            rows = pulled
 
     def _require_branches(self):
         if not self.branches_complete:
@@ -198,7 +215,7 @@ class PhiFunction:
     def preimage_window(self, lo: float, hi: float, pad_frac: float = 0.1) -> tuple[float, float]:
         """A finite window provably containing {x: phi(x) in [lo, hi]} up to
         the outward scan limit, padded for Monte Carlo use."""
-        ends = [float(x[0]) for pair in self.pullback([lo], [hi]) for x in pair]
+        ends = self.pullback([lo], [hi])[:, 1:].ravel().tolist()
         for (l, r) in self.nonreal_segments:
             if np.isfinite(l):
                 ends.append(l)
@@ -323,26 +340,22 @@ class IteratedPhi(PhiFunction):
 
     A point belongs to a real branch of the composition exactly when its
     forward orbit stays on real branches of the base map, so the branch
-    list is built by pulling the previous level's branches back through
-    each increasing branch of the base.
+    list is the base map's branches pulled back n - 1 times through the
+    base, and a preimage under the composition is one pulled back n times.
     """
 
     def __init__(self, base: PhiFunction, n: int):
-        branches = list(base.real_branches)
-        for _ in range(n - 1):
-            # preimages narrower than 1e-11 of their scale are dropped
-            pulled = base.pullback(*np.asarray([(b.left, b.right) for b in branches]).T)
-            branches = []
-            for xa, xb in pulled:
-                for lo, hi in zip(xa.tolist(), xb.tolist()):
-                    scale = max(1.0, abs(lo) if np.isfinite(lo) else 0.0,
-                                abs(hi) if np.isfinite(hi) else 0.0)
-                    if hi > lo and (not np.isfinite(hi - lo) or hi - lo > 1e-11 * scale):
-                        branches.append(Branch(lo, hi))
-            branches.sort(key=lambda b: b.left)
-            if not branches:
-                raise UnsupportedStructureError(
-                    f"branch pullback emptied at depth while iterating {base.name}")
+        ends = np.asarray([(b.left, b.right) for b in base.real_branches]).T
+        rows = next(islice(base.pullbacks(*ends), n - 2, None))
+        # preimages narrower than 1e-11 of their scale (the larger finite
+        # end, at least 1) are dropped
+        size = np.where(np.isinf(rows[:, 1:]), 0.0, np.abs(rows[:, 1:]))
+        wide = rows[:, 2] - rows[:, 1] > 1e-11 * np.max(size, axis=1, initial=1.0)
+        branches = sorted((Branch(lo, hi) for lo, hi in rows[wide, 1:].tolist()),
+                          key=lambda b: b.left)
+        if not branches:
+            raise UnsupportedStructureError(
+                f"branch pullback emptied at depth while iterating {base.name}")
         finite_ends = [e for b in branches for e in (b.left, b.right) if np.isfinite(e)]
         hull = None
         if finite_ends:
@@ -356,6 +369,12 @@ class IteratedPhi(PhiFunction):
                          excluded_points=base.excluded_points)
         self.base = base
         self.n = n
+
+    def pullback(self, lo, hi) -> np.ndarray:
+        """The preimages of the intervals (lo_k, hi_k) as rows (k, xa, xb),
+        pulled back n times through the base map's own tables (pullbacks):
+        no table of the composition is built."""
+        return next(islice(self.base.pullbacks(lo, hi), self.n - 1, None))
 
     def _eval_complex(self, z):
         w = z
@@ -378,11 +397,14 @@ class IteratedPhi(PhiFunction):
         return prod
 
     def _step_value(self, w):
-        """One base step: boundary values on the real line, else interior."""
+        """One base step: boundary values on the real line, else interior.
+        A real +-inf (the base map's value at an atom) stays where it is for
+        beta > 0, as phi(x) ~ beta x at infinity."""
         real = w.imag == 0.0
-        out = np.empty(w.shape, dtype=complex)
-        if real.any():
-            out[real] = self.base._boundary_complex(w[real].real)
+        step = real & ~(np.isinf(w.real) & (self.base.beta > 0))
+        out = w.copy()
+        if step.any():
+            out[step] = self.base._boundary_complex(w[step].real)
         if (~real).any():
             out[~real] = self.base._eval_complex(w[~real])
         return out

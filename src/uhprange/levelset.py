@@ -42,6 +42,14 @@ class DiskQuery:
 # -- interval preimages --------------------------------------------------------
 
 
+def row_measure(rows: np.ndarray, shape) -> np.ndarray:
+    """The Lebesgue measure of each query's preimage, shaped ``shape``, from
+    its rows (k, u, v), k the query's flat index: the widths v - u summed
+    per query in row order."""
+    return np.bincount(rows[:, 0].astype(int), rows[:, 2] - rows[:, 1],
+                       minlength=math.prod(shape)).reshape(shape)
+
+
 def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> IntervalSet:
     """{x : phi(x) real and in (a, b)}, one subinterval per real branch.
 
@@ -53,7 +61,7 @@ def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> In
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise PreconditionError("interval must be finite with a < b")
-    return IntervalSet.build([(xa[0], xb[0]) for xa, xb in phi.pullback([a], [b])])
+    return IntervalSet.build(phi.pullback([a], [b])[:, 1:].tolist())
 
 
 def preimage_interval_measure(phi: PhiFunction, interval: tuple[float, float]
@@ -146,19 +154,28 @@ def disk_panels(phi: PhiFunction, a, b, tol: float = 1e-8) -> tuple[np.ndarray, 
     return rows, open_width.reshape(a.size, nseg).sum(axis=1)
 
 
+def disk_measures(phi: PhiFunction, a, b, tol: float = 1e-8
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measures of the disks' preimages over (a_k, b_k), shaped like a, and
+    the rows (k, u, v) they sum: the real-branch preimages of the diameters
+    (real values in a disk are those in its diameter, phi.pullback) and the
+    boundary panels (disk_panels)."""
+    panels, _ = disk_panels(phi, a, b, tol=tol)
+    real = phi.pullback(a, b)
+    shape = np.shape(a)
+    return row_measure(real, shape) + row_measure(panels, shape), real, panels
+
+
 def disk_preimages(phi: PhiFunction, a, b, tol: float = 1e-8
                    ) -> tuple[list[IntervalSet], np.ndarray]:
-    """Preimages of the disks over (a_k, b_k), with unresolved widths: the
-    real-branch preimage of (a_k, b_k) (real values in the disk are those
-    in its diameter) plus the boundary panels.  Every distinct endpoint is
-    solved once per branch and one disk_panels call serves all disks."""
-    rows, unresolved = disk_panels(phi, a, b, tol=tol)
+    """Preimages of the disks over (a_k, b_k) as sets, with unresolved
+    widths: the rows of disk_measures, one IntervalSet per disk."""
     a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
-    ends = phi.pullback(a, b)
+    panels, unresolved = disk_panels(phi, a, b, tol=tol)
+    rows = np.concatenate([phi.pullback(a, b), panels])
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
     cuts = np.searchsorted(rows[:, 0], np.arange(a.size + 1))
-    sets = [IntervalSet.build([(xa[k], xb[k]) for xa, xb in ends]
-                              + rows[cuts[k]:cuts[k + 1], 1:].tolist())
-            for k in range(a.size)]
+    sets = [IntervalSet.build(rows[cuts[k]:cuts[k + 1], 1:].tolist()) for k in range(a.size)]
     return sets, unresolved
 
 
@@ -170,19 +187,18 @@ def preimage_disk_set(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
 
 
 def preimage_disk_measure(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8) -> float:
-    s, _ = preimage_disk_set(phi, q, tol=tol)
-    return s.total_length
+    """The one-disk case of disk_measures."""
+    return float(disk_measures(phi, [q.a], [q.b], tol=tol)[0][0])
 
 
 def resolvent_tail_measures(phi: PhiFunction, taus, ys) -> np.ndarray:
     """|{Re G_tau > y}| and |{Re G_tau < -y}| for G_tau = 1/(tau - phi), shape
     (len(taus), len(ys), 2): the preimages of the disks of diameter 1/y
-    touching tau from the left and the right, in one disk_preimages call."""
+    touching tau from the left and the right, in one disk_measures call."""
     t, step = np.asarray(taus, dtype=float)[:, None], 1.0 / np.asarray(ys, dtype=float)
     a = np.stack(np.broadcast_arrays(t - step, t), axis=-1)
     b = np.stack(np.broadcast_arrays(t, t + step), axis=-1)
-    sets, _ = disk_preimages(phi, a, b)
-    return np.asarray([s.total_length for s in sets]).reshape(a.shape)
+    return disk_measures(phi, a, b)[0]
 
 
 # -- tail sets of Cauchy transforms ---------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .cauchy import cauchy_transform
 from .clark import clark_singular_masses
 from .errors import OrbitBreakError, PreconditionError
 from .herglotz import PhiFunction, require_contraction
-from .levelset import disk_panels, preimage_interval_measure, tail_measures
-from .measures import IntervalSet, RealMeasure
+from .levelset import disk_measures, preimage_interval_measure, row_measure, tail_measures
+from .measures import RealMeasure
 
 VERDICT_FLOOR = 1e-3
 CROSS_GAP_TOL = 0.05
@@ -184,27 +185,6 @@ def _grid_intervals(grid: QueryGrid) -> tuple[np.ndarray, np.ndarray]:
     return centers - half, centers + half
 
 
-def _interval_measures(phi: PhiFunction, grid: QueryGrid
-                       ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Matrix of interval-preimage measures, shape (n_lengths, n_centers),
-    and the per-branch preimage endpoints (xa, xb) of every interval."""
-    a, b = _grid_intervals(grid)
-    ends = phi.pullback(a, b)
-    out = np.zeros(a.shape)
-    for xa, xb in ends:
-        out += np.maximum(xb - xa, 0.0)
-    return out, ends
-
-
-def _nonempty(owner: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-branch preimages (xa, xb) of flat interval k, owned by
-    owner[k], as flat (owner, lo, hi) rows, branch by branch, empty ones
-    dropped."""
-    lo, hi = (np.concatenate([x.ravel() for x in side]) for side in zip(*ends))
-    keep = hi > lo
-    return np.tile(owner, len(ends))[keep], lo[keep], hi[keep]
-
-
 def _grid_min(ratios: np.ndarray, grid: QueryGrid) -> ConstantEstimate:
     """Minimum of a (n_lengths, n_centers) ratio matrix and its interval."""
     i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
@@ -218,27 +198,17 @@ def constant_B(phi: PhiFunction, grid: QueryGrid | None = None) -> ConstantEstim
     """Infimum over the grid of |preimage of (a,b)| / (b-a)."""
     require_contraction(phi)
     grid = grid or default_grid(phi)
-    measures, _ = _interval_measures(phi, grid)
+    a, b = _grid_intervals(grid)
+    measures = row_measure(phi.pullback(a, b), a.shape)
     return _grid_min(measures / np.asarray(grid.lengths)[:, None], grid)
-
-
-def _disk_sweep(phi: PhiFunction, grid: QueryGrid, interval_measures: np.ndarray,
-                tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Disk-preimage measures over the grid, from the interval-preimage
-    measures, and the boundary panels inside each disk as rows
-    (flat query index, u, v) for the weighted numerator."""
-    panels, _ = disk_panels(phi, *_grid_intervals(grid), tol=tol)
-    widths = np.bincount(panels[:, 0].astype(int), panels[:, 2] - panels[:, 1],
-                         minlength=interval_measures.size)
-    return interval_measures + widths.reshape(interval_measures.shape), panels
 
 
 def constant_C(phi: PhiFunction, grid: QueryGrid | None = None) -> ConstantEstimate:
     """Infimum over the grid of |preimage of the disk over (a,b)| / (b-a)."""
     require_contraction(phi)
     grid = grid or default_grid(phi)
-    measures, _ = _disk_sweep(phi, grid, _interval_measures(phi, grid)[0])
-    return _grid_min(measures / np.asarray(grid.lengths)[:, None], grid)
+    a, b = _grid_intervals(grid)
+    return _grid_min(disk_measures(phi, a, b)[0] / np.asarray(grid.lengths)[:, None], grid)
 
 
 def constant_D(phi: PhiFunction, tau_grid=None, y_grid=_D_Y_GRID) -> ConstantEstimate:
@@ -268,18 +238,14 @@ class AUpperResult:
     rayleigh_quotients: dict
 
 
-def _weighted_numerators(phi: PhiFunction, ends, panels: np.ndarray, n: int) -> np.ndarray:
-    """Integral of 1/(1+|phi|^2) over each of n disk preimages: the
-    (query, u, v) panel rows, then the real-branch intervals of the
-    per-branch ends (xa, xb), query q being flat index q of xa and xb."""
-    owner, lo, hi = _nonempty(np.arange(n), ends)
-    owner = np.concatenate([panels[:, 0].astype(int), owner])
-    lo, hi = np.concatenate([panels[:, 1], lo]), np.concatenate([panels[:, 2], hi])
-
+def _weighted_numerators(phi: PhiFunction, rows: np.ndarray, n: int) -> np.ndarray:
+    """Integral of 1/(1+|phi|^2) over each of n disk preimages, given as
+    rows (query, u, v)."""
     def weight(x: np.ndarray, _query: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.abs(phi.boundary(x)) ** 2)
 
-    return np.real(_quad.integrate_pieces(weight, lo, hi, owner, n, tol=1e-11))
+    return np.real(_quad.integrate_pieces(weight, rows[:, 1], rows[:, 2],
+                                          rows[:, 0].astype(int), n, tol=1e-11))
 
 
 def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
@@ -293,8 +259,8 @@ def constant_A_upper(phi: PhiFunction, interval: tuple[float, float],
     """
     require_contraction(phi)
     a, b = float(interval[0]), float(interval[1])
-    ends = phi.pullback([a], [b])
-    num = _weighted_numerators(phi, ends, disk_panels(phi, [a], [b])[0], 1)[0]
+    _, real, panels = disk_measures(phi, [a], [b])
+    num = _weighted_numerators(phi, np.concatenate([panels, real]), 1)[0]
     den = math.atan(b) - math.atan(a)
     evidence = _rayleigh_evidence(phi, (a, b), c_values) if with_rayleigh else {}
     return AUpperResult(value=num / den, interval=(a, b), rayleigh_quotients=evidence)
@@ -354,14 +320,14 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
     taus = default_tau_grid(phi) if tau_grid is None else tuple(tau_grid)
     d_res = constant_D(phi, tau_grid=taus)  # rejects a malformed tau grid up front
 
+    a, b = _grid_intervals(grid)
     lengths = np.asarray(grid.lengths)[:, None]
-    interval_meas, ends = _interval_measures(phi, grid)
-    disk_meas, panels = _disk_sweep(phi, grid, interval_meas)
-    b_est = _grid_min(interval_meas / lengths, grid)
+    disk_meas, real, panels = disk_measures(phi, a, b)
+    b_est = _grid_min(row_measure(real, a.shape) / lengths, grid)
     c_est = _grid_min(disk_meas / lengths, grid)
 
     # weighted numerator over the same disk queries
-    num = _weighted_numerators(phi, ends, panels, disk_meas.size).reshape(disk_meas.shape)
+    num = _weighted_numerators(phi, np.concatenate([panels, real]), a.size).reshape(a.shape)
     den = np.asarray([[math.atan(c + 0.5 * l) - math.atan(c - 0.5 * l) for c in grid.centers]
                       for l in grid.lengths])
     a_est = _grid_min(num / den, grid)
@@ -417,9 +383,7 @@ def letac_check(phi: PhiFunction, intervals) -> float:
     a, b = np.asarray(intervals, dtype=float).reshape(-1, 2).T
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise PreconditionError("interval must be finite with a < b")
-    ends = phi.pullback(a, b)
-    meas = np.asarray([IntervalSet.build([(xa[k], xb[k]) for xa, xb in ends]).total_length
-                       for k in range(a.size)])
+    meas = row_measure(phi.pullback(a, b), a.shape)
     return float(np.max(np.abs(meas - (b - a)) / (b - a), initial=0.0))
 
 
@@ -612,18 +576,15 @@ def similarity_lower_bound(phi: PhiFunction, N: int = 6,
 
     Power 1 is constant_B.  The preimages under power n are those under
     power n - 1 pulled back through the base map's branches,
-    phi_n^-1(I) = phi^-1(phi_(n-1)^-1(I)); each pulled interval keeps the
-    grid interval it came from."""
+    phi_n^-1(I) = phi^-1(phi_(n-1)^-1(I)) (PhiFunction.pullbacks, the loop
+    behind phi.iterate(n).pullback); each pulled interval keeps the grid
+    interval it came from."""
     require_contraction(phi)
     if int(N) < 1:
         raise PreconditionError(f"composition depth must be at least 1, not {N}")
     grid = grid or default_grid(phi)
+    a, b = _grid_intervals(grid)
     lengths = np.asarray(grid.lengths)[:, None]
-    measures, ends = _interval_measures(phi, grid)
-    values = [_grid_min(measures / lengths, grid).value]
-    owner, lo, hi = _nonempty(np.arange(measures.size), ends)
-    for _ in range(1, int(N)):
-        owner, lo, hi = _nonempty(owner, phi.pullback(lo, hi))
-        pulled = np.bincount(owner, hi - lo, minlength=measures.size)
-        values.append(_grid_min(pulled.reshape(measures.shape) / lengths, grid).value)
+    values = [_grid_min(row_measure(rows, a.shape) / lengths, grid).value
+              for rows in islice(phi.pullbacks(a, b), int(N))]
     return SimilarityLowerBound(values=tuple(values), minimum=min(values), max_depth=int(N))

@@ -175,6 +175,20 @@ def test_iterate_branch_pullback():
         assert np.all(np.diff(ys) > 0)
 
 
+def test_iterate_carries_a_pole_value():
+    """The base map's inf at an atom passes through the next step unchanged
+    (phi(x) ~ x at infinity), so the composition's branch tables build and
+    its Clark atoms keep Letac's total mass 1."""
+    from uhprange import clark_atoms
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(
+        [(-1.0, 0.5), (0.0, 1.0), (2.0, 0.3)])))
+    phi3 = phi.iterate(3)
+    assert phi3.boundary(np.asarray([0.0]))[0] == complex(math.inf, 0.0)
+    atoms = clark_atoms(phi3, 0.3)
+    assert len(atoms) == 64  # four full-range branches, 4**3 roots
+    assert abs(sum(m for _, m in atoms) - 1.0) < 1e-12
+
+
 def test_beta_not_one_rejected_by_analysis():
     from uhprange import clark_measure
     phi = phi_from_nevanlinna(NevanlinnaData(0.0, 2.0, RealMeasure.zero()))

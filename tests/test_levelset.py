@@ -9,7 +9,7 @@ from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, RealMeasure,
                       phi_translation, preimage_disk_measure,
                       preimage_interval_measure, tail_set_measure)
 from uhprange._roots import SOLVE_SLICE
-from uhprange.levelset import disk_panels, disk_preimages, tail_measures
+from uhprange.levelset import disk_measures, disk_panels, disk_preimages, tail_measures
 from uhprange.measures import AcPiece
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -276,6 +276,7 @@ def test_disk_preimages_batch_invariant(name, disks):
     b = np.asarray([c + 0.5 * l for c, l in disks])
     rows, unresolved = disk_panels(phi, a, b)
     sets, unresolved_sets = disk_preimages(phi, a, b)
+    measures = disk_measures(phi, a, b)[0]
     assert np.array_equal(unresolved, unresolved_sets)
     for k in range(len(a)):
         one_rows, one_unresolved = disk_panels(phi, a[k:k + 1], b[k:k + 1])
@@ -285,6 +286,8 @@ def test_disk_preimages_batch_invariant(name, disks):
         assert unresolved[k] == one_unresolved[0]
         assert sets[k] == one_set
         assert sets[k].total_length == preimage_disk_measure(phi, DiskQuery(a[k], b[k]))
+        # the row sums of disk_measures and the merged sets agree bit for bit
+        assert measures[k] == sets[k].total_length
 
 
 _UNIFORM_HALF = RealMeasure.uniform(0.0, 1.0, mass=0.5)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from uhprange import (NevanlinnaData, PreconditionError, QueryGrid, RealMeasure,
-                      backward_orbit, constant_B, contraction_check,
+                      backward_orbit, constant_B, constant_C, contraction_check,
                       phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, similarity_certificate,
                       similarity_lower_bound)
+from uhprange._roots import BranchTable
 from uhprange.range_analysis import _orbit_product_log_bound
 
 
@@ -141,16 +142,56 @@ def test_lower_bound_sqrtpole_powers():
     assert min(lb.values) > 0.1, lb.values
 
 
+_THREE_ATOMS = [(-1.0, 0.5), (0.0, 1.0), (2.0, 0.3)]
+_POWER_MAPS = {
+    "zloglin5": lambda: phi_from_catalog("zloglin", alpha=5.0),
+    "translation_pole": lambda: phi_from_nevanlinna(
+        NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0))),
+    "three_atoms": lambda: phi_from_nevanlinna(
+        NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(_THREE_ATOMS))),
+}
+_REF_GRID = QueryGrid(tuple(np.linspace(-8.0, 8.0, 17).tolist()), (1.0, 0.25, 1.0 / 16.0))
+
+
+def _composed_table_ratio(phi, n, grid):
+    """The interval-ratio infimum of phi_n from tables of the composition
+    itself, one per branch of phi.iterate(n), summing clamped widths: a
+    reference independent of the pulled-back preimages."""
+    it = phi.iterate(n)
+    a = np.asarray(grid.centers)[None, :] - 0.5 * np.asarray(grid.lengths)[:, None]
+    b = np.asarray(grid.centers)[None, :] + 0.5 * np.asarray(grid.lengths)[:, None]
+    total = np.zeros(a.shape)
+    for branch in it.real_branches:
+        tbl = BranchTable(branch, it._boundary_and_slope)
+        total += np.maximum(tbl.solve_clamped(b) - tbl.solve_clamped(a), 0.0)
+    return float(np.min(total / np.asarray(grid.lengths)[:, None]))
+
+
 def test_lower_bound_powers_match_composed_tables():
-    """On zloglin(5), which has no poles, the pulled powers agree with
-    constant_B on the tables of the composed map; power 1 is constant_B."""
-    phi = phi_from_catalog("zloglin", alpha=5.0)
-    grid = QueryGrid(tuple(np.linspace(-8.0, 8.0, 17).tolist()), (1.0, 0.25, 1.0 / 16.0))
-    lb = similarity_lower_bound(phi, N=5, grid=grid)
-    assert lb.values[0] == constant_B(phi, grid).value
-    for n, value in enumerate(lb.values[1:], start=2):
-        ref = constant_B(phi.iterate(n), grid).value
-        assert abs(value - ref) <= 1e-8 * ref, (n, value, ref)
+    """The pulled powers agree with the composed map's own branch tables
+    (on the 3-atom map this needs the pole value carried through a step);
+    power 1 is constant_B."""
+    for name, N in (("zloglin5", 5), ("three_atoms", 3)):
+        phi = _POWER_MAPS[name]()
+        lb = similarity_lower_bound(phi, N=N, grid=_REF_GRID)
+        assert lb.values[0] == constant_B(phi, _REF_GRID).value
+        for n, value in enumerate(lb.values[1:], start=2):
+            ref = _composed_table_ratio(phi, n, _REF_GRID)
+            assert abs(value - ref) <= 1e-8 * ref, (name, n, value, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(_POWER_MAPS))
+def test_iterate_preimages_are_the_power_loop(name, n):
+    """constant_B and constant_C of phi.iterate(n) pull preimages back
+    through the base map, as similarity_lower_bound does: the same bits, and
+    no table of the composition is built."""
+    phi = _POWER_MAPS[name]()
+    it = phi.iterate(n)
+    assert constant_B(it, _REF_GRID).value == similarity_lower_bound(
+        phi, n, _REF_GRID).values[n - 1]
+    constant_C(it, _REF_GRID)
+    assert it._tables == {}
 
 
 def test_lower_bound_sqrt_decays():
