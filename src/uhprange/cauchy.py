@@ -71,15 +71,25 @@ class CauchyTransform:
             out = kernel_integral(self.measure, cauchy_kernel, arr, tol=tol)
         return out if np.ndim(x) else float(out[0])
 
-    def boundary_re(self, x) -> np.ndarray:
-        """Re G(x + i0); principal value inside absolutely continuous support."""
+    def boundary_re(self, x, slope: bool = False):
+        """Re G(x + i0); principal value inside absolutely continuous support.
+        With ``slope`` (measure sources), the pair (Re G, Re G') in the shape
+        of x from one cauchy_kernel_pair pass, G' = d/dx G(x + i0) (NaN
+        inside a piece without a closed form); Re G has the same bits
+        either way."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         if self.kind == "phi_tau":
+            if slope:
+                raise PreconditionError("boundary_re with slope needs a measure source")
             out = self._resolvent_re(arr)
         else:
             hit = arr[np.isin(arr, self._pos)]
             if len(hit):
                 raise DomainError(f"Re G undefined exactly at a point mass ({hit[0]})")
+            if slope:
+                return tuple(v.real for v in kernel_integral(
+                    self.measure, cauchy_kernel_pair, np.asarray(x, dtype=float), tol=1e-10,
+                    pv=True))
             out = kernel_integral(self.measure, cauchy_kernel, arr, tol=1e-10, pv=True).real
         return out if np.ndim(x) else float(out[0])
 

@@ -178,7 +178,7 @@ def cmd_eval(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
 def cmd_clark(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
     taus = ([float(t) for t in args.tau.split(",")] if args.tau
             else [float(t) for t in cfg.get("tau", [0.0])])
-    rows = []
+    rows, grids = [], {}  # id of a density grid -> (grid, its rows awaiting the densities)
     for idx, (tau, cm) in enumerate(zip(taus, clark_measures(phi, taus))):
         rows.append({
             "tau": _fnum(tau),
@@ -191,10 +191,13 @@ def cmd_clark(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
             "tail_gap": _fnum(cm.diagnostics["tsereteli"].tail_gap),
             "normalized": str(cm.diagnostics["normalized"]).lower(),
             "density_file": f"clark_density_{idx}.csv"})
-        # one format per table: "%.12g" prints nan and inf as _fnum does
-        text = [f"# tau={_fnum(tau)} columns=x,density\n"] + [
-            "%.12g,%.12g\n" * len(xs) % tuple(np.column_stack([xs, ds]).ravel().tolist())
-            for (xs, ds) in cm.density_tables]
+        # one format per table, "%.12g" printing nan and inf as _fnum does;
+        # the taus that share a grid share its formatted x column
+        text = [f"# tau={_fnum(tau)} columns=x,density\n"]
+        for (xs, ds) in cm.density_tables:
+            if id(xs) not in grids:
+                grids[id(xs)] = (xs, "%.12g,%%.12g\n" * len(xs) % tuple(xs.tolist()))
+            text.append(grids[id(xs)][1] % tuple(ds.tolist()))
         (out / f"clark_density_{idx}.csv").write_text("".join(text), encoding="utf-8")
     _write_rows(out / "clark", ["tau", "n_atoms", "atoms", "atom_mass", "ac_mass",
                                 "sc_mass", "total_mass", "tail_gap", "normalized",

@@ -303,11 +303,20 @@ def _kernel_pair(t, z, w):
     yield (1.0 + t * t) / d ** 2 * w
 
 
+def _tree_weights(t, w):
+    """(1+tz)/(t-z) = (1+t^2)/(t-z) - t: the tree sums the weights
+    w (1+t^2), and the value adds -sum w t."""
+    return w * (1.0 + t * t), -np.add.reduce(w * t)
+
+
 # (mass, G, G') coefficients (z, 1+z^2, 0) and (1, 2z, 1+z^2)
 _kernel.closed_form = lambda form, z: form.representation(z)
 _kernel.boundary = lambda mass, x, g: x * mass + (1.0 + x * x) * g
+_kernel.tree = (_tree_weights, (0,))
 _kernel_derivative.closed_form = lambda form, z: form.derivative(z)
+_kernel_derivative.tree = (_tree_weights, (1,))
 _kernel_pair.halves = (_kernel, _kernel_derivative)
+_kernel_pair.tree = (_tree_weights, (0, 1))
 
 
 class ClosedFormPhi(PhiFunction):

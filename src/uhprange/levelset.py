@@ -331,7 +331,8 @@ def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarra
     rising crossing and ends at a falling one.  The segment ends count as
     below every level, so a run that reaches one ends there, standing in
     for an unreachable crossing hugging a blow-up point.  The crossings on
-    +Re G and on -Re G are refined in one bisection each.
+    +Re G and on -Re G are refined in one root solve each, with the slope
+    Re G'(x + i0) where every piece is named and by bisection otherwise.
     """
     xs, end, interval = [np.empty(0)], [np.empty(0, dtype=bool)], [np.empty(0, dtype=int)]
     for i, (left, right) in enumerate(acs):
@@ -357,9 +358,17 @@ def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarra
     (kf, first), (kl, last) = np.nonzero(high & ~before), np.nonzero(high & ~after)
     a, b = xs[first - 1], xs[last + 1]
     rise, fall = ~end[first - 1], ~end[last + 1]
+    named = all(p.closed_form is not None for p in G.measure.ac_pieces)
+
+    def crossing(x, s):
+        if named:
+            g, dg = G.boundary_re(x, slope=True)
+            return s * g, s * dg
+        return s * G.boundary_re(x), None
+
     for s in (1.0, -1.0):
         r, f = rise & (sgn[kf] == s), fall & (sgn[kl] == -s)
-        roots = bisect_increasing(lambda x: (s * G.boundary_re(x), None),
+        roots = bisect_increasing(lambda x, s=s: crossing(x, s),
                                   np.concatenate([a[r], xs[last[f]]]),
                                   np.concatenate([xs[first[r]], b[f]]),
                                   np.concatenate([level[kf[r]], -level[kl[f]]]), xtol=1e-13)
@@ -402,11 +411,11 @@ def mc_oracle_measure(target, region, n: int = 10**6, seed: int = 0,
         if target.kind != "measure" or target.measure.ac_pieces:
             raise PreconditionError(
                 "tail oracle supports singular measure transforms only")
-        pos, w = target.point_masses()
+        pos, _ = target.point_masses()
         sgn = 1.0 if side == "upper" else -1.0
 
-        def member(x, pos=pos, w=w, sgn=sgn, y=float(y)):
-            return sgn * atom_sum(cauchy_kernel, pos, w, x) > y
+        def member(x, mu=target.measure, sgn=sgn, y=float(y)):
+            return sgn * atom_sum(cauchy_kernel, mu, x) > y
 
         if window is None:
             reach = 4.0 * target.total_mass / float(y) + 1.0

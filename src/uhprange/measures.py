@@ -28,6 +28,24 @@ SC_EVAL_LEVEL = 12
 _ATOM_CHUNK = 2**14
 _POINTS_PER_CALL = 8
 
+_EPS = np.finfo(float).eps
+
+#: The tree code (NodeTree).  A measure with at least _TREE_NODES nodes
+#: sums them through a tree at the real points of their hull.  A leaf
+#: cell's near zone, the cell widened _TREE_SEPARATION times about its
+#: centre, holds at most _TREE_LEAF nodes, unless the cell is already
+#: _TREE_MIN_CELL of the hull's magnitude wide.  _TREE_TERMS expansion
+#: terms: far nodes lie beyond _TREE_SEPARATION half-widths of the centre
+#: and a point within one, so the value's truncation is below r**p and the
+#: slope's below (p + 1) r**(p - 1) of the direct sum's terms, r =
+#: 1/_TREE_SEPARATION; p is the least that puts both below eps/8.
+_TREE_NODES = 256
+_TREE_LEAF = 32
+_TREE_SEPARATION = 3.0
+_TREE_MIN_CELL = 2.0**-40
+_TREE_TERMS = next(p for p in range(2, 100)
+                   if (p + 1) * _TREE_SEPARATION ** (1 - p) <= _EPS / 8)
+
 #: A point nearer than _NEAR_END |e| to an end e of negative exponent of a
 #: density piece without a closed form is NaN (an end at 0 has no such
 #: points).  The power substitution there resolves t only to its rounding,
@@ -332,6 +350,17 @@ class RealMeasure:
         order = np.argsort(pos) if pos else np.zeros(0, dtype=int)
         return np.asarray(pos, dtype=float)[order], np.asarray(w, dtype=float)[order]
 
+    @cached_property
+    def node_tree(self) -> "NodeTree | None":
+        """The NodeTree of the nodes, where there are at least _TREE_NODES
+        of them over a hull between 2**-900 and 2**900 wide (its cells'
+        half-widths stay normal numbers), else None (built once, on first
+        use)."""
+        pos, w = self.nodes
+        if pos.size < _TREE_NODES or not 2.0**-900 < pos[-1] - pos[0] < 2.0**900:
+            return None
+        return NodeTree(pos, w)
+
 
 def gaps_between(blocks) -> list[tuple[float, float]]:
     """The open gaps of the line left by closed blocks (l, r), sorted, from
@@ -380,7 +409,8 @@ class _ClosedForm:
     so it integrates to z m + H with H = (1+z^2) G; its derivative
     (1+t^2)/(t-z)^2 = 1 + 2z/(t-z) + (1+z^2)/(t-z)^2 has (1, 2z, 1+z^2), which
     is m + H'.  ``boundary`` gives G(x + i0) = p.v. G(x) + i pi rho'(x) inside
-    (a, b), and ``cdf`` rho((a, x]) there.
+    (a, b), ``boundary_slope`` its derivative G'(x + i0), and ``cdf``
+    rho((a, x]) there.
     """
 
     def __init__(self, a: float, b: float, mass: float):
@@ -410,6 +440,9 @@ class _Uniform(_ClosedForm):
     def boundary(self, x):
         return self.height * (np.log((self.b - x) / (x - self.a)) + 1j * math.pi)
 
+    def boundary_slope(self, x):
+        return self.dg(x)
+
     def cdf(self, x):
         return self.height * (x - self.a)
 
@@ -429,6 +462,10 @@ class _Arcsine(_ClosedForm):
 
     def boundary(self, x):
         return 1j * self.mass / (np.sqrt(x - self.a) * np.sqrt(self.b - x))
+
+    def boundary_slope(self, x):
+        xa, xb = x - self.a, x - self.b
+        return -0.5 * self.boundary(x) * (xa + xb) / (xa * xb)
 
     def cdf(self, x):
         share = 2.0 / math.pi * math.asin(math.sqrt(min(x - self.a, self.b - x) / (self.b - self.a)))
@@ -526,6 +563,9 @@ class _Poisson(_ClosedForm):
                    - (np.log(x - a) if math.isfinite(a) else 0.0))
         return (self.c * (log + self.shift) - x * self.mass + 1j * math.pi * self.c) / (1.0 + x * x)
 
+    def boundary_slope(self, x):
+        return (self.derivative(x) - self.mass - 2.0 * x * self.boundary(x)) / (1.0 + x * x)
+
     def cdf(self, x):
         return self.c * (math.atan(x) - math.atan(self.a))
 
@@ -544,8 +584,15 @@ def cauchy_kernel(t, z, w):
     return w / (t - z)
 
 
+def _cauchy_weights(t, w):
+    """The tree's weights v and constant c of the Cauchy kernels:
+    sum_j w_j / (t_j - x) = c + sum_j v_j / (t_j - x), and the slopes alike."""
+    return w, 0.0
+
+
 cauchy_kernel.closed_form = lambda form, z: form.g(z)  # (mass, G, G') coefficients (0, 1, 0)
 cauchy_kernel.boundary = lambda mass, x, g: g  # the Plemelj limit G(x + i0) itself
+cauchy_kernel.tree = (_cauchy_weights, (0,))  # NodeTree.sums' weights and parts
 
 
 def cauchy_kernel_derivative(t, z, w):
@@ -554,6 +601,8 @@ def cauchy_kernel_derivative(t, z, w):
 
 
 cauchy_kernel_derivative.closed_form = lambda form, z: form.dg(z)  # coefficients (0, 0, 1)
+cauchy_kernel_derivative.boundary_slope = lambda form, x: form.boundary_slope(x)  # G'(x + i0)
+cauchy_kernel_derivative.tree = (_cauchy_weights, (1,))
 
 
 def cauchy_kernel_pair(t, z, w):
@@ -565,23 +614,215 @@ def cauchy_kernel_pair(t, z, w):
 
 
 cauchy_kernel_pair.halves = (cauchy_kernel, cauchy_kernel_derivative)
+cauchy_kernel_pair.tree = (_cauchy_weights, (0, 1))
 
 
-def atom_sum(kernel: Callable, pos: np.ndarray, w: np.ndarray, z):
-    """sum_j kernel(pos_j, z_k, w_j) for every point z_k (result in the
-    shape of z): one broadcast row per point, in chunks of at most
-    _ATOM_CHUNK entries.  A kernel with ``halves`` yields two arrays of
-    entries, each summed on its own, and gives a pair of results."""
+def atom_sum(kernel: Callable, mu: RealMeasure, z):
+    """sum_j kernel(t_j, z_k, w_j) over the nodes (t_j, w_j) of mu (atoms
+    and Cantor nodes, ``mu.nodes``) for every point z_k (result in the shape
+    of z).  A kernel with ``tree`` takes mu's NodeTree, where there is one,
+    at real points in its hull; every other point takes one broadcast row,
+    in chunks of at most _ATOM_CHUNK entries.  A kernel with ``halves``
+    yields two arrays of entries, each summed on its own, and gives a pair
+    of results."""
     z = np.asarray(z)
     flat, pair = z.ravel(), hasattr(kernel, "halves")
-    sums = [np.empty(flat.size, complex if z.dtype.kind == "c" else float) for _ in range(1 + pair)]
+    tree = mu.node_tree if z.dtype.kind != "c" and hasattr(kernel, "tree") else None
+    if tree is None:
+        sums = _direct_sums(kernel, *mu.nodes, flat, pair)
+    else:
+        inside = tree.covers(flat)
+        sums = np.empty((1 + pair, flat.size))
+        sums[:, inside] = tree.sums(*kernel.tree, flat[inside])
+        sums[:, ~inside] = _direct_sums(kernel, *mu.nodes, flat[~inside], pair)
+    return tuple(total.reshape(z.shape) for total in sums) if pair else sums[0].reshape(z.shape)
+
+
+def _direct_sums(kernel: Callable, pos: np.ndarray, w: np.ndarray, flat: np.ndarray,
+                 pair: bool) -> list:
+    """atom_sum's broadcast rows at the points of a flat array, one sum
+    array per half."""
+    sums = [np.empty(flat.size, complex if flat.dtype.kind == "c" else float)
+            for _ in range(1 + pair)]
     step = max(1, _ATOM_CHUNK // max(1, len(pos)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, max(1, flat.size), step):
+        for i in range(0, flat.size, step):
             rows = kernel(pos[None, :], flat[i:i + step, None], w[None, :])
             for total, row in zip(sums, rows if pair else (rows,)):
                 np.add.reduce(row, axis=1, out=total[i:i + step])
-    return tuple(total.reshape(z.shape) for total in sums) if pair else sums[0].reshape(z.shape)
+    return sums
+
+
+def _shift_matrices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """T with a_child = a_parent @ T for a child's left (-1) and right (+1)
+    half: a polynomial sum_k a_k y^k in y = (x - c)/h, re-centred on
+    c -+ h/2 and scaled by h/2, has coefficients
+    sum_k a_k C(k, m) (-+1)^(k-m) 2^-k, all exact in binary."""
+    k, m = np.arange(p)[:, None], np.arange(p)[None, :]
+    binom = np.asarray([[math.comb(i, j) for j in range(p)] for i in range(p)], dtype=float)
+    return tuple(binom * sign ** (k - m) * 2.0 ** -k for sign in (-1.0, 1.0))
+
+
+_SHIFT = _shift_matrices(_TREE_TERMS)
+_SHIFT_DIAGONAL = 2.0 ** -np.arange(_TREE_TERMS)
+_SHIFT_OFF = tuple(t - np.diag(_SHIFT_DIAGONAL) for t in _SHIFT)
+
+
+class NodeTree:
+    """Tree code for sum_j v_j / (t_j - x) and sum_j v_j / (t_j - x)^2 over
+    sorted nodes t_j at real x in their hull, the root cell, in the manner
+    of Greengard and Rokhlin's fast multipole method (Dutt, Gu and Rokhlin
+    treat the same one-dimensional Cauchy kernel).
+
+    The cells bisect the root cell down to leaves (see _TREE_LEAF); the
+    nodes in a cell's near zone are a contiguous range.  A point sums its
+    leaf's near nodes directly and the others through the leaf's local
+    expansion sum_k a_k u^k, u = (x - c)/h about the leaf's centre c, h its
+    half-width, and that expansion's derivative.  A far node enters the
+    expansion of the coarsest cell whose near zone excludes it, as
+    a_k += v h^k / (t - c)^(k+1), and every cell passes its expansion to
+    its children re-centred (_SHIFT).  The weights v and a constant added
+    to the value come from a kernel's ``tree`` weights function; the
+    geometry is built once and the expansions once per weights function.
+    Every temporary holds at most _ATOM_CHUNK entries, and a point's sums
+    take the same operations in any batch."""
+
+    def __init__(self, pos: np.ndarray, w: np.ndarray):
+        n = pos.size
+        self.pos, self.w, self.lo, self.hi = pos, w, float(pos[0]), float(pos[-1])
+        smallest = _TREE_MIN_CELL * max(abs(self.lo), abs(self.hi))
+        # the root cell: half-width a power of 2 and centre on the grid of
+        # 2**-8 of it, so that every cell's centre c -+ h is exact; a
+        # rounded centre would misplace each expansion by an ulp of c,
+        # which grows to eps |c| / h of its slope
+        h = 2.0 ** math.ceil(math.log2(0.5 * (self.hi - self.lo) * (1.0 + 2.0**-6)))
+        centre = np.asarray([round(0.5 * (self.lo + self.hi) / (h * 2.0**-8)) * h * 2.0**-8])
+        near = np.asarray([[0, n]])
+        leaf = near[:, 1] - near[:, 0] <= _TREE_LEAF
+        # below the root, per level: the cells' centres, half-width, far
+        # zones (the parent's near nodes less the cell's, two ranges a
+        # cell) and leaf mask; the cells are the children of the last
+        # level's cells that are not leaves, left then right
+        self._levels = []
+        leaves = [(centre[leaf], np.full(leaf.sum(), h), near[leaf])]
+        self._root_leaves = int(leaf.sum())
+        while not leaf.all():
+            parent, h = np.repeat(near[~leaf], 2, axis=0), 0.5 * h
+            centre = (centre[~leaf, None] + np.asarray([-h, h])).ravel()
+            near = np.stack([np.searchsorted(pos, centre - _TREE_SEPARATION * h, "left"),
+                             np.searchsorted(pos, centre + _TREE_SEPARATION * h, "right")], 1)
+            zones = np.stack([parent[:, 0], near[:, 0], near[:, 1], parent[:, 1]], 1).reshape(-1, 2)
+            leaf = (near[:, 1] - near[:, 0] <= _TREE_LEAF) | (0.5 * h < smallest)
+            self._levels.append((centre, h, zones, leaf))
+            leaves.append((centre[leaf], np.full(leaf.sum(), h), near[leaf]))
+        centre, half, near = (np.concatenate(v) for v in zip(*leaves))
+        self._order = np.argsort(centre)
+        self.centre, self.half, near = centre[self._order], half[self._order], near[self._order]
+        self.left = self.centre - self.half
+        width = int((near[:, 1] - near[:, 0]).max())
+        index = near[:, :1] + np.arange(width)
+        # padding: a node at +inf of weight 0 adds 0 to both sums
+        self._near = np.where(index < near[:, 1:], index, n)
+        self.near_pos = np.append(pos, math.inf)[self._near]
+        self._tables = {}
+
+    def covers(self, x: np.ndarray) -> np.ndarray:
+        return (self.lo <= x) & (x <= self.hi)
+
+    def table(self, weights: Callable):
+        """(near weights, (value, slope) expansion coefficients, constant)
+        per leaf for ``weights(t, w) = (v, c)``, computed once.  Each
+        coefficient is carried down the levels as an unevaluated sum
+        hi + lo: the shift's diagonal is a power of 2, and the rounding of
+        adding the rest and the far terms to it goes to lo, so that no
+        level rounds the large low-order coefficients again."""
+        if weights not in self._tables:
+            v, const = weights(self.pos, self.w)
+            hi = lo = np.zeros((1, _TREE_TERMS))
+            rows = [hi[:self._root_leaves]]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for centre, h, zones, leaf in self._levels:
+                    shifted = [np.stack([np.einsum("ck,km->cm", a, t) for t in m], 1).reshape(-1, _TREE_TERMS)
+                               for a, m in ((hi, _SHIFT_OFF), (lo, _SHIFT))]
+                    hi, err = _two_sum(np.repeat(hi * _SHIFT_DIAGONAL, 2, axis=0), shifted[0])
+                    lo = shifted[1] + err
+                    self._add_far(hi, lo, v, centre, h, zones)
+                    rows.append(hi[leaf] + lo[leaf])
+                    hi, lo = hi[~leaf], lo[~leaf]
+            value = np.concatenate(rows)[self._order]
+            slope = np.zeros_like(value)
+            slope[:, :-1] = value[:, 1:] * np.arange(1, _TREE_TERMS) / self.half[:, None]
+            self._tables[weights] = (np.append(v, 0.0)[self._near], (value, slope), const)
+        return self._tables[weights]
+
+    def _add_far(self, hi, lo, v, centre, h, zones):
+        """Add to each cell's coefficients hi + lo the terms of its far
+        zone's nodes, v h^k / (t - c)^(k+1), each zone summed pairwise,
+        _ATOM_CHUNK entries at a time."""
+        count = zones[:, 1] - zones[:, 0]
+        ends = np.cumsum(count)
+        step = _ATOM_CHUNK // _TREE_TERMS
+        for a in range(0, int(ends[-1]), step):
+            k = np.arange(a, min(a + step, int(ends[-1])))
+            zone = np.searchsorted(ends, k, "right")
+            node, cell = zones[zone, 0] + k - (ends[zone] - count[zone]), zone // 2
+            d = self.pos[node] - centre[cell]
+            terms = _powers(h / d)
+            terms *= v[node] / d
+            first = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
+            rows = cell[first]
+            hi[rows], err = _two_sum(hi[rows], np.add.reduceat(terms, first, axis=1).T)
+            lo[rows] += err
+
+    def sums(self, weights: Callable, parts: tuple, x: np.ndarray) -> np.ndarray:
+        """The sums at real points x in the hull, one row per part: 0 the
+        value c + sum v/(t - x), 1 the slope sum v/(t - x)^2.  A point on a
+        node gets the direct sum's inf (or NaN), without a warning."""
+        near_v, coef, const = self.table(weights)
+        out = np.empty((len(parts), x.size))
+        step = max(1, _ATOM_CHUNK // max(self.near_pos.shape[1], _TREE_TERMS))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(0, x.size, step):
+                xi = x[i:i + step]
+                leaf = np.maximum(np.searchsorted(self.left, xi, "right") - 1, 0)
+                d = self.near_pos[leaf]
+                d -= xi[:, None]
+                q = near_v[leaf]
+                q /= d
+                near = (q, np.divide(q, d, out=d) if 1 in parts else None)
+                powers = _powers((xi - self.centre[leaf]) / self.half[leaf])
+                # C order: each point's terms are one row, summed pairwise
+                # along it, as in any batch
+                terms = np.empty((xi.size, _TREE_TERMS))
+                for row, part in enumerate(parts):
+                    np.take(coef[part], leaf, axis=0, out=terms)
+                    terms *= powers.T
+                    out[row, i:i + step] = (np.add.reduce(near[part], axis=1)
+                                            + np.add.reduce(terms, axis=1))
+        if 0 in parts:
+            out[parts.index(0)] += const
+        return out
+
+
+def _powers(u: np.ndarray) -> np.ndarray:
+    """u**k for k < _TREE_TERMS, one row per k: each block of rows is the
+    block below it times a square, so that row k takes about log2(k)
+    roundings and the table log2(_TREE_TERMS) products."""
+    out = np.empty((_TREE_TERMS, u.size))
+    out[0], out[1] = 1.0, u
+    n = 2
+    while n < _TREE_TERMS:
+        top = min(2 * n, _TREE_TERMS)
+        np.multiply(out[:top - n], out[n // 2] * out[n // 2], out=out[n:top])
+        n = top
+    return out
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
 def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float = 1e-11,
@@ -601,14 +842,16 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     p.v. + i pi density(x) from ``form.boundary`` or one ``_quad.pv_cauchy``
     call (G for the Cauchy kernel, x m + (1+x^2) G for the representation
     kernel); on a finite end where the density does not vanish, +inf on a
-    left end and -inf on a right one.  Pieces are added in order, and a
-    point's value does not depend on the others.  A kernel with ``halves``
+    left end and -inf on a right one.  A kernel with ``boundary_slope``
+    (cauchy_kernel_derivative) gives G'(x + i0) inside a named piece, and
+    NaN inside any other piece and on those ends.  Pieces are added in
+    order, and a point's value does not depend on the others.  A kernel with ``halves``
     (a kernel and its derivative, as cauchy_kernel_pair) gives (value,
     slope) from one atom_sum pass, each piece taking each half; ``start`` is
     a pair or one number for both; the value has the first half's bits.
     """
     z = np.asarray(z)
-    sums = atom_sum(kernel, *mu.nodes, z)
+    sums = atom_sum(kernel, mu, z)
     if not hasattr(kernel, "halves"):
         return _add_pieces(mu, kernel, z, start + sums, tol, pv)
     value, slope = kernel.halves
@@ -630,8 +873,10 @@ def _piece_values(piece: AcPiece, kernel: Callable, flat: np.ndarray, tol: float
     """The integral of K(t, z_k) against one density piece at every point
     of a flat array, as complex numbers (see kernel_integral)."""
     vals = np.empty(flat.shape, dtype=complex)
-    ends = {e: s * math.inf for e, p, s in ((piece.left, piece.left_exponent, 1.0),
-                                             (piece.right, piece.right_exponent, -1.0))
+    slope = hasattr(kernel, "boundary_slope")
+    ends = {e: math.nan if slope else s * math.inf
+            for e, p, s in ((piece.left, piece.left_exponent, 1.0),
+                            (piece.right, piece.right_exponent, -1.0))
             if pv and e in flat and (p < 0.0 or p == 0.0 and
                                      np.ravel(piece.density(np.asarray([e])))[0] != 0.0)}
     inside = ((piece.left < flat) & (flat < piece.right) if pv
@@ -653,7 +898,9 @@ def _piece_values(piece: AcPiece, kernel: Callable, flat: np.ndarray, tol: float
         for i in range(0, len(idx), _POINTS_PER_CALL):
             chunk = idx[i:i + _POINTS_PER_CALL]
             vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
-    if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
+    if inside.any() and slope:  # G'(x + i0) of a named piece
+        vals[inside] = kernel.boundary_slope(form, flat[inside]) if form is not None else math.nan
+    elif inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
         x = flat[inside]
         g = (form.boundary(x) if form is not None else
              _quad.pv_cauchy(piece.density, piece.left, piece.right, x, tol, piece.left_exponent,

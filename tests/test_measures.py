@@ -536,6 +536,9 @@ _FUSED = {
                                                                  ).combined(
         RealMeasure.poisson(-math.inf, -3.0)).combined(RealMeasure.point_mass(1.5, 0.3)),
     "callable": _MEASURES["poisson"].combined(RealMeasure.point_mass(3.0, 0.4)),
+    # 513 nodes: the tree code inside the Cantor hull
+    "cantor9": RealMeasure.cantor(0.0, 1.0, 0.5, depth=9).combined(
+        RealMeasure.point_mass(-2.0, 0.5)),
 }
 
 
@@ -559,8 +562,9 @@ def _off_support_points(mu):
 def test_value_and_slope_in_one_pass(name):
     """Off the support, the Cauchy and the representation pair give
     kernel_integral's value bit for bit and its slope (derivative kernel)
-    within 4 ulp, and each point alone gives the batch's bits: atoms,
-    Cantor nodes, named pieces and a piece given by a callable."""
+    within 4 ulp, and each point alone (600 of cantor9's 4150) gives the
+    batch's bits: atoms, Cantor nodes (direct, and through the tree inside
+    the hull of 513), named pieces and a piece given by a callable."""
     mu = _FUSED[name]
     x = _off_support_points(mu)
     for pair, kernel, derivative in ((cauchy_kernel_pair, cauchy_kernel, cauchy_kernel_derivative),
@@ -569,8 +573,9 @@ def test_value_and_slope_in_one_pass(name):
         assert np.array_equal(g, kernel_integral(mu, kernel, x))
         ref = kernel_integral(mu, derivative, x)
         assert np.all(np.abs(dg - ref) <= 4.0 * np.spacing(np.abs(ref)))
-        alone = np.asarray([kernel_integral(mu, pair, x[k:k + 1]) for k in range(x.size)])
-        assert np.array_equal(alone[:, :, 0].T, np.asarray([g, dg]))
+        k = np.arange(0, x.size, max(1, x.size // 600))  # every point, or 600 of cantor9's
+        alone = np.asarray([kernel_integral(mu, pair, x[i:i + 1]) for i in k])
+        assert np.array_equal(alone[:, :, 0].T, np.asarray([g[k], dg[k]]))
     G = cauchy_transform(mu)
     assert np.array_equal(G.real_value(x, slope=True)[0], G.real_value(x))
 
@@ -668,25 +673,29 @@ def test_boundary_matches_the_plemelj_formula():
     rho, within 1e-13 relative: inside a named and a callable piece,
     between the pieces, inside the Cantor hull, on the piece ends (+-inf)
     and at the atoms (inf).  On the branches boundary_real has the bits of
-    the value half of the branch tables' (value, slope) callable."""
-    rho = (RealMeasure.from_atoms([(-3.0, 0.4), (4.5, 0.2)])
-           .combined(RealMeasure.uniform(-2.0, -1.0, mass=0.5))
-           .combined(RealMeasure(ac_pieces=(AcPiece(0.0, 1.0, _poisson),)))
-           .combined(RealMeasure.cantor(2.0, 3.0, 0.3, depth=8)))
-    phi = phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, rho))
-    x = np.concatenate([np.linspace(-1.95, -1.05, 7), np.linspace(0.05, 0.95, 7),
-                        [-1e3, -40.0, -3.5, -2.5, -0.5, 1.5, 2.2, 2.5, 3.5, 4.0, 7.0, 1e3],
-                        [-2.0, -1.0, 0.0, 1.0, -3.0, 4.5]])
-    g = kernel_integral(rho, cauchy_kernel, x, pv=True)
-    scale = 1.0 + x * x
-    ref = 0.5 + (1.0 + rho.total_mass()) * x + scale * g.real + 1j * (scale * g.imag)
-    got = phi.boundary(x)
-    assert np.all(np.abs(got[:-6] - ref[:-6]) <= 1e-13 * np.abs(ref[:-6]))
-    assert np.array_equal(got[-6:], ref[-6:])
-    assert list(got[-6:].real) == [math.inf, -math.inf, math.inf, -math.inf, math.inf, math.inf]
-    on = x[phi._on_branch_mask(x)]
-    assert on.size == 10
-    assert np.array_equal(phi.boundary_real(on), phi._boundary_and_slope(on)[0])
+    the value half of the branch tables' (value, slope) callable.  The
+    Cantor part has depth 7, 8 or 9: 130 nodes take the direct sum, 258
+    and 514 the tree inside the hull."""
+    for depth in (7, 8, 9):
+        rho = (RealMeasure.from_atoms([(-3.0, 0.4), (4.5, 0.2)])
+               .combined(RealMeasure.uniform(-2.0, -1.0, mass=0.5))
+               .combined(RealMeasure(ac_pieces=(AcPiece(0.0, 1.0, _poisson),)))
+               .combined(RealMeasure.cantor(2.0, 3.0, 0.3, depth=depth)))
+        phi = phi_from_nevanlinna(NevanlinnaData(0.5, 1.0, rho))
+        x = np.concatenate([np.linspace(-1.95, -1.05, 7), np.linspace(0.05, 0.95, 7),
+                            [-1e3, -40.0, -3.5, -2.5, -0.5, 1.5, 2.2, 2.5, 3.5, 4.0, 7.0, 1e3],
+                            [-2.0, -1.0, 0.0, 1.0, -3.0, 4.5]])
+        g = kernel_integral(rho, cauchy_kernel, x, pv=True)
+        scale = 1.0 + x * x
+        ref = 0.5 + (1.0 + rho.total_mass()) * x + scale * g.real + 1j * (scale * g.imag)
+        got = phi.boundary(x)
+        assert np.all(np.abs(got[:-6] - ref[:-6]) <= 1e-13 * np.abs(ref[:-6]))
+        assert np.array_equal(got[-6:], ref[-6:])
+        assert list(got[-6:].real) == [math.inf, -math.inf, math.inf, -math.inf, math.inf,
+                                       math.inf]
+        on = x[phi._on_branch_mask(x)]
+        assert on.size == 10
+        assert np.array_equal(phi.boundary_real(on), phi._boundary_and_slope(on)[0])
 
 
 def test_boundary_on_a_density_end():
@@ -726,3 +735,130 @@ def test_arcsine_principal_values(monkeypatch):
     x = 1.0 - 2.0**-30
     with pytest.raises(ConvergenceError, match=repr(x)):
         phi.boundary(np.asarray([0.0, x]))
+
+
+# -- the slope of G(x + i0) inside a named piece ----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["uniform", "arcsine", "poisson", "halfline"])
+def test_boundary_slope_matches_central_differences(name):
+    """Re G'(x + i0) from boundary_re(x, slope=True), inside a named piece
+    beside an atom, equals the central difference of boundary_re within
+    1e-7 of |G'| + |G| / length, and Re G has boundary_re's bits.  Inside
+    a piece given by a callable the slope is NaN."""
+    mu = _NAMED[name][0].combined(RealMeasure.point_mass(3.5, 0.25))
+    piece = mu.ac_pieces[0]
+    lo, hi = max(piece.left, -50.0), min(piece.right, 50.0)
+    x = lo + (hi - lo) * np.linspace(0.01, 0.99, 25)
+    G = cauchy_transform(mu)
+    g, dg = G.boundary_re(x, slope=True)
+    assert np.array_equal(g, G.boundary_re(x))
+    h = 1e-6 * (hi - lo)
+    central = (G.boundary_re(x + h) - G.boundary_re(x - h)) / (2.0 * h)
+    assert np.all(np.abs(dg - central) <= 1e-7 * (np.abs(central) + np.abs(g) / (hi - lo)))
+    assert np.isnan(_TRANSFORMS["poisson"].boundary_re(np.asarray([0.5]), slope=True)[1]).all()
+
+
+# -- the tree code for node sums ----------------------------------------------------------
+
+from uhprange.herglotz import _tree_weights  # noqa: E402
+from uhprange.measures import _TREE_NODES, _cauchy_weights, _direct_sums, atom_sum  # noqa: E402
+
+
+def _clustered_atoms():
+    """600 atoms, 20 in each of the clusters 2^-k (1 +- 1/4), k = 1..30."""
+    rng = np.random.default_rng(5)
+    pos = np.concatenate([2.0 ** -k * (1.0 + 0.25 * rng.uniform(-1.0, 1.0, 20))
+                          for k in range(1, 31)])
+    return RealMeasure.from_atoms([(p, 1.0 / pos.size) for p in pos])
+
+
+#: measure, the kernel pair and its halves, the tree's weights of the kernels
+_TREE_CASES = {
+    "cantor9": (RealMeasure.cantor(depth=9), cauchy_kernel_pair, _cauchy_weights),
+    "cantor12": (RealMeasure.cantor(depth=12), cauchy_kernel_pair, _cauchy_weights),
+    "clustered": (_clustered_atoms(), cauchy_kernel_pair, _cauchy_weights),
+    "representation": (RealMeasure.cantor(-1.0, 2.0, 0.7, depth=10).combined(
+        RealMeasure.from_atoms([(0.5, 0.1), (2.0, 0.2)])), _kernel_pair, _tree_weights),
+}
+
+
+def _hull_points(mu, count=1500):
+    """Seeded points of the nodes' hull: at random, between neighbouring
+    nodes, and 2^-k of the hull (k 3, 20, 40) from nodes on either side,
+    ``count`` of each kind, none on a node."""
+    pos, _ = mu.nodes
+    rng = np.random.default_rng(11)
+    span = pos[-1] - pos[0]
+    near = rng.choice(pos, count)[:, None] + span * np.asarray([2.0**-3, 2.0**-20, 2.0**-40,
+                                                                -2.0**-3, -2.0**-20, -2.0**-40])
+    mid = rng.choice(pos.size - 1, count)
+    x = np.concatenate([rng.uniform(pos[0], pos[-1], count), 0.5 * (pos[mid] + pos[mid + 1]),
+                        rng.choice(near.ravel(), count)])
+    return x[(pos[0] <= x) & (x <= pos[-1]) & ~np.isin(x, pos)]
+
+
+@pytest.mark.parametrize("name", sorted(_TREE_CASES))
+def test_tree_sums_match_the_direct_sum(name):
+    """Through the tree, the pair's value and slope are within 4 eps of the
+    direct sum's terms summed exactly (math.fsum), on the scales
+    sum |v / (t - x)| + |c| and sum |v| / (t - x)^2, (v, c) the tree's
+    weights and constant: v = w and c = 0 for the Cauchy pair,
+    v = w (1+t^2) and c = -sum w t for the representation pair.  (The
+    direct path's own pairwise sums miss the exact sums by up to 3.8 eps
+    at these points, the tree's by up to 2.8 eps.)"""
+    mu, pair, weights = _TREE_CASES[name]
+    pos, w = mu.nodes
+    assert pos.size >= _TREE_NODES and mu.node_tree is not None
+    x = _hull_points(mu, count=150 if pos.size > 2000 else 300)
+    value, slope = atom_sum(pair, mu, x)
+    v, c = weights(pos, w)
+    for k in range(x.size):
+        q = v / (pos - x[k])
+        scales = np.abs(q).sum() + abs(c), np.abs(q / (pos - x[k])).sum()
+        for got, terms, scale in zip((value[k], slope[k]), pair(pos, x[k], w), scales):
+            assert abs(got - math.fsum(terms)) <= 4.0 * _EPS * scale
+
+
+@pytest.mark.parametrize("name", sorted(_TREE_CASES))
+def test_tree_sums_do_not_depend_on_the_batch(name):
+    """Through the tree, a point alone gets the batch's bits, the value
+    half of the pair has the value kernel's bits, and a point on a node
+    gets the direct sum's inf, without a RuntimeWarning."""
+    mu, pair, _ = _TREE_CASES[name]
+    kernel = pair.halves[0]
+    pos, w = mu.nodes
+    x = _hull_points(mu, count=40)
+    value, slope = atom_sum(pair, mu, x)
+    assert np.array_equal(value, atom_sum(kernel, mu, x))
+    alone = np.asarray([atom_sum(pair, mu, x[k:k + 1]) for k in range(x.size)])[:, :, 0]
+    assert _same(np.asarray([value, slope]), alone.T)
+    nodes = pos[::37]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        on = atom_sum(pair, mu, nodes)
+        assert np.array_equal(on, _direct_sums(pair, pos, w, nodes, True), equal_nan=True)
+    assert np.isinf(on).all()
+
+
+@pytest.mark.parametrize("name", sorted(_TREE_CASES))
+def test_tree_leaves_other_points_to_the_direct_sum(name):
+    """Complex points and real points outside the hull take the direct sum
+    bit for bit, as do all points of a measure with one node too few."""
+    mu, pair, _ = _TREE_CASES[name]
+    pos, w = mu.nodes
+    span = pos[-1] - pos[0]
+    out = np.concatenate([pos[0] - span * np.geomspace(1e-12, 1e3, 20),
+                          pos[-1] + span * np.geomspace(1e-12, 1e3, 20)])
+    inside = _hull_points(mu, count=10)
+    z = np.concatenate([inside + 1e-9j * span, inside - 0.5j * span, out + 1j])
+    for kernel in (pair, *pair.halves):
+        halves = 2 if kernel is pair else 1
+        for points in (out, z):
+            got = np.asarray(atom_sum(kernel, mu, points)).reshape(halves, -1)
+            assert _same(got, _direct_sums(kernel, pos, w, points, kernel is pair))
+    few = RealMeasure.from_atoms(list(zip(pos[:_TREE_NODES - 1].tolist(),
+                                          w[:_TREE_NODES - 1].tolist())))
+    assert few.node_tree is None
+    assert RealMeasure.from_atoms(list(zip(pos[:_TREE_NODES].tolist(),
+                                           w[:_TREE_NODES].tolist()))).node_tree is not None

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from uhprange import (NevanlinnaData, RealMeasure, boole_check, cauchy_transform, constant_B,
-                      phi_from_catalog, phi_from_nevanlinna)
+from uhprange import (AcPiece, NevanlinnaData, RealMeasure, boole_check, cauchy_transform,
+                      constant_B, phi_from_catalog, phi_from_nevanlinna)
 from uhprange import levelset
 from uhprange._roots import XTOL, BranchTable, bisect_increasing
 from uhprange.clark import _DEFAULT_Y_GRID
@@ -70,6 +70,33 @@ def test_tail_sets_take_few_evaluations(monkeypatch, count_evals):
     assert roots.size > 9000
     assert counted.points <= 5 * roots.size
     _assert_contract(f, roots, targets, kw["xtol"])
+
+
+def test_density_crossings_take_few_evaluations(monkeypatch, count_evals):
+    """The crossings inside named density pieces over the default y grid
+    take the slope Re G'(x + i0): a point mass beside uniform(0, 1), the
+    arcsine law with an interior atom and poisson(-2, 2) between two atoms
+    take at most 7 evaluations per root (bisection took 28-30), every root
+    in a certified bracket.  A piece given by a callable keeps bisection."""
+    calls = _recording(monkeypatch, count_evals)
+    for mu in (RealMeasure.point_mass(0.0, 0.5).combined(RealMeasure.uniform(0.0, 1.0, 0.5)),
+               RealMeasure.arcsine(-1.0, 1.0).combined(RealMeasure.point_mass(0.25, 0.5)),
+               RealMeasure.poisson(-2.0, 2.0).combined(
+                   RealMeasure.from_atoms([(-3.0, 0.2), (0.5, 0.3)]))):
+        calls.clear()
+        tail_measures(cauchy_transform(mu), _DEFAULT_Y_GRID)
+        assert len(calls) == 3  # the gaps, then the crossings on +Re G and on -Re G
+        crossings = [c for c in calls[1:] if c[4].size]
+        assert sum(c[4].size for c in crossings) >= 9
+        for f, counted, kw, targets, roots in crossings:
+            assert counted.points <= 7 * roots.size
+            _assert_contract(f, roots, targets, kw["xtol"])
+    callable_piece = AcPiece(0.0, 1.0, lambda t: np.full_like(t, 0.5))
+    calls.clear()
+    tail_measures(cauchy_transform(RealMeasure(ac_pieces=(callable_piece,)).combined(
+        RealMeasure.point_mass(0.0, 0.5))), [1e2])
+    f = calls[1][1].f
+    assert f(np.asarray([0.5]))[1] is None
 
 
 def _boole_measures(count=25, seed=0):
@@ -169,11 +196,13 @@ def test_lying_slope_keeps_the_contract(lie):
 
 @pytest.mark.parametrize("mu", [
     RealMeasure.cantor(depth=7),
+    RealMeasure.cantor(depth=9),
     RealMeasure.point_mass(-1.0, 0.5).combined(RealMeasure.uniform(0.0, 1.0, 0.5)),
-    list(_boole_measures(6))[-1]], ids=["cantor7", "atom_uniform", "boole6"])
+    list(_boole_measures(6))[-1]], ids=["cantor7", "cantor9", "atom_uniform", "boole6"])
 def test_tail_sets_batch_invariant(mu):
-    """Each level alone gives the bits of the batch: cantor(depth=7), a
-    point mass beside uniform(0, 1) (whose gap end at the density is a log
+    """Each level alone gives the bits of the batch: cantor(depth=7) (the
+    direct node sum) and cantor(depth=9) (the tree code), a point mass
+    beside uniform(0, 1) (whose gap end at the density is a log
     singularity, not a pole) and six atoms."""
     G = cauchy_transform(mu)
     ys = np.geomspace(1e-1, 1e6, 15)
