@@ -6,17 +6,22 @@ per branch and a bracket with evaluated signs always holds it.  The solver
 and the branch tables take one callable that returns f and its slope f'
 together (one kernel pass for a representation map or a Cauchy
 transform), or f and None.  A table holds the values on a probe grid
-(geometric clustering toward endpoints, where values typically blow up);
-solving then reduces to a searchsorted bracket plus a vectorized
-safeguarded Newton iteration.  Each element starts at a
-point its caller gives (between two atoms of a Cauchy transform, the root
-of a model with poles at both ends) or at its bracket's midpoint.  Given
-the slope, each step is Newton's; a step leaving the bracket is replaced
-by the one-pole step, exact for f = a + c/(p - x) with the pole p at the
-bracket end beyond the root (values blow up at branch ends and at the
-atoms of a Cauchy transform); a step that is not finite, leaves the
-bracket, or is not shorter than half the step before the last (a lying
-slope) is replaced by bisection.  Without a slope every step bisects.
+(geometric clustering toward endpoints, where values typically blow up)
+and the slopes there; solving then reduces to a searchsorted bracket plus
+a vectorized safeguarded Newton iteration.  A target equal to a probe's
+value is that probe.  Each other element starts at a point its caller
+gives: in a table bracket, the inverse cubic Hermite point of the two
+probes (Fritsch and Carlson's monotone interpolation, read as x of y);
+between two atoms of a Cauchy transform, the root of a model with poles at
+both ends; else its bracket's midpoint.  Given the slope, each step is
+Newton's; a step leaving the bracket is replaced by the one-pole step,
+exact for f = a + c/(p - x) with the pole p at the bracket end beyond the
+root (values blow up at branch ends and at the atoms of a Cauchy
+transform); a step that is not finite, leaves the bracket, or is not
+shorter than half the step before the last (a lying slope) is replaced by
+bisection.  Without a slope every step bisects.  A root is the Newton
+point of the evaluation that closes its bracket, taken with that
+evaluation's own slope.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class Branch:
 
 
 def probe_points(branch: Branch) -> np.ndarray:
-    """Strictly interior probe abscissae, geometric near every endpoint."""
+    """Strictly interior probe abscissae, geometric near every endpoint,
+    none within 4 eps |end| of a finite end."""
     l, r = branch.left, branch.right
     pts: list[np.ndarray] = []
     frac = 2.0 ** (-np.arange(1, 50, dtype=float))
@@ -76,27 +82,39 @@ def probe_points(branch: Branch) -> np.ndarray:
                                    np.linspace(-1.0, 1.0, 41),
                                    2.0 ** np.arange(0, 28, dtype=float)]))
     xs = np.unique(np.concatenate(pts))
-    xs = xs[(xs > l) & (xs < r) & (np.abs(xs) <= SCAN_LIMIT)]
+    # Nearer a finite end than 4 eps |end| (the rounding of an end found by
+    # a root solve), a probe may evaluate beyond a pole, and its value would
+    # flatten the running maximum of the whole table.  At an infinite end
+    # both sides are inf, so no probe is near it.
+    near = (xs - l < 4.0 * _EPS * abs(l)) | (r - xs < 4.0 * _EPS * abs(r))
+    xs = xs[(xs > l) & (xs < r) & ~near & (np.abs(xs) <= SCAN_LIMIT)]
     return xs
 
 
 class BranchTable:
     """Tabulated increasing boundary values of one branch.  ``f(x)``
     returns the pair (boundary values, slopes), or (values, None) where
-    there is no slope and roots are bisected: bisect_increasing's callable."""
+    there is no slope and roots are bisected: bisect_increasing's callable.
+    The table keeps the probes' raw values and slopes: a root starts at
+    the inverse cubic Hermite point of its table bracket, and a target
+    equal to a probe's raw value is that probe, with no evaluation."""
 
     def __init__(self, branch: Branch, f: Callable[[np.ndarray], tuple]):
         self.branch = branch
         self.f = f
         xs = probe_points(branch)
-        ys = np.asarray(f(xs)[0], dtype=float)
+        ys, ds = f(xs)
+        ys = np.asarray(ys, dtype=float)
         # Non-finite probes go first: a NaN would spread through the
         # running maximum to the rest of the table.
         keep = np.isfinite(ys)
         self.xs = xs[keep]
+        self.values = ys[keep]
+        self.slopes = (np.full(self.xs.shape, np.nan) if ds is None
+                       else np.array(ds, dtype=float)[keep])
         # Guard against rounding-level non-monotonicity in the table only;
         # the root finder uses the exact function.
-        self.ys = np.maximum.accumulate(ys[keep])
+        self.ys = np.maximum.accumulate(self.values)
         if len(self.xs) < 2:
             raise ConvergenceError(f"branch {branch} could not be tabulated")
 
@@ -106,16 +124,26 @@ class BranchTable:
 
     def solve(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Roots of f(x) = target on the branch; NaN where the target is
-        outside the tabulated value range.  Brackets are gathered for
-        SOLVE_SLICE targets at a time."""
+        outside the tabulated value range.  A target equal to the raw value
+        of its bracket's upper probe is that probe; every other root starts
+        at the bracket's inverse cubic Hermite point (x as a function of y
+        through both probes, with slopes dx/dy = 1/f'), or its secant point
+        where that point is not finite or not strictly inside.  Brackets
+        are gathered for SOLVE_SLICE targets at a time."""
         targets = np.asarray(targets, dtype=float)
         flat = targets.ravel()
         out = np.full(flat.shape, np.nan)
         idx = np.searchsorted(self.ys, flat)
-        ok = np.flatnonzero((idx > 0) & (idx < len(self.ys)))
+        ok = (idx > 0) & (idx < len(self.ys))
+        exact = np.flatnonzero(ok)[self.values[idx[ok]] == flat[ok]]
+        out[exact] = self.xs[idx[exact]]
+        ok[exact] = False
+        ok = np.flatnonzero(ok)
         for k in (ok[i:i + SOLVE_SLICE] for i in range(0, ok.size, SOLVE_SLICE)):
-            out[k] = bisect_increasing(self.f, self.xs[idx[k] - 1], self.xs[idx[k]], flat[k],
-                                       xtol=xtol)
+            j = idx[k]  # the upper probe of each bracket
+            x0, x1, y0, y1 = self.xs[j - 1], self.xs[j], self.values[j - 1], self.values[j]
+            start = _hermite_start(x0, x1, y0, y1, self.slopes[j - 1], self.slopes[j], flat[k])
+            out[k] = bisect_increasing(self.f, x0, x1, flat[k], xtol=xtol, start=start)
         return out.reshape(targets.shape)
 
     def solve_clamped(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
@@ -132,6 +160,18 @@ class BranchTable:
         return out.reshape(targets.shape)
 
 
+def _hermite_start(x0, x1, y0, y1, d0, d1, target) -> np.ndarray:
+    """The inverse cubic Hermite point of each bracket: x(y) through
+    (y0, x0) and (y1, x1) with slopes 1/d0 and 1/d1; the secant point where
+    that one is not finite or not strictly inside (x0, x1)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h, w = y1 - y0, x1 - x0
+        s = (target - y0) / h
+        secant = x0 + s * w
+        x = secant + s * (1.0 - s) * ((1.0 - s) * (h / d0 - w) - s * (h / d1 - w))
+    return np.where((x0 < x) & (x < x1), x, secant)
+
+
 def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
                       max_iter: int = 200, start=None) -> np.ndarray:
     """Roots of increasing f(x) = target in valid brackets (lo, hi), with
@@ -145,11 +185,10 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
     midpoint.  With one, the steps are those of the module docstring, a
     step shorter than tol/2 goes tol/2 (so that the next evaluation closes
     the bracket), and a root is the Newton point of the last evaluation,
-    taken with the slope of the step that led there and clipped to the
-    bracket, or the midpoint where that point is not a number.  Each
-    element keeps its own state, so a root does not depend on its batch;
-    elements are solved SOLVE_SLICE at a time, and done ones are compacted
-    out."""
+    taken with that evaluation's own slope and clipped to the bracket, or
+    the midpoint where that point is not a number.  Each element keeps its
+    own state, so a root does not depend on its batch; elements are solved
+    SOLVE_SLICE at a time, and done ones are compacted out."""
     lo = np.array(lo, dtype=float).ravel()
     hi = np.array(hi, dtype=float).ravel()
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
@@ -168,7 +207,6 @@ def _solve_slice(f, lo, hi, target, x, xtol, max_iter) -> np.ndarray:
     """bisect_increasing on one slice from the points x; lo and hi are
     updated in place."""
     out, active = np.empty(lo.shape), np.arange(lo.size)
-    d = np.full(lo.shape, np.nan)  # the slope of the step to x
     last, before = 0.5 * (hi - lo), hi - lo  # the last two step lengths
     for _ in range(max_iter):
         if not active.size:
@@ -176,6 +214,8 @@ def _solve_slice(f, lo, hi, target, x, xtol, max_iter) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             value, slope = f(x)
             r = np.asarray(value) - target  # exact in sign: r < 0 is f(x) < target
+        # a copy: a real view would hold its complex base
+        d = np.full(x.shape, np.nan) if slope is None else np.array(slope, dtype=float)
         below = r < 0.0
         np.copyto(lo, x, where=below)
         np.copyto(hi, x, where=~below)
@@ -187,14 +227,11 @@ def _solve_slice(f, lo, hi, target, x, xtol, max_iter) -> np.ndarray:
             keep = ~done
             active, lo, hi, target, x, r, below, d, last, before = (
                 v[keep] for v in (active, lo, hi, target, x, r, below, d, last, before))
-            if slope is not None:
-                slope = np.asarray(slope)[keep]
             if not active.size:
                 break
         if slope is None:
             x = 0.5 * (lo + hi)
             continue
-        d = np.array(slope, dtype=float)  # a copy: a real view would hold its complex base
         new = _safeguarded_point(x, r, d, lo, hi, below, xtol, before)
         x, last, before = new, np.abs(new - x), last
     out[active] = 0.5 * (lo + hi)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -446,9 +447,15 @@ def _sqrt_density(t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - t * t, 0.0, None)) / (math.pi * (1.0 + t * t))
 
 
+@cache
+def _sqrt_piece() -> AcPiece:
+    """sqrt's density piece, built once per process: its mass (sqrt(2) - 1)
+    is integrated on first use and cached on the piece."""
+    return AcPiece(-1.0, 1.0, _sqrt_density, 0.5, 0.5, label="semicircle-over-cauchy")
+
+
 def _make_sqrt() -> ClosedFormPhi:
-    rho = RealMeasure(ac_pieces=(AcPiece(-1.0, 1.0, _sqrt_density, 0.5, 0.5,
-                                         label="semicircle-over-cauchy"),))
+    rho = RealMeasure(ac_pieces=(_sqrt_piece(),))
 
     def eval_fn(z):
         return _sqrt_prod(np.asarray(z, dtype=complex))
@@ -528,9 +535,7 @@ def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
 
 def _make_sqrtpole(alpha: float = 0.0) -> ClosedFormPhi:
     alpha = float(alpha)
-    rho = RealMeasure(atoms=((1.0, 0.5),),
-                      ac_pieces=(AcPiece(-1.0, 1.0, _sqrt_density, 0.5, 0.5,
-                                         label="semicircle-over-cauchy"),))
+    rho = RealMeasure(atoms=((1.0, 0.5),), ac_pieces=(_sqrt_piece(),))
 
     def eval_fn(z):
         z = np.asarray(z, dtype=complex)

@@ -189,6 +189,37 @@ def test_iterate_carries_a_pole_value():
     assert abs(sum(m for _, m in atoms) - 1.0) < 1e-12
 
 
+def test_branch_table_keeps_its_range_from_an_end_off_by_ulps():
+    """A branch of the 3-atom map's third power, (0.47941081895419624,
+    0.5461268797421517), built from its left end one ulp lower and from
+    both neighbours of that end: a probe within rounding of the end would
+    evaluate beyond the pole (about +4e14) and flatten the running maximum
+    of the table, so no probe is nearer a finite end than 4 eps |end|.
+    Each table keeps the branch's full value range, and the Clark atom at
+    0.3 is found."""
+    from uhprange import Branch
+    from uhprange._roots import BranchTable
+    phi3 = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(
+        [(-1.0, 0.5), (0.0, 1.0), (2.0, 0.3)]))).iterate(3)
+    shifted, right = 0.4794108189541962, 0.5461268797421517
+    roots = []
+    for left in (np.nextafter(shifted, 0.0), shifted, np.nextafter(shifted, 1.0)):
+        tbl = BranchTable(Branch(float(left), right), phi3._boundary_and_slope)
+        lo, hi = tbl.value_range
+        assert lo < -1e13 and hi > 1e14
+        roots.append(tbl.solve(np.asarray([0.3]))[0])
+    assert np.all(np.isfinite(roots)) and max(roots) - min(roots) <= 1e-15
+
+
+def test_sqrt_density_piece_is_built_once():
+    """sqrt and sqrtpole share one density piece, whose mass sqrt(2) - 1
+    is integrated once per process."""
+    piece = phi_from_catalog("sqrt").rho.ac_pieces[0]
+    assert phi_from_catalog("sqrtpole", alpha=-1.0).rho.ac_pieces[0] is piece
+    assert phi_from_catalog("sqrt").rho.ac_pieces[0] is piece
+    assert abs(piece.mass - (math.sqrt(2.0) - 1.0)) <= 1e-14
+
+
 def test_beta_not_one_rejected_by_analysis():
     from uhprange import clark_measure
     phi = phi_from_nevanlinna(NevanlinnaData(0.0, 2.0, RealMeasure.zero()))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uhprange import (AcPiece, NevanlinnaData, RealMeasure, boole_check, cauchy_transform,
-                      constant_B, phi_from_catalog, phi_from_nevanlinna)
+                      constant_B, phi_from_catalog, phi_from_nevanlinna, phi_identity)
 from uhprange import levelset
 from uhprange._roots import XTOL, BranchTable, bisect_increasing
 from uhprange.clark import _DEFAULT_Y_GRID
@@ -32,8 +32,9 @@ def _b_grid_targets(phi):
 
 
 def test_branch_solves_take_few_evaluations(count_evals):
-    """zloglin(5) over the ends of the default B grid: at most 8 evaluations
-    of the branch table's (f, f') callable per root, and every root in a
+    """zloglin(5) over the ends of the default B grid: at most 4.5
+    evaluations of the branch table's (f, f') callable per root, the
+    table's probes included (midpoint starts took 5.4), and every root in a
     certified bracket."""
     phi = phi_from_catalog("zloglin", alpha=5.0)
     targets = _b_grid_targets(phi)
@@ -42,8 +43,35 @@ def test_branch_solves_take_few_evaluations(count_evals):
         roots = BranchTable(table.branch, f).solve(targets)
         ok = ~np.isnan(roots)
         assert ok.sum() > 1000
-        assert f.points <= 8 * ok.sum()
+        assert f.points <= 4.5 * ok.sum()
         _assert_contract(lambda x: table.f(x)[0], roots[ok], targets[ok], XTOL)
+
+
+@pytest.mark.parametrize("phi", [phi_identity(), phi_from_catalog("sqrt")],
+                         ids=["identity", "sqrt"])
+def test_targets_at_probe_values_return_the_probe(phi, count_evals):
+    """A target equal to a probe's raw value (identity's -2, 0 and 2; sqrt's
+    -0.75 = phi(-1.25)) is that probe, with no evaluation."""
+    for branch in phi.real_branches:
+        f = count_evals(phi.branch_table(branch).f)
+        table = BranchTable(branch, f)
+        f.points = 0
+        roots = table.solve(table.values[1:])
+        assert f.points == 0
+        assert np.array_equal(roots, table.xs[1:])
+
+
+def test_a_start_within_tol_gives_the_newton_point():
+    """A start within tol of the root, whose first evaluation closes the
+    bracket, returns that evaluation's Newton point (with its own slope),
+    not the midpoint of the closed bracket."""
+    targets = np.asarray([2.0, 3.0, 5.0, 7.0])
+    exact = np.log(targets)
+    lo, start = exact - 0.25 * XTOL, exact + 0.5 * XTOL
+    roots = bisect_increasing(lambda x: (np.exp(x), np.exp(x)), lo, np.full(4, 2.0), targets,
+                              start=start)
+    assert np.array_equal(roots, start - (np.exp(start) - targets) / np.exp(start))
+    assert np.all(np.abs(roots - exact) <= 2.0 * np.spacing(exact))
 
 
 def _recording(monkeypatch, count_evals):
@@ -211,15 +239,18 @@ def test_tail_sets_batch_invariant(mu):
 
 
 def test_branch_solve_batch_invariant_on_a_density_map():
-    """1 + z + (uniform(0, 1, 0.5) + atom (2, 0.5)): each target alone gives
-    the bits of the batch, on every branch."""
+    """1 + z + (uniform(0, 1, 0.5) + atom (2, 0.5)) and zloglin(5): each
+    target alone gives the bits of the batch, on every branch, with
+    targets equal to probe values among them."""
     rho = RealMeasure.uniform(0.0, 1.0, 0.5).combined(RealMeasure.point_mass(2.0, 0.5))
-    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, rho))
     targets = np.concatenate([np.linspace(-20.0, 20.0, 41),
                               np.random.default_rng(3).normal(0.0, 30.0, 40)])
-    for table in phi.branch_tables():
-        alone = np.concatenate([table.solve(targets[k:k + 1]) for k in range(targets.size)])
-        assert np.array_equal(table.solve(targets), alone, equal_nan=True)
+    tables = (phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, rho)).branch_tables()
+              + phi_from_catalog("zloglin", alpha=5.0).branch_tables())
+    for table in tables:
+        mixed = np.concatenate([targets, table.values[::9]])
+        alone = np.concatenate([table.solve(mixed[k:k + 1]) for k in range(mixed.size)])
+        assert np.array_equal(table.solve(mixed), alone, equal_nan=True)
 
 
 def test_constant_b_sqrt_accuracy():
