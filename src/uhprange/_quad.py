@@ -6,6 +6,12 @@ the absolute tolerance budget (shares proportional to panel length).
 Integrands must be vectorized: ``f`` maps a 1-d ndarray of abscissae to an
 ndarray of real or complex values.
 
+Several integrals can share one adaptive pass as its *owners*, numbered
+0..n-1: the integrand is then called as f(x, k) with the owner k of every
+abscissa x, and ``tol`` is a scalar or one value per owner.  Each owner
+shares its own tolerance among its own panels, refines and sums them in
+their own order, and so gets the bits it would get in a pass of its own.
+
 Infinite endpoints are folded to a bounded domain with t = tan(theta),
 which suits integrands with 1/(1+t^2)-type decay.  Integrable endpoint
 singularities of power type are removed with the substitution
@@ -27,10 +33,13 @@ from .errors import QuadratureError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
+_EPS = float(np.finfo(float).eps)
 #: Relative panel width below which refinement is abandoned.
-_WIDTH_FLOOR = 4.0 * np.finfo(float).eps
+_WIDTH_FLOOR = 4.0 * _EPS
 #: Rounding of t near a singular end e, relative to |e|, in pv_cauchy.
-_UNRESOLVED = 64.0 * np.finfo(float).eps
+_UNRESOLVED = 64.0 * _EPS
+#: Rounding noise of a panel's estimates, and of an owner's absolute mass.
+_PANEL_NOISE, _MASS_NOISE = 64.0 * _EPS, 128.0 * _EPS
 
 
 def _gauss_batch(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -83,26 +92,33 @@ def integrate_interval(
     f: Callable,
     a: float,
     b: float,
-    tol: float = 1e-10,
-    seeds: Sequence[float] = (),
+    tol: float | np.ndarray = 1e-10,
+    seeds: Sequence = (),
     max_panels: int = 10**6,
-) -> complex:
+    n: int | None = None,
+):
     """Integrate f over (a, b), a < b; endpoints may be +-inf.
 
     ``seeds`` are interior points forced to be panel boundaries, which
     helps when the integrand has known kinks or sharp windows.
+
+    With ``n`` owners, f is called as f(x, k), ``seeds`` holds one sequence
+    per owner, ``tol`` is a scalar or one value per owner, and the result
+    is the complex array of the n integrals.
     """
+    if n is None:
+        total = integrate_interval(lambda x, _k: f(x), a, b, tol, [seeds], max_panels, 1)[0]
+        return total.real if abs(total.imag) < 1e-300 else total
     if math.isinf(a) or math.isinf(b):
         (ta, tb, fold), = domains(a, b)
-        mapped_seeds = [math.atan(s) for s in seeds if np.isfinite(s)]
-        return integrate_interval(substituted(f, fold), ta, tb, tol=tol, seeds=mapped_seeds,
-                                  max_panels=max_panels)
+        mapped = [[math.atan(s) for s in own if np.isfinite(s)] for own in seeds]
+        return integrate_interval(substituted(f, fold), ta, tb, tol, mapped, max_panels, n)
 
-    edges = [a] + sorted({float(s) for s in seeds if a < s < b}) + [b]
-    total = integrate_pieces(lambda x, _owner: f(x), edges[:-1], edges[1:],
-                             np.zeros(len(edges) - 1, dtype=int), 1,
-                             tol=tol, max_panels=max_panels)[0]
-    return total.real if abs(total.imag) < 1e-300 else total
+    edges = [[a] + sorted({float(s) for s in own if a < s < b}) + [b] for own in seeds]
+    return integrate_pieces(f, [e for own in edges for e in own[:-1]],
+                            [e for own in edges for e in own[1:]],
+                            np.repeat(np.arange(n), [len(own) - 1 for own in edges]), n,
+                            tol=tol, max_panels=max_panels)
 
 
 def substituted(f: Callable, sub: Callable | None) -> Callable:
@@ -116,22 +132,25 @@ def substituted(f: Callable, sub: Callable | None) -> Callable:
     return g
 
 
-def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
+def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float | np.ndarray = 1e-10,
                      max_panels: int = 10**6) -> np.ndarray:
     """Integrals of f over finite pieces [lo_i, hi_i], summed per owner id
     in 0..n-1 (complex array of length n).  The integrand is called as
     f(x, k) with the owner k of every abscissa x.
 
-    Every owner integrates to ``tol``, shared among its pieces by length,
-    with its own rounding floor and panel budget, and sums its panels in
-    their own order, so its result does not depend on the other owners.
+    Every owner integrates to ``tol`` (a scalar, or one value per owner),
+    shared among its pieces by length, with its own rounding floor and
+    panel budget, and sums its panels in their own order, so its result
+    does not depend on the other owners.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     owner = np.asarray(owner, dtype=int)
     total = np.zeros(n, dtype=complex)
     if not len(lo):
         return total
-    budget = tol * (hi - lo) / np.bincount(owner, hi - lo, minlength=n)[owner]
+    tol = np.asarray(tol, dtype=float)
+    budget = (tol[owner] if tol.ndim else tol) * (hi - lo) / np.bincount(
+        owner, hi - lo, minlength=n)[owner]
     vals = _gauss_batch(f, lo, hi, owner)
     abs_accum = np.zeros(n)
     n_panels = np.bincount(owner, minlength=n)
@@ -150,8 +169,7 @@ def integrate_pieces(f: Callable, lo, hi, owner, n: int, tol: float = 1e-10,
         # cannot be refined away; the effective tolerance is floored there.
         abs_vals, abs_refined = np.abs(vals), np.abs(refined)
         l1 = abs_accum + np.bincount(owner, abs_vals, minlength=n)
-        noise = (64.0 * np.finfo(float).eps * (abs_vals + abs_refined)
-                 + 128.0 * np.finfo(float).eps * l1[owner])
+        noise = _PANEL_NOISE * (abs_vals + abs_refined) + _MASS_NOISE * l1[owner]
         done = (err <= np.maximum(budget, noise)) | (hi - lo < _WIDTH_FLOOR * scale)
         np.add.at(total, owner[done], refined[done])
         abs_accum += np.bincount(owner[done], abs_refined[done], minlength=n)
@@ -182,30 +200,48 @@ def integrate_domains(f: Callable, a: float, b: float, n: int = 1, p_left: float
 def integrate_line_relative(
     f: Callable,
     rel_tol: float = 1e-9,
-    seeds: Sequence[float] = (),
+    seeds: Sequence = (),
     max_rounds: int = 4,
-) -> float:
+    n: int | None = None,
+):
     """Line integral of a nonnegative integrand to a relative tolerance.
 
     The absolute tolerance an adaptive pass needs depends on the unknown
     magnitude of the result, so passes are repeated with the tolerance
     re-anchored to the previous estimate until it is consistent.
+
+    With ``n`` owners, f is called as f(x, k), ``seeds`` holds one sequence
+    per owner, and the result is the array of the n integrals.  One
+    magnitude probe serves every owner; each owner keeps its own
+    re-anchored tolerance and stop rule, and each round integrates only
+    the owners not yet consistent, as owners of one ``integrate_interval``
+    pass.  Every owner gets the bits of a call of its own.
     """
+    if n is None:
+        return float(integrate_line_relative(lambda x, _k: f(x), rel_tol, [seeds],
+                                             max_rounds, 1)[0])
+    if not n:
+        return np.zeros(0)
     # Coarse magnitude probe so the first pass is not hopeless for
     # integrands spanning many orders of magnitude.
-    probe = np.tan(np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 257))
-    if len(seeds):
-        near = np.asarray([s + d for s in seeds for d in (-1e-3, 0.0, 1e-3)], dtype=float)
-        probe = np.concatenate([probe, near])
-    fmax = float(np.max(np.abs(f(probe))))
-    estimate = max(fmax, 1e-300)
+    base = np.tan(np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 257))
+    probes = [np.concatenate([base, [s + d for s in own for d in (-1e-3, 0.0, 1e-3)]])
+              for own in seeds]
+    sizes = [len(p) for p in probes]
+    fabs = np.abs(f(np.concatenate(probes), np.repeat(np.arange(n), sizes)))
+    estimate = np.maximum(np.maximum.reduceat(fabs, np.cumsum([0] + sizes[:-1])), 1e-300)
+    value = np.zeros(n)
+    active = np.arange(n)
     for _ in range(max_rounds):
-        abs_tol = max(rel_tol * estimate, 1e-300)
-        value = integrate_interval(f, -math.inf, math.inf, tol=abs_tol, seeds=seeds)
-        value = float(np.real(value))
-        if abs_tol <= rel_tol * max(abs(value), 1e-300) * 1.5:
-            return value
-        estimate = max(abs(value), 1e-300)
+        abs_tol = np.maximum(rel_tol * estimate[active], 1e-300)
+        got = integrate_interval(lambda x, k, active=active: f(x, active[k]), -math.inf,
+                                 math.inf, tol=abs_tol, seeds=[seeds[k] for k in active],
+                                 n=len(active)).real
+        value[active] = got
+        estimate[active] = np.maximum(np.abs(got), 1e-300)
+        active = active[~(abs_tol <= rel_tol * estimate[active] * 1.5)]
+        if not len(active):
+            break
     return value
 
 

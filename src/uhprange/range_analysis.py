@@ -90,6 +90,24 @@ def default_tau_grid(phi: PhiFunction, n: int = 81, pad: float = 10.0) -> tuple[
 # -- test functions and Rayleigh quotients ---------------------------------------
 
 
+#: Largest c of a concentrating test function: |u|^2 reaches exp(2 pi c),
+#: which stays a factor 1/eps below overflow, so the quotient's integrals
+#: and the panel sums of their quadrature stay finite.
+C_MAX = (math.log(np.finfo(float).max) + math.log(np.finfo(float).eps)) / (2.0 * math.pi)
+
+
+def _angle(w: np.ndarray, a, b) -> np.ndarray:
+    """Angle that (a, b) subtends at w; a and b are scalars or one value
+    per point."""
+    return np.clip(np.angle(w - b) - np.angle(w - a), 0.0, math.pi)
+
+
+def _uc_abs2(w: np.ndarray, a, b, c) -> np.ndarray:
+    """|u|^2 of the test function (a, b, c) at w; a, b and c are scalars
+    or one value per point."""
+    return np.exp(2.0 * c * _angle(w, a, b)) / np.abs(w + 1j) ** 2
+
+
 @dataclass(frozen=True)
 class TestFunctionUc:
     """Square-integrable test function concentrating on the disk over (a, b).
@@ -105,18 +123,18 @@ class TestFunctionUc:
     __test__ = False  # not a pytest collection target
 
     def __post_init__(self):
-        if not (self.a < self.b and self.c > 0):
-            raise PreconditionError("need a < b and c > 0")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise PreconditionError("need finite a < b")
+        if not 0.0 < self.c <= C_MAX:
+            raise PreconditionError(f"need 0 < c <= C_MAX = {C_MAX:.6g}, beyond which "
+                                    f"exp(2 pi c) is within 1/eps of overflow")
 
     def angle_subtended(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        th = np.angle(w - self.b) - np.angle(w - self.a)
-        return np.clip(th, 0.0, math.pi)
+        return _angle(np.asarray(w, dtype=complex), self.a, self.b)
 
     def abs2_boundary(self, w) -> np.ndarray:
         """|u|^2 on the closed upper half-plane."""
-        w = np.asarray(w, dtype=complex)
-        return np.exp(2.0 * self.c * self.angle_subtended(w)) / np.abs(w + 1j) ** 2
+        return _uc_abs2(np.asarray(w, dtype=complex), self.a, self.b, self.c)
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -129,42 +147,72 @@ class TestFunctionUc:
         return math.exp(2.0 * math.pi * self.c) * span + (math.pi - span)
 
 
+def _abs2_of(u):
+    """|u|^2 on the closed upper half-plane, for a u other than TestFunctionUc."""
+    if hasattr(u, "abs2_boundary"):
+        return u.abs2_boundary
+    return lambda w: np.abs(np.asarray(u(np.asarray(w, complex)))) ** 2
+
+
 def rayleigh_quotient(phi: PhiFunction, u, rel_tol: float = 1e-8) -> float:
     """Boundary-integral quotient of composed-versus-plain squared norms."""
+    return float(rayleigh_quotients(phi, [u], rel_tol)[0])
+
+
+def rayleigh_quotients(phi: PhiFunction, us, rel_tol: float = 1e-8) -> np.ndarray:
+    """Quotient of squared boundary norms |u o phi|^2 / |u|^2 for each test
+    function u in us.  Every numerator is an owner of one relative line
+    integral, so phi.boundary is called once per round on the abscissae of
+    all of them.  A TestFunctionUc is seeded with the preimage of its
+    interval (one pullback per distinct interval); any other u has no
+    seeds.  A u without a closed-form ``norm2`` has its norm integrated.
+    Each quotient has the bits of a call of its own."""
     require_contraction(phi)
-    if hasattr(u, "abs2_boundary"):
-        abs2 = u.abs2_boundary
-    else:
-        abs2 = lambda w: np.abs(np.asarray(u(np.asarray(w, complex)))) ** 2
+    us = list(us)
+    uc = [isinstance(u, TestFunctionUc) for u in us]
+    a, b, c = (np.asarray([getattr(u, name) if ok else math.nan for u, ok in zip(us, uc)])
+               for name in "abc")
+    others = {k: _abs2_of(u) for k, (u, ok) in enumerate(zip(us, uc)) if not ok}
 
-    seeds: list[float] = []
-    if isinstance(u, TestFunctionUc):
-        pre, _ = preimage_interval_measure(phi, (u.a, u.b))
-        seeds = [e for piece in pre for e in piece]
-        seeds += [e for seg in phi.nonreal_segments for e in seg if np.isfinite(e)]
+    ends = [e for seg in phi.nonreal_segments for e in seg if np.isfinite(e)]
+    preimages: dict[tuple[float, float], list[float]] = {}
+    seeds: list[list[float]] = []
+    for u, ok in zip(us, uc):
+        if ok and (u.a, u.b) not in preimages:
+            pre, _ = preimage_interval_measure(phi, (u.a, u.b))
+            preimages[u.a, u.b] = [e for piece in pre for e in piece]
+        seeds.append(preimages[u.a, u.b] + ends if ok else [])
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return abs2(phi.boundary(x))
+    def abs2(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """|u_k(w)|^2 for the owner k of every point w (NaN parameters give
+        the other owners NaN until their own call fills them in)."""
+        out = _uc_abs2(w, a[k], b[k], c[k])
+        for j, abs2_j in others.items():
+            mine = k == j
+            out[mine] = abs2_j(w[mine])
+        return out
 
-    num = _quad.integrate_line_relative(integrand, rel_tol=rel_tol, seeds=seeds)
-    if hasattr(u, "norm2"):
-        den = u.norm2()
-    else:
-        den = _quad.integrate_line_relative(lambda x: abs2(x.astype(complex)),
-                                            rel_tol=rel_tol, seeds=seeds)
+    num = _quad.integrate_line_relative(lambda x, k: abs2(phi.boundary(x), k),
+                                        rel_tol=rel_tol, seeds=seeds, n=len(us))
+    den = np.asarray([u.norm2() if hasattr(u, "norm2") else math.nan for u in us])
+    integrated = np.asarray([k for k, u in enumerate(us) if not hasattr(u, "norm2")], dtype=int)
+    if len(integrated):
+        den[integrated] = _quad.integrate_line_relative(
+            lambda x, k: abs2(x.astype(complex), integrated[k]), rel_tol=rel_tol,
+            seeds=[[]] * len(integrated), n=len(integrated))
     return num / den
 
 
 def contraction_check(phi: PhiFunction, m: int = 20, seed: int = 0) -> float:
     """Max Rayleigh quotient over m random concentrating test functions."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    us = []
     for _ in range(int(m)):
         a = float(rng.uniform(-5.0, 5.0))
         b = a + float(rng.uniform(0.2, 3.0))
         c = float(rng.uniform(0.25, 3.0))
-        worst = max(worst, rayleigh_quotient(phi, TestFunctionUc(a, b, c)))
-    return worst
+        us.append(TestFunctionUc(a, b, c))
+    return max([0.0, *rayleigh_quotients(phi, us).tolist()])
 
 
 # -- grid sweeps for the constants -----------------------------------------------
@@ -271,7 +319,8 @@ def _rayleigh_evidence(phi: PhiFunction, interval: tuple[float, float],
     """Rayleigh quotient of the concentrating test function over the
     interval for each c, keyed by float(c)."""
     a, b = float(interval[0]), float(interval[1])
-    return {float(c): rayleigh_quotient(phi, TestFunctionUc(a, b, float(c))) for c in c_values}
+    cs = [float(c) for c in c_values]
+    return dict(zip(cs, rayleigh_quotients(phi, [TestFunctionUc(a, b, c) for c in cs]).tolist()))
 
 
 # -- report ----------------------------------------------------------------------

@@ -123,3 +123,45 @@ def test_pv_infinite_ends():
     x = 2.0
     half = _quad.pv_cauchy(f, 0.0, math.inf, x)
     assert abs(half + (0.5 * math.pi * x + math.log(x)) / (1.0 + x * x)) < 1e-15
+
+
+def test_pieces_per_owner_tol_equals_one_owner_calls():
+    f = lambda t, k: np.exp(np.sin((3 + k) * t)) / (1 + t * t)
+    rng = np.random.default_rng(9)
+    lo = rng.uniform(-4, 4, 24)
+    hi = lo + rng.uniform(0.01, 3, 24)
+    owner = rng.integers(0, 4, 24)
+    tol = np.asarray([1e-6, 1e-13, 1e-9, 1e-11])
+    together = _quad.integrate_pieces(f, lo, hi, owner, 4, tol=tol)
+    for k in range(4):
+        mine = owner == k
+        alone = _quad.integrate_pieces(lambda t, _k: f(t, k), lo[mine], hi[mine],
+                                       np.zeros(mine.sum(), int), 1, tol=tol[k])
+        assert alone.tobytes() == together[k:k + 1].tobytes()
+    # a scalar tol is the same tol for every owner
+    same = _quad.integrate_pieces(f, lo, hi, owner, 4, tol=1e-10)
+    assert same.tobytes() == _quad.integrate_pieces(f, lo, hi, owner, 4,
+                                                    tol=np.full(4, 1e-10)).tobytes()
+
+
+def test_line_relative_owners_equal_single_calls():
+    """Owners of very different magnitudes and windows, some of which take
+    more re-anchoring rounds than others, each get the bits of a call of
+    their own."""
+    scales = np.asarray([1e-3, 1.0, 1e12, 3.0, 1e-30])
+    centers = np.asarray([0.5, 5.0, -2.0, 40.0, 0.0])
+    widths = np.asarray([1.0, 0.3, 2.0, 1e-2, 1e-3])
+    # the first owner is broad and unseeded; the others have their windows seeded
+    seeds = [[c - 6.0 * w, c + 6.0 * w] if k else []
+             for k, (c, w) in enumerate(zip(centers, widths))]
+
+    def f(x, k):
+        return scales[k] * (1e-6 / (1.0 + x * x) + np.exp(-((x - centers[k]) / widths[k]) ** 2))
+
+    together = _quad.integrate_line_relative(f, rel_tol=1e-9, seeds=seeds, n=len(scales))
+    for k in range(len(scales)):
+        alone = _quad.integrate_line_relative(lambda x: f(x, np.full(x.shape, k)),
+                                              rel_tol=1e-9, seeds=seeds[k])
+        assert together[k] == alone
+        expect = scales[k] * (1e-6 * math.pi + math.sqrt(math.pi) * widths[k])
+        assert abs(alone - expect) <= 1e-8 * expect

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from uhprange import _quad
 from uhprange import (DiskQuery, NevanlinnaData, PreconditionError, QueryGrid,
                       RealMeasure, TestFunctionUc, boole_check, clark_singular_mass,
                       closed_range_report, constant_A_upper, constant_B, constant_C,
-                      constant_D, letac_check, phi_from_catalog, phi_from_nevanlinna,
-                      phi_identity, phi_translation, preimage_disk_measure,
-                      rayleigh_quotient)
+                      constant_D, contraction_check, letac_check, phi_from_catalog,
+                      phi_from_nevanlinna, phi_identity, phi_translation,
+                      preimage_disk_measure, rayleigh_quotient)
 from uhprange.measures import AcPiece
-from uhprange.range_analysis import _D_Y_GRID
+from uhprange.range_analysis import _D_Y_GRID, C_MAX, _rayleigh_evidence
 
 
 def small_grid(centers, lengths=(1.0, 0.25, 2.0**-6, 2.0**-10)):
@@ -48,6 +49,23 @@ def test_rayleigh_identity_and_translation():
     u = TestFunctionUc(-0.5, 0.5, 2.0)
     assert abs(rayleigh_quotient(phi_identity(), u) - 1.0) < 1e-9
     assert abs(rayleigh_quotient(phi_translation(3.0), u) - 1.0) < 1e-8
+
+
+def test_uc_rejects_what_it_cannot_compute():
+    for a, b in [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(PreconditionError, match="finite"):
+            TestFunctionUc(a, b, 1.0)
+    for c in (math.nextafter(C_MAX, math.inf), 112.9, math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(PreconditionError, match="C_MAX"):
+            TestFunctionUc(-0.5, 0.5, c)
+    with pytest.raises(PreconditionError, match="C_MAX"):
+        constant_A_upper(phi_identity(), (-0.5, 0.5), with_rayleigh=True, c_values=(200.0,))
+    # the largest accepted c gives a finite quotient, without a warning
+    assert abs(rayleigh_quotient(phi_identity(), TestFunctionUc(-0.5, 0.5, C_MAX)) - 1.0) < 1e-9
+    for phi in (phi_from_catalog("sqrt"), phi_from_catalog("zlog"),
+                phi_from_catalog("zloglin", alpha=0.0)):
+        for a, b in [(-0.5, 0.5), (-40.5, -39.5)]:
+            assert 0.0 < rayleigh_quotient(phi, TestFunctionUc(a, b, C_MAX)) <= 1.0
 
 
 def test_rayleigh_sqrt_concentrated():
@@ -198,6 +216,66 @@ def test_report_rayleigh_evidence_matches_single_query():
         single = constant_A_upper(phi, rep.A_argmin, with_rayleigh=True)
         assert rep.rayleigh_evidence == single.rayleigh_quotients
         assert list(rep.rayleigh_evidence) == [1.0, 4.0, 16.0]
+
+
+def _translation_pole():
+    return phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0)))
+
+
+#: The acceptance maps with the A-argmin intervals of their reports on
+#: grids of 11 centers and 5 lengths (the benchmark's report size).
+_EVIDENCE_CASES = {
+    "identity": (phi_identity, (-11.125, -10.875)),
+    "translation_pole": (_translation_pole, (-7.93125, -7.86875)),
+    "zloglin0": (lambda: phi_from_catalog("zloglin", alpha=0.0), (-0.03125, 0.03125)),
+    "sqrt": (lambda: phi_from_catalog("sqrt"), (-0.03125, 0.03125)),
+    "zlog": (lambda: phi_from_catalog("zlog"), (-40.5, -39.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVIDENCE_CASES))
+def test_rayleigh_evidence_equals_single_quotients(name):
+    make, (a, b) = _EVIDENCE_CASES[name]
+    phi = make()
+    single = {c: rayleigh_quotient(phi, TestFunctionUc(a, b, c)) for c in (1.0, 4.0, 16.0)}
+    assert _rayleigh_evidence(phi, (a, b)) == single
+
+
+def test_rayleigh_evidence_takes_few_rounds(monkeypatch):
+    """The three quotients of a report's evidence share their adaptive
+    rounds: the four maps of the benchmark's timed reports take at most 140
+    rounds (236 with one pass per quotient) for the same panels."""
+    work = {"rounds": 0, "panels": 0}
+    gauss = _quad._gauss_batch
+
+    def counted(f, lo, hi, owner):
+        work["rounds"] += 1
+        work["panels"] += len(lo)
+        return gauss(f, lo, hi, owner)
+
+    monkeypatch.setattr(_quad, "_gauss_batch", counted)
+    cases = [_EVIDENCE_CASES[name] for name in ("identity", "zloglin0", "sqrt", "zlog")]
+    for make, interval in cases:
+        _rayleigh_evidence(make(), interval)
+    batched = dict(work)
+    work.update(rounds=0, panels=0)
+    for make, (a, b) in cases:
+        for c in (1.0, 4.0, 16.0):
+            rayleigh_quotient(make(), TestFunctionUc(a, b, c))
+    assert batched["rounds"] <= 140 < work["rounds"]
+    assert batched["panels"] == work["panels"]
+
+
+@pytest.mark.parametrize("name", ["sqrt", "zloglin0"])
+def test_contraction_check_is_max_of_single_quotients(name):
+    phi = _EVIDENCE_CASES[name][0]()
+    rng = np.random.default_rng(88)
+    single = []
+    for _ in range(20):
+        a = float(rng.uniform(-5.0, 5.0))
+        b = a + float(rng.uniform(0.2, 3.0))
+        single.append(rayleigh_quotient(phi, TestFunctionUc(a, b, float(rng.uniform(0.25, 3.0)))))
+    assert contraction_check(phi, m=20, seed=88) == max(single)
 
 
 def test_malformed_grids_rejected():
