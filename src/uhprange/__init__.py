@@ -22,8 +22,7 @@ from .range_analysis import (AUpperResult, ConstantEstimate, QueryGrid, RangeRep
                              closed_range_report, constant_A_upper, constant_B,
                              constant_C, constant_D, contraction_check,
                              default_grid, default_tau_grid, letac_check,
-                             rayleigh_quotient, rayleigh_quotients,
-                             similarity_certificate,
+                             rayleigh_quotient, similarity_certificate,
                              similarity_lower_bound)
 
 __version__ = "0.1.0"
@@ -43,6 +42,6 @@ __all__ = [
     "mc_oracle_measure", "phi_from_catalog", "phi_from_nevanlinna",
     "phi_identity", "phi_translation", "preimage_disk_measure",
     "preimage_disk_set", "preimage_interval_measure", "preimage_interval_set",
-    "rayleigh_quotient", "rayleigh_quotients", "similarity_certificate",
+    "rayleigh_quotient", "similarity_certificate",
     "similarity_lower_bound", "singular_mass_tsereteli", "tail_set_measure",
 ]

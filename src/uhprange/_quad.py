@@ -6,11 +6,12 @@ the absolute tolerance budget (shares proportional to panel length).
 Integrands must be vectorized: ``f`` maps a 1-d ndarray of abscissae to an
 ndarray of real or complex values.
 
-Several integrals can share one adaptive pass as its *owners*, numbered
-0..n-1: the integrand is then called as f(x, k) with the owner k of every
-abscissa x, and ``tol`` is a scalar or one value per owner.  Each owner
-shares its own tolerance among its own panels, refines and sums them in
-their own order, and so gets the bits it would get in a pass of its own.
+Every integrator but ``pv_cauchy`` computes several integrals in one
+adaptive pass as its *owners*, numbered 0..n-1: the integrand is called
+as f(x, k) with the owner k of every abscissa x, and ``tol`` is a scalar
+or one value per owner.  Each owner shares its own tolerance among its
+own panels, refines and sums them in their own order, and so gets the
+bits it would get in a pass of its own.
 
 Infinite endpoints are folded to a bounded domain with t = tan(theta),
 which suits integrands with 1/(1+t^2)-type decay.  Integrable endpoint
@@ -93,32 +94,27 @@ def integrate_interval(
     a: float,
     b: float,
     tol: float | np.ndarray = 1e-10,
-    seeds: Sequence = (),
+    seeds: Sequence = ((),),
     max_panels: int = 10**6,
-    n: int | None = None,
-):
-    """Integrate f over (a, b), a < b; endpoints may be +-inf.
+) -> np.ndarray:
+    """Integrals of f(x, k) over (a, b), a < b, for every owner k in
+    0..n-1 (complex array of length n); endpoints may be +-inf.
 
-    ``seeds`` are interior points forced to be panel boundaries, which
-    helps when the integrand has known kinks or sharp windows.
-
-    With ``n`` owners, f is called as f(x, k), ``seeds`` holds one sequence
-    per owner, ``tol`` is a scalar or one value per owner, and the result
-    is the complex array of the n integrals.
+    ``seeds`` holds one sequence per owner, so n = len(seeds): interior
+    points forced to be that owner's panel boundaries, which helps when
+    the integrand has known kinks or sharp windows.  ``tol`` is a scalar
+    or one value per owner.
     """
-    if n is None:
-        total = integrate_interval(lambda x, _k: f(x), a, b, tol, [seeds], max_panels, 1)[0]
-        return total.real if abs(total.imag) < 1e-300 else total
     if math.isinf(a) or math.isinf(b):
         (ta, tb, fold), = domains(a, b)
         mapped = [[math.atan(s) for s in own if np.isfinite(s)] for own in seeds]
-        return integrate_interval(substituted(f, fold), ta, tb, tol, mapped, max_panels, n)
+        return integrate_interval(substituted(f, fold), ta, tb, tol, mapped, max_panels)
 
     edges = [[a] + sorted({float(s) for s in own if a < s < b}) + [b] for own in seeds]
     return integrate_pieces(f, [e for own in edges for e in own[:-1]],
                             [e for own in edges for e in own[1:]],
-                            np.repeat(np.arange(n), [len(own) - 1 for own in edges]), n,
-                            tol=tol, max_panels=max_panels)
+                            np.repeat(np.arange(len(edges)), [len(own) - 1 for own in edges]),
+                            len(edges), tol=tol, max_panels=max_panels)
 
 
 def substituted(f: Callable, sub: Callable | None) -> Callable:
@@ -200,26 +196,25 @@ def integrate_domains(f: Callable, a: float, b: float, n: int = 1, p_left: float
 def integrate_line_relative(
     f: Callable,
     rel_tol: float = 1e-9,
-    seeds: Sequence = (),
+    seeds: Sequence = ((),),
     max_rounds: int = 4,
-    n: int | None = None,
-):
-    """Line integral of a nonnegative integrand to a relative tolerance.
+) -> np.ndarray:
+    """Line integrals of nonnegative integrands to a relative tolerance.
 
     The absolute tolerance an adaptive pass needs depends on the unknown
     magnitude of the result, so passes are repeated with the tolerance
     re-anchored to the previous estimate until it is consistent.
 
-    With ``n`` owners, f is called as f(x, k), ``seeds`` holds one sequence
-    per owner, and the result is the array of the n integrals.  One
-    magnitude probe serves every owner; each owner keeps its own
-    re-anchored tolerance and stop rule, and each round integrates only
-    the owners not yet consistent, as owners of one ``integrate_interval``
-    pass.  Every owner gets the bits of a call of its own.
+    The integrand is called as f(x, k) for the owners k in 0..n-1, and
+    ``seeds`` holds one sequence per owner, so n = len(seeds); the result
+    is the array of the n integrals.  One magnitude probe serves every
+    owner; each owner keeps its own re-anchored tolerance (the per-owner
+    ``tol`` of ``integrate_pieces``) and stop rule, and each round
+    integrates only the owners not yet consistent, as owners of one
+    ``integrate_interval`` pass.  Every owner gets the bits of a call of
+    its own.
     """
-    if n is None:
-        return float(integrate_line_relative(lambda x, _k: f(x), rel_tol, [seeds],
-                                             max_rounds, 1)[0])
+    n = len(seeds)
     if not n:
         return np.zeros(0)
     # Coarse magnitude probe so the first pass is not hopeless for
@@ -235,8 +230,7 @@ def integrate_line_relative(
     for _ in range(max_rounds):
         abs_tol = np.maximum(rel_tol * estimate[active], 1e-300)
         got = integrate_interval(lambda x, k, active=active: f(x, active[k]), -math.inf,
-                                 math.inf, tol=abs_tol, seeds=[seeds[k] for k in active],
-                                 n=len(active)).real
+                                 math.inf, tol=abs_tol, seeds=[seeds[k] for k in active]).real
         value[active] = got
         estimate[active] = np.maximum(np.abs(got), 1e-300)
         active = active[~(abs_tol <= rel_tol * estimate[active] * 1.5)]

@@ -193,13 +193,13 @@ def rayleigh_quotients(phi: PhiFunction, us, rel_tol: float = 1e-8) -> np.ndarra
         return out
 
     num = _quad.integrate_line_relative(lambda x, k: abs2(phi.boundary(x), k),
-                                        rel_tol=rel_tol, seeds=seeds, n=len(us))
+                                        rel_tol=rel_tol, seeds=seeds)
     den = np.asarray([u.norm2() if hasattr(u, "norm2") else math.nan for u in us])
     integrated = np.asarray([k for k, u in enumerate(us) if not hasattr(u, "norm2")], dtype=int)
     if len(integrated):
         den[integrated] = _quad.integrate_line_relative(
             lambda x, k: abs2(x.astype(complex), integrated[k]), rel_tol=rel_tol,
-            seeds=[[]] * len(integrated), n=len(integrated))
+            seeds=[[]] * len(integrated))
     return num / den
 
 

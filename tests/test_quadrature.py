@@ -9,23 +9,23 @@ from uhprange import _quad
 
 
 def test_polynomial_exact():
-    val = _quad.integrate_interval(lambda t: 3 * t**2, 0.0, 2.0)
+    val, = _quad.integrate_interval(lambda t, _k: 3 * t**2, 0.0, 2.0)
     assert abs(val - 8.0) < 1e-12
 
 
 def test_full_line_cauchy_weight():
-    val = _quad.integrate_interval(lambda t: 1.0 / (1.0 + t * t), -math.inf, math.inf)
+    val, = _quad.integrate_interval(lambda t, _k: 1.0 / (1.0 + t * t), -math.inf, math.inf)
     assert abs(val - math.pi) < 1e-10
 
 
 def test_half_line():
-    val = _quad.integrate_interval(lambda t: np.exp(-t), 0.0, math.inf)
+    val, = _quad.integrate_interval(lambda t, _k: np.exp(-t), 0.0, math.inf)
     assert abs(val - 1.0) < 1e-10
 
 
 def test_complex_integrand():
     z = 2j
-    val = _quad.integrate_interval(lambda t: 1.0 / (t - z), 0.0, 1.0)
+    val, = _quad.integrate_interval(lambda t, _k: 1.0 / (t - z), 0.0, 1.0)
     expect = np.log(1 - z) - np.log(-z)
     assert abs(val - expect) < 1e-10
 
@@ -85,12 +85,12 @@ def test_pv_smooth_density():
 
 def test_panel_budget_error():
     with pytest.raises(QuadratureError):
-        _quad.integrate_interval(lambda t: np.sin(1e6 * t) / np.maximum(t, 1e-300),
+        _quad.integrate_interval(lambda t, _k: np.sin(1e6 * t) / np.maximum(t, 1e-300),
                                  0.0, 1.0, tol=1e-14, max_panels=64)
 
 
 def test_seeded_kink():
-    val = _quad.integrate_interval(lambda t: np.abs(t), -1.0, 2.0, seeds=[0.0])
+    val, = _quad.integrate_interval(lambda t, _k: np.abs(t), -1.0, 2.0, seeds=[[0.0]])
     assert abs(val - 2.5) < 1e-12
 
 
@@ -107,7 +107,7 @@ def test_pieces_independent_of_other_owners():
         alone = _quad.integrate_pieces(f, lo[mine], hi[mine], np.zeros(mine.sum(), int), 1,
                                        tol=1e-11)
         assert alone[0] == together[k]
-        assert abs(alone[0] - sum(_quad.integrate_interval(f, a, b, tol=1e-13)
+        assert abs(alone[0] - sum(_quad.integrate_interval(f, a, b, tol=1e-13)[0]
                                   for a, b in zip(lo[mine], hi[mine]))) < 1e-10
 
 
@@ -158,10 +158,10 @@ def test_line_relative_owners_equal_single_calls():
     def f(x, k):
         return scales[k] * (1e-6 / (1.0 + x * x) + np.exp(-((x - centers[k]) / widths[k]) ** 2))
 
-    together = _quad.integrate_line_relative(f, rel_tol=1e-9, seeds=seeds, n=len(scales))
+    together = _quad.integrate_line_relative(f, rel_tol=1e-9, seeds=seeds)
     for k in range(len(scales)):
-        alone = _quad.integrate_line_relative(lambda x: f(x, np.full(x.shape, k)),
-                                              rel_tol=1e-9, seeds=seeds[k])
+        alone, = _quad.integrate_line_relative(lambda x, _k: f(x, np.full(x.shape, k)),
+                                               rel_tol=1e-9, seeds=[seeds[k]])
         assert together[k] == alone
         expect = scales[k] * (1e-6 * math.pi + math.sqrt(math.pi) * widths[k])
         assert abs(alone - expect) <= 1e-8 * expect
