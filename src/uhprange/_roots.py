@@ -22,6 +22,11 @@ shorter than half the step before the last (a lying slope) is replaced by
 bisection.  Without a slope every step bisects.  A root is the Newton
 point of the evaluation that closes its bracket, taken with that
 evaluation's own slope.
+
+A non-real boundary segment has a table too (SegmentTable): the complex
+boundary values on a grid refined to a fixed rule, with a bound on each
+interval's deviation from its chord, which the disk queries of
+levelset.disk_panels prune against and bracket their roots on.
 """
 
 from __future__ import annotations
@@ -160,6 +165,114 @@ class BranchTable:
         return out.reshape(targets.shape)
 
 
+#: A segment table splits an interval while its midpoint value lies farther
+#: than CHORD_TOL * max(1, |value|) from the chord.
+CHORD_TOL = 2.0 ** -16
+
+#: Boxes of one level of a segment table per box of the level above.
+BLOCK = 32
+
+
+class SegmentTable:
+    """Boundary values phi(x + i0) on one non-real segment, tabulated by a
+    rule that no query changes; ``f(x)`` returns them.  The nodes start as the
+    segment's probe points (geometric toward every end, out to SCAN_LIMIT at
+    an infinite one).  An interval is split at its midpoint while the
+    midpoint's value lies off the chord by more than CHORD_TOL
+    max(1, |value|) and the interval is wider than 2^-44 of the segment's
+    scale (its width, or the larger of 1 and |finite end|).  The midpoint
+    of an interval that passes becomes a node too, and both halves take the
+    distance measured there as their deviation bound ``dev``, about four
+    times a half's own deviation from its chord: phi lies within
+    4 dev s (1 - s) of the chord at the fraction s of the half.  A
+    non-finite value makes no node, and its interval's bound is inf.
+    ``boxes`` holds, level by level, the bounding boxes (re_lo, re_hi,
+    im_lo, im_hi) of runs of 1, BLOCK, BLOCK^2, ... intervals, padded by
+    their largest bound, up to a level of at most BLOCK boxes; ``ends``
+    holds the segment's ends, an infinite one replaced by the outermost
+    node."""
+
+    def __init__(self, segment: tuple[float, float], f: Callable[[np.ndarray], np.ndarray]):
+        l, r = segment
+        x = probe_points(Branch(l, r))
+        v = np.asarray(f(x), dtype=complex)
+        x, v = x[np.isfinite(v)], v[np.isfinite(v)]
+        if x.size < 2:
+            raise ConvergenceError(f"segment {segment} could not be tabulated")
+        finite = [abs(e) for e in segment if np.isfinite(e)]
+        floor = 2.0 ** -44 * (r - l if len(finite) == 2 else max([1.0] + finite))
+        dev = np.full(x.size - 1, np.nan)  # NaN: not measured yet
+        while np.isnan(dev).any():
+            j = np.flatnonzero(np.isnan(dev))
+            m = 0.5 * (x[j] + x[j + 1])
+            vm = np.asarray(f(m), dtype=complex)
+            e = np.abs(vm - 0.5 * (v[j] + v[j + 1]))
+            ok = np.isfinite(vm)
+            split = (e > CHORD_TOL * np.maximum(1.0, np.abs(vm))) & (
+                x[j + 1] - x[j] > np.maximum(floor, 16.0 * _EPS * np.abs(m)))
+            dev[j] = np.where(ok & ~split, e, np.where(ok, np.nan, np.inf))
+            x, v = np.insert(x, j[ok] + 1, m[ok]), np.insert(v, j[ok] + 1, vm[ok])
+            dev = np.insert(dev, j[ok] + 1, dev[j[ok]])
+        self.x, self.values, self.dev = x, v, dev
+        self.ends = (l if np.isfinite(l) else x[0], r if np.isfinite(r) else x[-1])
+        # each interval's box, then each run of BLOCK boxes' box, up to at most BLOCK boxes
+        self.boxes = [tuple(bound(part[:-1], part[1:]) + sign * dev
+                            for part in (v.real, v.imag)
+                            for bound, sign in ((np.minimum, -1.0), (np.maximum, 1.0)))]
+        while self.boxes[-1][0].size > BLOCK:
+            first = np.arange(0, self.boxes[-1][0].size, BLOCK)
+            self.boxes.append(tuple(bound.reduceat(part, first) for part, bound in zip(
+                self.boxes[-1], (np.minimum, np.maximum) * 2)))
+
+    def candidates(self, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (disk, interval) pairs, disk-major, whose padded box the
+        circle |w - c_k| = r_k meets, found from the coarsest level of boxes
+        down: a box wholly outside or inside the disk (by a margin of 2^-30 r
+        over rounding) holds no crossing.  Disks go 2^11 at a time."""
+        found = [(np.empty(0, dtype=int),) * 2]
+        for i in range(0, c.size, 2 ** 11):
+            k = np.arange(i, min(i + 2 ** 11, c.size))
+            j = np.zeros(k.size, dtype=int)
+            for re_lo, re_hi, im_lo, im_hi in reversed(self.boxes):
+                k, j = np.repeat(k, BLOCK), (j[:, None] * BLOCK + np.arange(BLOCK)).ravel()
+                k, j = k[j < re_lo.size], j[j < re_lo.size]
+                cc, lo, hi = c[k], re_lo[j], re_hi[j]
+                near = (np.maximum(np.maximum(lo - cc, cc - hi), 0.0) ** 2
+                        + np.maximum(np.maximum(im_lo[j], -im_hi[j]), 0.0) ** 2)
+                far = np.maximum(np.abs(lo - cc), np.abs(hi - cc)) ** 2 + np.maximum(
+                    im_lo[j] ** 2, im_hi[j] ** 2)
+                meets = ((near < (r[k] * (1.0 + 2.0 ** -30)) ** 2)
+                         & ~(far < (r[k] * (1.0 - 2.0 ** -30)) ** 2))
+                k, j = k[meets], j[meets]
+            found.append((k, j))
+        return tuple(np.concatenate(v) for v in zip(*found))
+
+
+def uncertified(A, B, d, r) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the bounds leave it open that phi, within 4 d s (1 - s) of
+    the chord from c + A to c + A + B at the fraction s, crosses the circle
+    |w - c| = r where both chord ends lie on one side of it; and where to
+    probe it: the chord's point nearest c, or where the upper bound peaks,
+    kept within [1/16, 15/16].  With a0 = |A| and a1 = |A + B|, the lower
+    bound is the larger of the chord's distance less d and the one from
+    the tangents at both ends of the convex |A + s B| - 4 d s (1 - s); the
+    upper one is the largest value of (1 - s) a0 + s a1 + 4 d s (1 - s)."""
+    a0, a1, inside = np.abs(A), np.abs(A + B), np.abs(A) < r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g0 = (A.real * B.real + A.imag * B.imag) / a0 - 4.0 * d
+        g1 = ((A + B).real * B.real + (A + B).imag * B.imag) / a1 + 4.0 * d
+        s = np.clip((a1 - g1 - a0) / (g0 - g1), 0.0, 1.0)
+        lower = np.where(g0 >= 0.0, a0, np.where(g1 <= 0.0, a1, np.maximum(a0 + g0 * s,
+                                                                           a1 + g1 * (s - 1.0))))
+        near = np.clip(-(A.real * B.real + A.imag * B.imag) / np.abs(B) ** 2, 0.0, 1.0)
+        lower = np.maximum(lower, np.abs(A + near * B) - d)
+        far = np.clip((a1 - a0 + 4.0 * d) / (8.0 * d), 0.0, 1.0)
+        upper = np.where(d > 0.0, a0 + far * (a1 - a0) + 4.0 * d * far * (1.0 - far),
+                         np.maximum(a0, a1))
+    probe = np.nan_to_num(np.where(inside, far, near), nan=0.5)
+    return np.where(inside, ~(upper < r), ~(lower >= r)), np.clip(probe, 0.0625, 0.9375)
+
+
 def _hermite_start(x0, x1, y0, y1, d0, d1, target) -> np.ndarray:
     """The inverse cubic Hermite point of each bracket: x(y) through
     (y0, x0) and (y1, x1) with slopes 1/d0 and 1/d1; the secant point where
@@ -176,8 +289,10 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
                       max_iter: int = 200, start=None) -> np.ndarray:
     """Roots of increasing f(x) = target in valid brackets (lo, hi), with
     f(lo) < target <= f(hi).  ``f(x)`` returns the pair (f(x), f'(x)), or
-    (f(x), None) where there is no slope.  The first point of an element
-    is its ``start``, or the bracket's midpoint where the start is not
+    (f(x), None) where there is no slope; a callable with ``per_element``
+    set is called f(x, k) instead, k the indices of the points x in the
+    batch, and solves one equation per element.  The first point of an
+    element is its ``start``, or the bracket's midpoint where the start is not
     strictly inside the bracket (NaN and +-inf included) or not given.
     Every evaluation moves one end of its element's bracket; an element is
     done once its bracket is at most tol = max(xtol, 8 eps |x|) wide.
@@ -197,22 +312,25 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
         start = np.broadcast_to(np.asarray(start, dtype=float), lo.shape)
         x = np.where((lo < start) & (start < hi), start, x)
     out = np.empty(lo.shape)
+    per_element = getattr(f, "per_element", False)
     for i in range(0, lo.size, SOLVE_SLICE):
         k = slice(i, i + SOLVE_SLICE)
-        out[k] = _solve_slice(f, lo[k], hi[k], target[k], x[k], xtol, max_iter)
+        out[k] = _solve_slice(f, lo[k], hi[k], target[k], x[k], xtol, max_iter,
+                              i if per_element else None)
     return out
 
 
-def _solve_slice(f, lo, hi, target, x, xtol, max_iter) -> np.ndarray:
-    """bisect_increasing on one slice from the points x; lo and hi are
-    updated in place."""
+def _solve_slice(f, lo, hi, target, x, xtol, max_iter, offset) -> np.ndarray:
+    """bisect_increasing on one slice from the points x, f called f(x), or
+    f(x, k) given the batch's index ``offset`` of the slice's first
+    element; lo and hi are updated in place."""
     out, active = np.empty(lo.shape), np.arange(lo.size)
     last, before = 0.5 * (hi - lo), hi - lo  # the last two step lengths
     for _ in range(max_iter):
         if not active.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            value, slope = f(x)
+            value, slope = f(x) if offset is None else f(x, offset + active)
             r = np.asarray(value) - target  # exact in sign: r < 0 is f(x) < target
         # a copy: a real view would hold its complex base
         d = np.full(x.shape, np.nan) if slope is None else np.array(slope, dtype=float)

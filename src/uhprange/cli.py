@@ -13,6 +13,8 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -20,14 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ._roots import SCAN_LIMIT
 from .cauchy import cauchy_transform, g_tau
 from .clark import clark_measures
 from .errors import (ConfigError, ConvergenceError, OrbitBreakError,
                      QuadratureError, UhprangeError)
 from .herglotz import (CATALOG, NevanlinnaData, PhiFunction, phi_from_catalog,
                        phi_from_nevanlinna)
-from .levelset import (DiskQuery, preimage_disk_measure, preimage_interval_set,
-                       tail_measures, tail_set_measure)
+from .levelset import preimage_interval_set, tail_measures, tail_set_measure
 from .measures import RealMeasure, ScCantorPiece
 from .range_analysis import (QueryGrid, boole_check, closed_range_report,
                              default_grid, default_tau_grid, letac_check,
@@ -95,9 +97,15 @@ def build_phi(cfg: dict) -> PhiFunction:
                                     depth=int(ss.get("depth", 16)),
                                     middle=float(ss.get("middle", 1.0 / 3.0))))
         rho = RealMeasure(atoms=atoms, ac_pieces=tuple(pieces), sc_pieces=tuple(sc))
-        return phi_from_nevanlinna(NevanlinnaData(alpha=alpha, beta=beta, rho=rho))
+        phi = phi_from_nevanlinna(NevanlinnaData(alpha=alpha, beta=beta, rho=rho))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad nevanlinna block: {exc}") from exc
+    # the branch and segment tables reach |x| = SCAN_LIMIT and no farther
+    far = [e for e in [p for p, _ in atoms] + [e for q in pieces + sc for e in (q.left, q.right)]
+           if math.isfinite(e) and abs(e) >= SCAN_LIMIT]
+    if far:
+        raise ConfigError(f"position {far[0]!r} is beyond the scan limit: |x| < {SCAN_LIMIT:g}")
+    return phi
 
 
 def build_grid(cfg: dict, phi: PhiFunction) -> QueryGrid:
@@ -121,11 +129,13 @@ def build_tau_grid(cfg: dict, phi: PhiFunction) -> tuple[float, ...]:
 def _write_rows(path: Path, fieldnames: list[str], rows: list[dict], fmt: str,
                 header: dict):
     if fmt == "csv":
-        lines = ["# " + json.dumps(header, sort_keys=True)]
-        lines.append(",".join(fieldnames))
-        for row in rows:
-            lines.append(",".join(str(row.get(k, "")) for k in fieldnames))
-        path.with_suffix(".csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # quoted where a field holds a comma (verify's case labels)
+        text = io.StringIO()
+        text.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        out = csv.writer(text, lineterminator="\n")
+        out.writerow(fieldnames)
+        out.writerows([row.get(k, "") for k in fieldnames] for row in rows)
+        path.with_suffix(".csv").write_text(text.getvalue(), encoding="utf-8")
     else:
         doc = {"header": header, "rows": rows}
         path.with_suffix(".json").write_text(
@@ -298,12 +308,13 @@ def cmd_verify(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
     for side, tail in zip(("upper", "lower"), tail_measures(cauchy_transform(mu), [y])[0]):
         record("tsereteli", f"half-atom-half-uniform-{side}", abs(y * tail - 0.5), 0.01)
 
-    # disk identity for the resolvent family
-    phi_d = phi_from_catalog("zloglin", alpha=0.0)
-    for tau, y in [(0.0, 2.0), (0.5, 10.0), (-1.5, 100.0)]:
+    # disk identity for the resolvent family: the tail set, measured as the
+    # preimage of the disk over (tau, tau + 1/y), against sqrt's exact one
+    phi_d = phi_from_catalog("sqrt")
+    for tau, y in [(0.0, 2.0), (-0.3, 2.0), (-0.05, 10.0), (0.5, 10.0), (-1.5, 100.0)]:
         lhs = tail_set_measure(g_tau(phi_d, tau), y, "lower")
-        rhs = preimage_disk_measure(phi_d, DiskQuery(tau, tau + 1.0 / y))
-        record("disk-identity", f"tau={_fnum(tau)},y={_fnum(y)}", abs(lhs - rhs), 1e-8)
+        record("disk-identity", f"tau={_fnum(tau)},y={_fnum(y)}",
+               abs(lhs - _sqrt_disk_measure(tau, tau + 1.0 / y)), 1e-8)
 
     _write_rows(out / "verify", ["suite", "case", "error", "tolerance", "pass"],
                 rows, fmt, _header(cfg, "verify", {"phi": phi.name}))
@@ -312,6 +323,19 @@ def cmd_verify(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
         print(f"{r['suite']:13s} {r['case']:28s} err={r['error']:12s} "
               f"tol={r['tolerance']:8s} {'PASS' if r['pass'] == 'true' else 'FAIL'}")
     return 1 if failures else 0
+
+
+def _sqrt_disk_measure(a: float, b: float) -> float:
+    """|phi^-1(D)| for phi = sqrt(z-1) sqrt(z+1) and the disk D over (a, b),
+    in closed form.  On (-1, 1), phi(x + i0) = i sqrt(1 - x^2) lies in D
+    where x^2 > 1 + c^2 - r^2: a width 2 (1 - sqrt(1 + c^2 - r^2)), clipped
+    to [0, 2].  Beyond, phi is real, sqrt(x^2 - 1) for x > 1 and its
+    negative for x < -1, and lies in D where it lies in (a, b)."""
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    inner = 2.0 * (1.0 - math.sqrt(max(1.0 + c * c - r * r, 0.0)))
+    right = math.sqrt(1.0 + b * b) - math.sqrt(1.0 + max(a, 0.0) ** 2) if b > 0.0 else 0.0
+    left = math.sqrt(1.0 + a * a) - math.sqrt(1.0 + max(-b, 0.0) ** 2) if a < 0.0 else 0.0
+    return min(max(inner, 0.0), 2.0) + right + left
 
 
 def _attach_list_values(argv: list[str]) -> list[str]:

@@ -10,6 +10,7 @@ sets and the spectral-measure constructions all lean on that monotonicity.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._roots import SCAN_LIMIT, Branch, BranchTable
+from ._roots import SCAN_LIMIT, Branch, BranchTable, SegmentTable
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      UnsupportedStructureError)
 from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
@@ -72,6 +73,7 @@ class PhiFunction:
         self.excluded_points = tuple(excluded_points)
         self.branches_complete = branches_complete
         self._tables: dict[int, BranchTable] = {}
+        self._segment_tables: list[SegmentTable] | None = None
 
     # -- evaluation hooks ------------------------------------------------
 
@@ -124,6 +126,14 @@ class PhiFunction:
         and derivative hooks (closed forms, or a composition's chain rule)."""
         return self.boundary_real(x), np.real(self._derivative_complex(x.astype(complex)))
 
+    def _boundary_pair(self, x: np.ndarray, slope: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(phi(x + i0), phi'(x + i0)) at real points, or (phi(x + i0), None)
+        where the map gives no slope or ``slope`` is off: the segment
+        tables' values and their disk crossings' callable.  Here the
+        boundary hook alone."""
+        return self._boundary_complex(x), None
+
     def derivative(self, z):
         """Derivative at z in the open upper half-plane, or at a real x
         strictly inside a real branch (where it is real and positive)."""
@@ -157,12 +167,24 @@ class PhiFunction:
     def branch_table(self, branch: Branch) -> BranchTable:
         key = self.real_branches.index(branch)
         if key not in self._tables:
-            self._tables[key] = BranchTable(branch, self._boundary_and_slope)
+            # evaluated by a copy without the tables: through the map itself,
+            # map and tables would be a cycle, which only a full collection frees
+            twin = copy.copy(self)
+            twin._tables, twin._segment_tables = {}, None
+            self._tables[key] = BranchTable(branch, twin._boundary_and_slope)
         return self._tables[key]
 
     def branch_tables(self) -> list[BranchTable]:
         self._require_branches()
         return [self.branch_table(b) for b in self.real_branches]
+
+    def segment_tables(self) -> list[SegmentTable]:
+        """One table of the boundary values per non-real segment, built on
+        first use and kept, as the branch tables are."""
+        if self._segment_tables is None:
+            values = lambda x: self._boundary_pair(x, slope=False)[0]
+            self._segment_tables = [SegmentTable(seg, values) for seg in self.nonreal_segments]
+        return self._segment_tables
 
     def pullback(self, lo, hi) -> np.ndarray:
         """The nonempty clamped preimages of the intervals (lo_k, hi_k), k
@@ -286,6 +308,17 @@ class NevanlinnaPhi(PhiFunction):
         return kernel_integral(self.rho, _kernel_pair, x,
                                start=(self.data.alpha + self.data.beta * x, self.data.beta))
 
+    def _boundary_pair(self, x: np.ndarray, slope: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The Plemelj limits of phi and phi' from one pass over rho where
+        every density piece is named, else phi's alone; NaN where a
+        principal value is not resolved, without raising."""
+        start = self.data.alpha + self.data.beta * x
+        if slope and all(p.closed_form is not None for p in self.rho.ac_pieces):
+            return kernel_integral(self.rho, _kernel_pair, x, pv=True,
+                                   start=(start, self.data.beta))
+        return kernel_integral(self.rho, _kernel, x, pv=True, start=start), None
+
 
 def _kernel(t, z, w):
     """w * (1 + t z) / (t - z), the kernel of the representation."""
@@ -315,6 +348,9 @@ _kernel.closed_form = lambda form, z: form.representation(z)
 _kernel.boundary = lambda mass, x, g: x * mass + (1.0 + x * x) * g
 _kernel.tree = (_tree_weights, (0,))
 _kernel_derivative.closed_form = lambda form, z: form.derivative(z)
+# its Plemelj limit m + H'(x + i0), H = (1+z^2) G
+_kernel_derivative.boundary_slope = lambda form, x: (
+    form.mass + 2.0 * x * form.boundary(x) + (1.0 + x * x) * form.boundary_slope(x))
 _kernel_derivative.tree = (_tree_weights, (1,))
 _kernel_pair.halves = (_kernel, _kernel_derivative)
 _kernel_pair.tree = (_tree_weights, (0, 1))
@@ -343,6 +379,11 @@ class ClosedFormPhi(PhiFunction):
 
     def _derivative_complex(self, z):
         return self._deriv_fn(z)
+
+    def _boundary_pair(self, x, slope: bool = True):
+        """The closed forms' boundary values and their derivative at x + 0j,
+        which every catalog map's branch cuts make the limit from above."""
+        return self._boundary_fn(x), self._deriv_fn(x.astype(complex)) if slope else None
 
 
 class IteratedPhi(PhiFunction):

@@ -3,8 +3,9 @@
 Three set families drive the range analysis: preimages of finite
 intervals under the boundary map, preimages of disks with a real
 diameter, and the tail sets {Re G > y} / {Re G < -y} of a Cauchy
-transform.  A seeded Monte Carlo estimator provides an independent check
-on every deterministic value.
+transform.  Disks are read off the map's cached tables of its non-real
+boundary segments, and their panel ends are roots.  A seeded Monte Carlo
+estimator provides an independent check on every deterministic value.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import SCAN_LIMIT, bisect_increasing
+from ._roots import bisect_increasing, uncertified
 from .cauchy import CauchyTransform
 from .errors import PreconditionError, WindowError
 from .herglotz import PhiFunction
-from .measures import IntervalSet, atom_sum, cauchy_kernel, gaps_between
+from .measures import IntervalSet, atom_sum, cauchy_kernel, gaps_between, join_rows
 
 _EPS = np.finfo(float).eps
 
@@ -73,110 +74,105 @@ def preimage_interval_measure(phi: PhiFunction, interval: tuple[float, float]
 # -- disk preimages ------------------------------------------------------------
 
 
-def _scan_window(phi: PhiFunction, segment: tuple[float, float], reach: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp a non-real boundary segment, per query, to a finite window
-    outside of which |phi| safely exceeds the query's reach (|phi| ~ |x| at
-    infinity)."""
-    l, r = segment
-    threshold = 2.0 * reach + 10.0
-
-    def push(anchors: np.ndarray, direction: float) -> np.ndarray:
-        out = anchors + direction
-        for anchor in np.unique(anchors):
-            xs = anchor + direction * 2.0 ** np.arange(0, 28, dtype=float)
-            xs = xs[np.abs(xs) <= SCAN_LIMIT]
-            if len(xs):
-                # the first point after which every value is far enough
-                # (suffix minimum above the threshold), else the last point
-                tail_min = np.minimum.accumulate(np.abs(phi.boundary(xs))[::-1])[::-1]
-                far = tail_min[None, :] > threshold[anchors == anchor, None]
-                far[:, -1] = True
-                out[anchors == anchor] = xs[np.argmax(far, axis=1)]
-        return out
-
-    lo, hi = np.full(reach.shape, float(l)), np.full(reach.shape, float(r))
-    if math.isinf(l):
-        lo = push(np.full(reach.shape, r if np.isfinite(r) else 0.0), -1.0)
-    if math.isinf(r):
-        hi = push(lo, +1.0)
-    return lo, hi
-
-
 def disk_panels(phi: PhiFunction, a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Panels of the non-real boundary set whose values land in the disks
-    over (a_k, b_k), all disks refined together.
+    over (a_k, b_k), read off the map's segment tables.
 
-    Adaptive bisection with a sampled variation pad: a panel is pruned when
-    every sample sits farther from the center than radius plus pad, counted
-    when every sample sits inside by more than the pad, split otherwise.
-    Every (disk, segment) pair keeps its own scan window, 33 starting edges
-    and 64 rounds, so a disk's panels do not depend on its batch.  Returns
-    the inside panels as rows (disk, u, v), stably sorted by disk (segment
-    by segment, in the order found), and each disk's unresolved width.
+    On each interval that SegmentTable.candidates keeps for a disk (c, r),
+    h = |phi - c|^2 - r^2 has exact signs at the nodes.  Ends on one side
+    are certified by the bounds of uncertified, else split at its probe
+    up to _PROBES times; what stays unsure is unresolved width on its
+    ends' side.  Each sign change is a crossing, closed to ``tol`` by
+    bisect_increasing, with h' = 2 Re(conj(phi - c) phi') where the map
+    gives phi'.  Panels run between crossings and segment ends (the strip
+    past the outermost node takes its side).
+    Returns rows (disk, u, v), sorted by disk, then segment and u, and the
+    unresolved widths; a disk's rows do not depend on its batch.
     """
     a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise PreconditionError("disks need finite diameters (a, b) with a < b")
-    nseg = len(phi.nonreal_segments)
-    c, r = np.repeat(0.5 * (a + b), nseg), np.repeat(0.5 * (b - a), nseg)
-    floor = max(tol / 16.0, 1e-13)
-    found = [(np.empty(0, dtype=int), np.empty(0), np.empty(0))]
-    for s, segment in enumerate(phi.nonreal_segments):
-        lo, hi = _scan_window(phi, segment, np.abs(c[s::nseg]) + r[s::nseg])
-        q = np.flatnonzero(hi > lo)
-        edges = np.linspace(lo[q], hi[q], 33, axis=1)
-        found.append((np.repeat(q * nseg + s, 32), edges[:, :-1].ravel(), edges[:, 1:].ravel()))
-    unit, U, V = (np.concatenate(x) for x in zip(*found))
-    found, open_width = found[:1], np.zeros(a.size * nseg)
-    for _ in range(64):
-        if len(U) == 0:
-            break
-        M = 0.5 * (U + V)
-        # samples stay off segment endpoints
-        w = [phi.boundary(x) for x in (U + 1e-3 * (M - U), M, V - 1e-3 * (V - M))]
-        d = np.abs(np.asarray(w) - c[unit])
-        pad = 1.5 * np.maximum(np.abs(w[0] - w[1]), np.abs(w[1] - w[2]))
-        is_out = d.min(axis=0) - pad > r[unit]
-        is_in = d.max(axis=0) + pad < r[unit]
-        width = V - U
-        small = width < np.maximum(floor, 1e-12 * np.maximum(1.0, np.abs(U)))
-        found.append((unit[is_in], U[is_in], V[is_in]))
-        lost = small & ~is_in & ~is_out
-        open_width += np.bincount(unit[lost], width[lost], minlength=open_width.size)
-        keep = ~(is_in | is_out | small)
-        unit, U, V, M = unit[keep], U[keep], V[keep], M[keep]
-        unit, U, V = np.concatenate([unit, unit]), np.concatenate([U, M]), np.concatenate([M, V])
-    open_width += np.bincount(unit, V - U, minlength=open_width.size)
-    rows = np.column_stack([np.concatenate(x) for x in zip(*found)])
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    rows[:, 0] //= max(nseg, 1)
-    return rows, open_width.reshape(a.size, nseg).sum(axis=1)
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    found, open_width = [np.empty((0, 3))], np.zeros(a.size)
+    for table in phi.segment_tables():
+        k, j = table.candidates(c, r)
+        x0, x1, p0, p1, dev = (table.x[j], table.x[j + 1], table.values[j],
+                               table.values[j + 1], table.dev[j])
+        brackets = []
+        for probes in range(_PROBES, -1, -1):
+            a0, a1, rk = np.abs(p0 - c[k]), np.abs(p1 - c[k]), r[k]
+            change = (a0 < rk) != (a1 < rk)
+            brackets.append((k[change], x0[change], x1[change], a0[change], a1[change]))
+            unsure, s = uncertified(p0 - c[k], p1 - p0, dev, rk)
+            unsure &= ~change
+            k, x0, x1, p0, p1, dev, s = (u[unsure] for u in (k, x0, x1, p0, p1, dev, s))
+            if not (probes and k.size):
+                break
+            xp = x0 + s * (x1 - x0)
+            pp = phi._boundary_pair(xp, slope=False)[0]
+            k, (x0, x1, p0, p1, dev) = np.tile(k, 2), (np.concatenate(u) for u in (
+                (x0, xp), (xp, x1), (p0, pp), (pp, p1), (dev * s * s, dev * (1.0 - s) ** 2)))
+        open_width += np.bincount(k, x1 - x0, minlength=a.size)
+        kq, lo, hi, alo, ahi = (np.concatenate(u) for u in zip(*brackets))
+        roots = _crossings(phi._boundary_pair, c[kq], r[kq], lo, hi, alo, ahi, tol)
+        # a disk's panels pair its ends in order: the left end where its first
+        # node is inside, its crossings, and the right end where they are odd
+        first = np.flatnonzero(np.abs(table.values[0] - c) < r)
+        odd = np.flatnonzero(np.bincount(np.concatenate([first, kq]), minlength=a.size) % 2)
+        ek = np.concatenate([first, kq, odd])
+        ex = np.concatenate([np.full(first.size, table.ends[0]), roots,
+                             np.full(odd.size, table.ends[1])])
+        order = np.lexsort((ex, ek))
+        rows = np.column_stack([ek[order][::2], ex[order].reshape(-1, 2)])
+        found.append(rows[rows[:, 2] > rows[:, 1]])
+    rows = np.concatenate(found)
+    return rows[np.argsort(rows[:, 0], kind="stable")], open_width
+
+
+#: Probe rounds of disk_panels on intervals the table's bounds leave unsure.
+_PROBES = 2
+
+
+def _crossings(f, c, r, lo, hi, alo, ahi, tol: float) -> np.ndarray:
+    """The root of h = |phi - c|^2 - r^2 in each bracket (lo, hi), with
+    |phi - c| = alo, ahi there, from h's secant point; f gives phi, phi'."""
+    sign = np.where(alo < r, 1.0, -1.0)  # h rises where lo is inside
+    hlo, hhi = (alo - r) * (alo + r), (ahi - r) * (ahi + r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = lo + (hi - lo) * hlo / (hlo - hhi)
+
+    def h(xs, i):
+        w, dw = f(xs)
+        z, t = w - c[i], np.abs(w - c[i])
+        slope = None if dw is None else sign[i] * 2.0 * (z.real * dw.real + z.imag * dw.imag)
+        return sign[i] * (t - r[i]) * (t + r[i]), slope
+
+    h.per_element = True
+    return bisect_increasing(h, lo, hi, 0.0, xtol=tol, start=start)
 
 
 def disk_measures(phi: PhiFunction, a, b, tol: float = 1e-8
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measures of the disks' preimages over (a_k, b_k), shaped like a, and
-    the rows (k, u, v) they sum: the real-branch preimages of the diameters
-    (real values in a disk are those in its diameter, phi.pullback) and the
-    boundary panels (disk_panels)."""
+    the rows (k, u, v) they cover: the real-branch preimages of the
+    diameters (real values in a disk are those in its diameter,
+    phi.pullback) and the boundary panels (disk_panels), summed as joined
+    rows (join_rows)."""
     panels, _ = disk_panels(phi, a, b, tol=tol)
     real = phi.pullback(a, b)
-    shape = np.shape(a)
-    return row_measure(real, shape) + row_measure(panels, shape), real, panels
+    return row_measure(join_rows(np.concatenate([real, panels])), np.shape(a)), real, panels
 
 
 def disk_preimages(phi: PhiFunction, a, b, tol: float = 1e-8
                    ) -> tuple[list[IntervalSet], np.ndarray]:
     """Preimages of the disks over (a_k, b_k) as sets, with unresolved
-    widths: the rows of disk_measures, one IntervalSet per disk."""
+    widths: the joined rows of disk_measures, one IntervalSet per disk."""
     a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
     panels, unresolved = disk_panels(phi, a, b, tol=tol)
-    rows = np.concatenate([phi.pullback(a, b), panels])
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    rows = join_rows(np.concatenate([phi.pullback(a, b), panels]))
     cuts = np.searchsorted(rows[:, 0], np.arange(a.size + 1))
-    sets = [IntervalSet.build(rows[cuts[k]:cuts[k + 1], 1:].tolist()) for k in range(a.size)]
-    return sets, unresolved
+    return [IntervalSet(tuple(map(tuple, rows[cuts[k]:cuts[k + 1], 1:].tolist())))
+            for k in range(a.size)], unresolved
 
 
 def preimage_disk_set(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8

@@ -954,3 +954,14 @@ class IntervalSet:
 
     def __len__(self):
         return len(self.intervals)
+
+
+def join_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows (k, u, v) sorted by query k and u, each row that touches or
+    overlaps the one before joined to it (no row holds another), as
+    IntervalSet.build joins a query's intervals: a query's widths, summed
+    in order, are its set's total_length."""
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    tail = np.append(False, (rows[1:, 0] == rows[:-1, 0]) & (rows[1:, 1] <= rows[:-1, 2]))
+    start, last = ~tail[:len(rows)], np.append(~tail[1:], True)[:len(rows)]
+    return np.column_stack([rows[start, 0], rows[start, 1], rows[last, 2]])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import time
@@ -386,6 +387,10 @@ _REPRESENTATION_ROWS = {
     "readme": (dict(_README_MAP, sc=[{"interval": [0, 1], "mass": 0.5, "depth": 16,
                                       "middle": 0.3333}]), (0, 2, 2, 2)),
     "readme_no_cantor": (_README_MAP, (0, 0, 0, 0)),
+    # the tables reach |x| = SCAN_LIMIT (1e8): positions there or beyond are refused
+    "atom_2e8": ({"alpha": 1.0, "beta": 1.0, "atoms": [[2e8, 0.5]]}, (2, 2, 2, 2)),
+    "atom_-1e8": ({"alpha": 1.0, "beta": 1.0, "atoms": [[-1e8, 0.5]]}, (2, 2, 2, 2)),
+    "atom_9e7": ({"alpha": 1.0, "beta": 1.0, "atoms": [[9e7, 0.5]]}, (0, 0, 0, 0)),
 }
 
 
@@ -393,8 +398,11 @@ _REPRESENTATION_ROWS = {
 def test_representation_config_matrix(tmp_path, capsys, name):
     """eval, clark, constants and similarity on representation configs,
     on the small grids of _density_config, exit with the codes listed:
-    2 names a Cantor part (no real-branch enumeration), beta != 1, or a
-    support that is not compact (similarity's certificate).  The poisson
+    2 names a Cantor part (no real-branch enumeration), beta != 1, a
+    support that is not compact (similarity's certificate), or a position
+    at or beyond the scan limit (clark, constants and similarity exited 3,
+    "branch (1e8, inf) could not be tabulated", and similarity at 2e8 with
+    a traceback).  The poisson
     half-line rows exited 2 while a config density's mass defaulted to
     hi - lo.  Each run writes at most one stderr line and no traceback,
     and clark with --jobs 2 writes the bytes of --jobs 1."""
@@ -412,3 +420,47 @@ def test_representation_config_matrix(tmp_path, capsys, name):
                     "--jobs", jobs]) == codes[1]
     if codes[1] == 0:
         assert (outs[0] / "clark.json").read_bytes() == (outs[1] / "clark.json").read_bytes()
+
+
+def test_far_positions_name_the_scan_limit(tmp_path, capsys):
+    """An atom or a density end at |x| >= 1e8 is refused with one line that
+    names the bound; an infinite density end is not a position."""
+    blocks = [{"atoms": [[1e8, 0.5]]},
+              {"densities": [{"name": "uniform", "interval": [0, 3e8], "mass": 0.5}]},
+              {"densities": [{"name": "poisson", "interval": ["-inf", -2e8]}]}]
+    for i, block in enumerate(blocks):
+        cfg = write_config(tmp_path, {"phi": {"nevanlinna": dict(block, alpha=1.0, beta=1.0)},
+                                      "format": "json"}, f"far{i}.json")
+        assert run(["eval", "--config", cfg, "--out", str(tmp_path), "--points", "1j"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "scan limit: |x| < 1e+08" in err
+    cfg = write_config(tmp_path, {"phi": {"nevanlinna": {
+        "alpha": 1.0, "beta": 1.0, "densities": _HALFLINE}}, "format": "json"}, "near.json")
+    assert run(["eval", "--config", cfg, "--out", str(tmp_path), "--points", "1j"]) == 0
+
+
+# -- verify ---------------------------------------------------------------------------
+
+_VERIFY_ROWS = {"sqrt": ({"catalog": "sqrt"}, "json"),
+                "zloglin": ({"catalog": "zloglin", "params": {"alpha": 0.0}}, "csv"),
+                "readme_no_cantor": ({"nevanlinna": _README_MAP}, "json")}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFY_ROWS))
+def test_verify_config_matrix(tmp_path, capsys, name):
+    """verify exits 0 with every row passing, whatever the configured map.
+    Its disk-identity rows hold the tail sets of sqrt's resolvents, measured
+    as disk preimages, against their closed form, and read below 1e-12;
+    both sides once came from the same disk code and read 0 whatever it did."""
+    spec, fmt = _VERIFY_ROWS[name]
+    cfg = write_config(tmp_path, {"phi": spec, "seed": 3, "format": fmt})
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    text = (tmp_path / f"verify.{fmt}").read_text()
+    # the csv quotes the case labels, which hold commas
+    rows = (json.loads(text)["rows"] if fmt == "json"
+            else list(csv.DictReader(text.splitlines()[1:])))
+    assert len(rows) == 16 and all(r["pass"] == "true" for r in rows)
+    disk = [float(r["error"]) for r in rows if r["suite"] == "disk-identity"]
+    assert len(disk) == 5 and max(disk) < 1e-12
+

@@ -290,6 +290,106 @@ def test_disk_preimages_batch_invariant(name, disks):
         assert measures[k] == sets[k].total_length
 
 
+def _sqrt_disk_measures(c, r):
+    """|phi^-1(D)| for phi = sqrt(z-1) sqrt(z+1) and the disks D = (c, r):
+    the width 2 (1 - sqrt(1 + c^2 - r^2)) on (-1, 1), where phi(x + i0) =
+    i sqrt(1 - x^2), clipped to [0, 2], plus the preimages of the diameter
+    (a, b) under +-sqrt(x^2 - 1) on x > 1 and x < -1."""
+    a, b = c - r, c + r
+    inner = np.clip(2.0 * (1.0 - np.sqrt(np.maximum(1.0 + c * c - r * r, 0.0))), 0.0, 2.0)
+    right = np.where(b > 0.0, np.sqrt(1.0 + b * b) - np.sqrt(1.0 + np.maximum(a, 0.0) ** 2), 0.0)
+    left = np.where(a < 0.0, np.sqrt(1.0 + a * a) - np.sqrt(1.0 + np.maximum(-b, 0.0) ** 2), 0.0)
+    return inner + right + left
+
+
+def test_sqrt_disk_measures_are_exact():
+    """On 400 disks the panel ends are roots, so disk_measures meets the
+    closed form to 1e-12 (the bisection sweep missed by up to 8.75e-9,
+    within its unresolved width of 1.7e-8)."""
+    rng = np.random.default_rng(0)
+    c, r = rng.uniform(-1.5, 1.5, 400), rng.uniform(0.01, 1.5, 400)
+    got = disk_measures(phi_from_catalog("sqrt"), c - r, c + r)[0]
+    assert np.max(np.abs(got - _sqrt_disk_measures(c, r))) < 1e-12
+
+
+_END_MAPS = {
+    "sqrt": lambda: phi_from_catalog("sqrt"),
+    "sqrtpole": lambda: phi_from_catalog("sqrtpole", alpha=-1.0),
+    "zlog": lambda: phi_from_catalog("zlog"),
+    "uniform_atom": lambda: phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.uniform(
+        0.0, 1.0, mass=0.5).combined(RealMeasure.point_mass(2.0, 0.5)))),
+    # a density given by a callable: no slope, so the crossings bisect
+    "callable": lambda: phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(
+        AcPiece(-1.0, 1.0, lambda t: 0.5 * np.sqrt(np.clip(1.0 - t * t, 0.0, None))),)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_END_MAPS))
+def test_panel_ends_inside_a_segment_are_crossings(name):
+    """Every panel end strictly inside a non-real segment is a root of
+    |phi - c| = r to the root tolerance: |phi - c| - r changes sign
+    between the points tol to either side."""
+    phi, tol = _END_MAPS[name](), 1e-8
+    rng = np.random.default_rng(1)
+    c, r = rng.uniform(-4.0, 4.0, 300), 10.0 ** rng.uniform(-2.0, 0.7, 300)
+    rows, _ = disk_panels(phi, c - r, c + r, tol=tol)
+    k, ends = np.repeat(rows[:, 0].astype(int), 2), rows[:, 1:].ravel()
+    inside = np.zeros(ends.shape, dtype=bool)
+    for lo, hi in phi.nonreal_segments:
+        inside |= (lo < ends) & (ends < hi)
+    assert inside.sum() >= 30
+    k, ends = k[inside], ends[inside]
+    side = [np.abs(phi.boundary(ends + t) - c[k]) - r[k] for t in (-tol, tol)]
+    assert np.all(side[0] * side[1] <= 0.0)
+
+
+def test_disk_rows_do_not_depend_on_the_first_call():
+    """A map's rows are the same, bit for bit, whether its segment table
+    was first built for a batch of disks or for one disk."""
+    rng = np.random.default_rng(2)
+    c, r = rng.uniform(-3.0, 3.0, 60), 10.0 ** rng.uniform(-3.0, 0.5, 60)
+    for make in (lambda: phi_from_catalog("sqrtpole", alpha=-1.0),
+                 lambda: phi_from_catalog("zlog")):
+        batch_first, one_first = make(), make()
+        rows, unresolved = disk_panels(batch_first, c - r, c + r)
+        for k in range(c.size):
+            one_rows, one_unresolved = disk_panels(one_first, c[k:k + 1] - r[k], c[k:k + 1] + r[k])
+            assert np.array_equal(rows[rows[:, 0] == k, 1:], one_rows[:, 1:])
+            assert unresolved[k] == one_unresolved[0]
+
+
+def test_a_disk_grazing_between_two_nodes_is_resolved_or_unresolved():
+    """zloglin(0) runs along Im w = pi on (-1, 1).  A circle of radius
+    sqrt(pi^2 + d^2) about Re phi(x*), x* between two table nodes, dips
+    below that line between them, with both nodes outside: the dip, of
+    width |phi^-1((c - d, c + d))|, is measured or reported unresolved.
+    A circle that stays above the line has no panel."""
+    phi = phi_from_catalog("zloglin", alpha=0.0)
+    table = phi.segment_tables()[0]
+    re = lambda x: x + np.log((1.0 - x) / (1.0 + x))  # decreasing on (-1, 1)
+    for j in (table.x.size // 3, table.x.size // 2, 2 * table.x.size // 3):
+        x0, x1 = table.x[j], table.x[j + 1]
+        c = float(re(x0 + 0.37 * (x1 - x0)))
+        d = 0.25 * min(abs(re(x0) - c), abs(re(x1) - c))
+        for dip in (d, -d):
+            r = math.sqrt(math.pi ** 2 + dip * abs(dip))
+            rows, unresolved = disk_panels(phi, [c - r], [c + r])
+            got = float(np.sum(rows[:, 2] - rows[:, 1]))
+            if dip < 0:
+                assert got == 0.0
+                continue
+            lo, hi = np.asarray([x0]), np.asarray([x1])
+            for _ in range(200):  # the exact dip: where re crosses c + d and c - d
+                mid = 0.5 * (lo + hi)
+                lo, hi = np.where(re(mid) > c + d, mid, lo), np.where(re(mid) > c + d, hi, mid)
+            left, lo, hi = lo[0], np.asarray([x0]), np.asarray([x1])
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = np.where(re(mid) > c - d, mid, lo), np.where(re(mid) > c - d, hi, mid)
+            exact = lo[0] - left
+            assert exact > 0.0 and abs(got - exact) <= unresolved[0] + 1e-12
+
+
 _UNIFORM_HALF = RealMeasure.uniform(0.0, 1.0, mass=0.5)
 _TAIL_MEASURES = {
     "atoms": RealMeasure.from_atoms([(-1.0, 0.2), (0.3, 0.5), (2.0, 0.3)]),
