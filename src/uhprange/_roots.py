@@ -26,7 +26,10 @@ evaluation's own slope.
 A non-real boundary segment has a table too (SegmentTable): the complex
 boundary values on a grid refined to a fixed rule, with a bound on each
 interval's deviation from its chord, which the disk queries of
-levelset.disk_panels prune against and bracket their roots on.
+levelset.disk_panels prune against and bracket their roots on.  The other
+sweeps over a density segment (the Clark density tables, the tail scan of
+a Cauchy transform) take its probe points with fixed rounds of midpoints
+(probe_grid).
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ def probe_points(branch: Branch) -> np.ndarray:
     # both sides are inf, so no probe is near it.
     near = (xs - l < 4.0 * _EPS * abs(l)) | (r - xs < 4.0 * _EPS * abs(r))
     xs = xs[(xs > l) & (xs < r) & ~near & (np.abs(xs) <= SCAN_LIMIT)]
+    return xs
+
+
+def probe_grid(segment: tuple[float, float], rounds: int) -> np.ndarray:
+    """The segment's probe points with a midpoint put between every two
+    neighbours, ``rounds`` times over (n points become 2^rounds (n - 1) + 1):
+    the grid that every sweep over a density segment starts from."""
+    xs = probe_points(Branch(*segment))
+    for _ in range(rounds):
+        xs = np.insert(xs, np.arange(1, xs.size), 0.5 * (xs[:-1] + xs[1:]))
     return xs
 
 

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _quad
+from ._roots import probe_grid
 from .cauchy import CauchyTransform
 from .errors import PreconditionError
 from .herglotz import PhiFunction, require_contraction
@@ -31,6 +32,10 @@ ATOM_DERIVATIVE_MAX = 1e12
 _SC_ACCOUNTING_RTOL = 0.05
 
 _DEFAULT_Y_GRID = tuple(np.geomspace(1e2, 1e6, 9))
+
+#: Midpoint rounds on a segment's probe points for its density tables: 2209
+#: points on a finite segment, 1201 on a half-line.
+_TABLE_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -179,50 +184,14 @@ def clark_singular_mass(phi: PhiFunction, tau: float, y_grid=None
     return float(atom_total[0]), float(sc[0]), tails[0]
 
 
-def _density_grid(phi: PhiFunction, segment: tuple[float, float]) -> np.ndarray:
-    l, r = segment
-    if math.isinf(l) or math.isinf(r):
-        tl = -0.5 * math.pi * (1 - 1e-9) if math.isinf(l) else math.atan(l)
-        tr = 0.5 * math.pi * (1 - 1e-9) if math.isinf(r) else math.atan(r)
-        theta = np.linspace(tl + 1e-6, tr - 1e-6, 513)
-        return np.tan(theta)
-    w = r - l
-    fr = 2.0 ** -np.arange(1, 40, dtype=float)
-    xs = np.unique(np.concatenate([
-        l + 0.5 * w * fr, r - 0.5 * w * fr,
-        np.linspace(l + w / 256, r - w / 256, 257)]))
-    return xs[(xs > l) & (xs < r)]
-
-
-def _density_tables(phi: PhiFunction, taus: np.ndarray, segment: tuple[float, float],
-                    mass_tol: float = 1e-6, max_rounds: int = 4) -> list:
-    """Per tau, a density table on a grid refined until its trapezoid mass
-    stabilizes.  The grid does not depend on tau, so each level takes one
-    boundary evaluation for every tau still refining."""
-    xs = _density_grid(phi, segment)
-    tables, mass, active = [None] * len(taus), [math.nan] * len(taus), range(len(taus))
-    for level in range(max_rounds + 1):
-        if level:
-            xs = np.unique(np.concatenate([xs, 0.5 * (xs[:-1] + xs[1:])]))
-        w, refining = phi.boundary(xs), []
-        for k in active:
-            tables[k] = (xs, _density(w, taus[k]))
-            new_mass = float(np.trapezoid(tables[k][1], xs))
-            if not abs(new_mass - mass[k]) < mass_tol:
-                refining.append(k)
-            mass[k] = new_mass
-        active = refining
-        if not active:
-            break
-    return tables
-
-
 def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
                    mass_tol: float = 1e-6) -> list[ClarkMeasure]:
     """Full decomposition of the spectral measure at every tau.  The
     tau-independent work is shared: one solve per branch for the atoms, one
-    density grid per segment, one quadrature per segment domain and one
-    batched tail query; each entry equals its one-tau call."""
+    quadrature per segment domain, one batched tail query, and one boundary
+    evaluation per segment on its probe points after _TABLE_ROUNDS rounds of
+    midpoints, the abscissae of every tau's density table there; each entry
+    equals its one-tau call."""
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.isfinite(taus).all():
         raise PreconditionError(f"tau must be finite, got {taus[~np.isfinite(taus)][0]}")
@@ -241,7 +210,8 @@ def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
 
     tables, ac_mass = [], np.zeros(len(taus))
     for seg, exponent in zip(segments, exponents):
-        tables.append(_density_tables(phi, taus, seg))
+        xs = probe_grid(seg, _TABLE_ROUNDS)
+        tables.append([(xs, d) for d in _density(phi.boundary(xs), taus[:, None])])
         ac_mass += _quad.integrate_domains(density, seg[0], seg[1], len(taus), exponent,
                                            exponent, tol=1e-9).real
     atom_total, sc, tails = _singular_masses(phi, taus, found, y_grid)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._roots import SCAN_LIMIT
 from .cauchy import cauchy_transform, g_tau
 from .clark import clark_measures
 from .errors import (ConfigError, ConvergenceError, OrbitBreakError,
@@ -97,15 +96,9 @@ def build_phi(cfg: dict) -> PhiFunction:
                                     depth=int(ss.get("depth", 16)),
                                     middle=float(ss.get("middle", 1.0 / 3.0))))
         rho = RealMeasure(atoms=atoms, ac_pieces=tuple(pieces), sc_pieces=tuple(sc))
-        phi = phi_from_nevanlinna(NevanlinnaData(alpha=alpha, beta=beta, rho=rho))
+        return phi_from_nevanlinna(NevanlinnaData(alpha=alpha, beta=beta, rho=rho))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad nevanlinna block: {exc}") from exc
-    # the branch and segment tables reach |x| = SCAN_LIMIT and no farther
-    far = [e for e in [p for p, _ in atoms] + [e for q in pieces + sc for e in (q.left, q.right)]
-           if math.isfinite(e) and abs(e) >= SCAN_LIMIT]
-    if far:
-        raise ConfigError(f"position {far[0]!r} is beyond the scan limit: |x| < {SCAN_LIMIT:g}")
-    return phi
 
 
 def build_grid(cfg: dict, phi: PhiFunction) -> QueryGrid:

@@ -269,14 +269,18 @@ class NevanlinnaPhi(PhiFunction):
         rho = data.rho
         blockers = ([(p, p) for (p, _) in rho.atoms]
                     + [(q.left, q.right) for q in rho.ac_pieces + rho.sc_pieces])
+        # the branch and segment tables reach |x| = SCAN_LIMIT and no farther
+        far = [e for block in blockers for e in block if math.isfinite(e) and abs(e) >= SCAN_LIMIT]
+        if far:
+            raise PreconditionError(
+                f"position {far[0]!r} is beyond the scan limit: |x| < {SCAN_LIMIT:g}")
         branches = [Branch(l, r) for (l, r) in gaps_between(blockers)]
-        nonreal = tuple((p.left, p.right) for p in rho.ac_pieces)
         hull = rho.support_hull()
         k = float(np.real(rho.integrate(lambda t: 1.0 + t * t))) if hull is not None else 0.0
         if any(math.isinf(p.left) or math.isinf(p.right) for p in rho.ac_pieces):
             k = math.inf
         super().__init__(
-            beta=data.beta, branches=branches, nonreal_segments=nonreal,
+            beta=data.beta, branches=branches, nonreal_segments=rho.density_segments,
             support_hull=hull, rho=rho, rho_k=k, alpha=data.alpha,
             name=f"nevanlinna(alpha={data.alpha}, beta={data.beta})",
             excluded_points=[p for (p, _) in rho.atoms],
@@ -357,15 +361,15 @@ _kernel_pair.tree = (_tree_weights, (0, 1))
 
 
 class ClosedFormPhi(PhiFunction):
-    """Catalog map given by closed-form evaluation/boundary/derivative."""
+    """Catalog map given by closed-form evaluation/boundary/derivative; its
+    non-real segments and support hull are those of its measure rho."""
 
     def __init__(self, *, name: str, eval_fn: Callable, boundary_fn: Callable,
-                 deriv_fn: Callable, branches, nonreal_segments, support_hull,
-                 rho: RealMeasure | None, rho_k: float | None, alpha: float | None,
-                 excluded_points=()):
+                 deriv_fn: Callable, branches, rho: RealMeasure, rho_k: float | None,
+                 alpha: float | None, excluded_points=()):
         super().__init__(beta=1.0, branches=branches,
-                         nonreal_segments=nonreal_segments,
-                         support_hull=support_hull, rho=rho, rho_k=rho_k,
+                         nonreal_segments=rho.density_segments,
+                         support_hull=rho.support_hull(), rho=rho, rho_k=rho_k,
                          alpha=alpha, name=name, excluded_points=excluded_points)
         self._eval_fn = eval_fn
         self._boundary_fn = boundary_fn
@@ -512,7 +516,6 @@ def _make_sqrt() -> ClosedFormPhi:
     return ClosedFormPhi(
         name="sqrt", eval_fn=eval_fn, boundary_fn=boundary_fn, deriv_fn=deriv_fn,
         branches=[Branch(-math.inf, -1.0), Branch(1.0, math.inf)],
-        nonreal_segments=[(-1.0, 1.0)], support_hull=(-1.0, 1.0),
         rho=rho, rho_k=0.5, alpha=0.0, excluded_points=())
 
 
@@ -538,8 +541,7 @@ def _make_zlog() -> ClosedFormPhi:
 
     return ClosedFormPhi(
         name="zlog", eval_fn=eval_fn, boundary_fn=boundary_fn, deriv_fn=deriv_fn,
-        branches=[Branch(0.0, math.inf)], nonreal_segments=[(-math.inf, 0.0)],
-        support_hull=(-math.inf, 0.0), rho=rho, rho_k=math.inf, alpha=None,
+        branches=[Branch(0.0, math.inf)], rho=rho, rho_k=math.inf, alpha=None,
         excluded_points=(0.0,))
 
 
@@ -570,7 +572,6 @@ def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
         name=f"zloglin(alpha={alpha})", eval_fn=eval_fn, boundary_fn=boundary_fn,
         deriv_fn=deriv_fn,
         branches=[Branch(-math.inf, -1.0), Branch(1.0, math.inf)],
-        nonreal_segments=[(-1.0, 1.0)], support_hull=(-1.0, 1.0),
         rho=rho, rho_k=2.0, alpha=alpha, excluded_points=(-1.0, 1.0))
 
 
@@ -595,7 +596,6 @@ def _make_sqrtpole(alpha: float = 0.0) -> ClosedFormPhi:
         name=f"sqrtpole(alpha={alpha})", eval_fn=eval_fn, boundary_fn=boundary_fn,
         deriv_fn=deriv_fn,
         branches=[Branch(-math.inf, -1.0), Branch(1.0, math.inf)],
-        nonreal_segments=[(-1.0, 1.0)], support_hull=(-1.0, 1.0),
         rho=rho, rho_k=1.5, alpha=None, excluded_points=(1.0,))
 
 

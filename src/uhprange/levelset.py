@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect_increasing, uncertified
+from ._roots import bisect_increasing, probe_grid, uncertified
 from .cauchy import CauchyTransform
 from .errors import PreconditionError, WindowError
 from .herglotz import PhiFunction
@@ -218,8 +218,8 @@ def tail_measures(G: CauchyTransform, ys) -> np.ndarray:
     # query 2k is the upper tail at ys[k], query 2k + 1 the lower one
     level, sgn = np.repeat(ys, 2), np.tile([1.0, -1.0], ys.size)
     pos, _ = G.point_masses()
-    acs = [(p.left, p.right) for p in G.measure.ac_pieces]
-    total = _off_support_measures(G, gaps_between([(p, p) for p in pos.tolist()] + acs),
+    acs = G.measure.density_segments
+    total = _off_support_measures(G, gaps_between([(p, p) for p in pos.tolist()] + list(acs)),
                                   level, sgn)
     for part in _density_measures(G, acs, pos, level, sgn).T:
         total = total + part
@@ -318,17 +318,18 @@ def _secular_start(gl, gr, a, b, y) -> np.ndarray:
 
 def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarray,
                       sgn: np.ndarray) -> np.ndarray:
-    """The tail sets inside each density interval, shape (queries, intervals).
+    """The tail sets inside each density segment, shape (queries, segments).
 
-    Re G is smooth but not monotone here.  Each interval, cut at its
-    interior atoms, is scanned on a grid clustered geometrically at the
-    segment ends (where the transform blows up), evaluated once for all
-    queries.  Each run of scan points beyond a query's level starts at a
-    rising crossing and ends at a falling one.  The segment ends count as
-    below every level, so a run that reaches one ends there, standing in
-    for an unreachable crossing hugging a blow-up point.  The crossings on
-    +Re G and on -Re G are refined in one root solve each, with the slope
-    Re G'(x + i0) where every piece is named and by bisection otherwise.
+    Re G is smooth but not monotone here.  Each segment, cut at its
+    interior nodes, is scanned on its probe points with one round of
+    midpoints (probe_grid), clustered geometrically at the ends (where the
+    transform blows up), evaluated once for all queries.  Each run of scan
+    points beyond a query's level starts at a rising crossing and ends at
+    a falling one.  The segment ends count as below every level, so a run
+    that reaches one ends there, standing in for an unreachable crossing
+    hugging a blow-up point.  The crossings on +Re G and on -Re G are
+    refined in one root solve each, with the slope Re G'(x + i0) where
+    every piece is named and by bisection otherwise.
     """
     xs, end, interval = [np.empty(0)], [np.empty(0, dtype=bool)], [np.empty(0, dtype=int)]
     for i, (left, right) in enumerate(acs):
@@ -339,10 +340,7 @@ def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarra
                 raise PreconditionError("density intervals must be finite for tail scans")
             if wseg <= 0:
                 continue
-            fracs = 2.0 ** -np.arange(1, 45, dtype=float)
-            grid = np.unique(np.concatenate([u + 0.5 * wseg * fracs, v - 0.5 * wseg * fracs,
-                                             np.linspace(u + wseg / 64, v - wseg / 64, 63)]))
-            xs.append(np.concatenate([[u], grid[(grid > u) & (grid < v)], [v]]))
+            xs.append(np.concatenate([[u], probe_grid((u, v), 1), [v]]))
             end.append(np.arange(len(xs[-1])) % (len(xs[-1]) - 1) == 0)
             interval.append(np.full(len(xs[-1]), i))
     xs, end, interval = (np.concatenate(v) for v in (xs, end, interval))

@@ -338,6 +338,15 @@ class RealMeasure:
         return (min(ends), max(ends))
 
     @cached_property
+    def density_segments(self) -> tuple[tuple[float, float], ...]:
+        """The density support described once: the open intervals between
+        consecutive ends of the a.c. pieces that some piece covers, sorted
+        and disjoint, so that overlapping pieces are measured once."""
+        ends = sorted({e for p in self.ac_pieces for e in (p.left, p.right)})
+        return tuple((l, r) for l, r in zip(ends[:-1], ends[1:])
+                     if any(p.left <= l and r <= p.right for p in self.ac_pieces))
+
+    @cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Atoms plus the Cantor pieces discretized at SC_EVAL_LEVEL, merged
         and sorted (computed once)."""

@@ -391,6 +391,10 @@ _REPRESENTATION_ROWS = {
     "atom_2e8": ({"alpha": 1.0, "beta": 1.0, "atoms": [[2e8, 0.5]]}, (2, 2, 2, 2)),
     "atom_-1e8": ({"alpha": 1.0, "beta": 1.0, "atoms": [[-1e8, 0.5]]}, (2, 2, 2, 2)),
     "atom_9e7": ({"alpha": 1.0, "beta": 1.0, "atoms": [[9e7, 0.5]]}, (0, 0, 0, 0)),
+    # two density pieces overlapping on (1, 2): clark counted the overlap twice
+    "overlap": ({"alpha": 1.0, "beta": 1.0, "densities": [
+        {"name": "uniform", "interval": [0, 2], "mass": 0.5},
+        {"name": "uniform", "interval": [1, 3], "mass": 0.5}]}, (0, 0, 0, 0)),
 }
 
 
@@ -405,7 +409,9 @@ def test_representation_config_matrix(tmp_path, capsys, name):
     a traceback).  The poisson
     half-line rows exited 2 while a config density's mass defaulted to
     hi - lo.  Each run writes at most one stderr line and no traceback,
-    and clark with --jobs 2 writes the bytes of --jobs 1."""
+    and clark with --jobs 2 writes the bytes of --jobs 1.  The overlap
+    row's measures are normalized (they read total masses 1.0376 and
+    1.0408 while the overlap of its pieces was counted twice)."""
     block, codes = _REPRESENTATION_ROWS[name]
     cfg = _small_grid_config(tmp_path, block)
     commands = (["eval", "--points", "-0.5,0.25,0.5+0.001j,1.5,2.5"], ["clark", "--tau=0,0.5"],
@@ -420,6 +426,9 @@ def test_representation_config_matrix(tmp_path, capsys, name):
                     "--jobs", jobs]) == codes[1]
     if codes[1] == 0:
         assert (outs[0] / "clark.json").read_bytes() == (outs[1] / "clark.json").read_bytes()
+    if name == "overlap":
+        rows = json.loads((outs[0] / "clark.json").read_text())["rows"]
+        assert [r["normalized"] for r in rows] == ["true", "true"]
 
 
 def test_far_positions_name_the_scan_limit(tmp_path, capsys):

@@ -261,6 +261,23 @@ def test_branch_table_drops_nan_probes():
             assert np.array_equal(tbl.xs, probe_points(b)[keep]) and np.array_equal(tbl.ys, ys[keep])
 
 
+def test_far_positions_are_refused_by_the_map():
+    """A representation map refuses an atom or a finite piece end at
+    |x| >= 1e8, where its branch and segment tables cannot reach, with a
+    PreconditionError that names the bound; an infinite end is no
+    position, and 9e7 is built.  similarity_certificate on an atom at 2e8
+    failed with a bare ValueError from value_limit, constant_B with "branch
+    (2e8, inf) could not be tabulated"."""
+    far = [RealMeasure.point_mass(2e8, 0.5), RealMeasure.point_mass(-1e8, 0.5),
+           RealMeasure.uniform(0.0, 3e8, 0.5), RealMeasure.poisson(-math.inf, -2e8),
+           RealMeasure.cantor(1e8, 1e8 + 1.0, 0.5, depth=4)]
+    for rho in far:
+        with pytest.raises(PreconditionError, match=r"scan limit: \|x\| < 1e\+08"):
+            phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, rho))
+    for rho in (RealMeasure.point_mass(9e7, 0.5), RealMeasure.poisson(-math.inf, -1e7)):
+        assert phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, rho)).real_branches
+
+
 def test_sc_measure_blocks_branch_enumeration():
     from uhprange import UnsupportedStructureError, preimage_interval_measure
     rho = RealMeasure.cantor(depth=8)

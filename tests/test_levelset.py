@@ -99,6 +99,17 @@ def test_tail_uniform_closed_form():
     assert y * got < 1e-3
 
 
+def test_tail_measures_count_overlapping_pieces_once(overlap_pair):
+    """The tail sets of a measure whose density pieces overlap are those of
+    the same density in disjoint pieces.  Each piece was scanned on its
+    own, and the upper tails at y = 0.05, 0.2 and 1 read 20.454, 5.324 and
+    0.3286, where dense sampling of Re G gives 19.992, 4.971 and 0.2949."""
+    ys = [0.05, 0.2, 1.0]
+    over, disjoint = (tail_measures(cauchy_transform(mu), ys) for mu in overlap_pair(0.5))
+    assert np.allclose(over, disjoint, rtol=1e-12, atol=0.0)
+    assert np.allclose(over[:, 0], [19.992, 4.971, 0.2950], atol=1e-3)
+
+
 def test_boole_random_atoms_and_cantor():
     rng = np.random.default_rng(2)
     for _ in range(5):

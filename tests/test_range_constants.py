@@ -89,6 +89,18 @@ def test_a_upper_zloglin_recorded_positive():
     assert res.value > 0.1
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_upper_counts_overlapping_pieces_once(overlap_pair):
+    """A map whose density pieces overlap has the A bound of the same
+    density in disjoint pieces, without a RuntimeWarning.  The overlap was
+    scanned twice, once inside each piece's segment, and the bound read
+    1.4717 against 1.0339."""
+    over, disjoint = (constant_A_upper(phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, mu)),
+                                       (0.56, 2.56)).value for mu in overlap_pair(0.02))
+    assert over == pytest.approx(disjoint, rel=1e-12)
+    assert abs(over - 1.0339) < 1e-4
+
+
 def test_constant_b_identity():
     est = constant_B(phi_identity(), small_grid([-1.0, 0.0, 2.5]))
     assert abs(est.value - 1.0) < 1e-9
