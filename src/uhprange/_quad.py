@@ -41,6 +41,8 @@ _WIDTH_FLOOR = 4.0 * _EPS
 _UNRESOLVED = 64.0 * _EPS
 #: Rounding noise of a panel's estimates, and of an owner's absolute mass.
 _PANEL_NOISE, _MASS_NOISE = 64.0 * _EPS, 128.0 * _EPS
+#: Most passes of integrate_line_relative.
+_LINE_ROUNDS = 4
 
 
 def _gauss_batch(f: Callable, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -197,13 +199,13 @@ def integrate_line_relative(
     f: Callable,
     rel_tol: float = 1e-9,
     seeds: Sequence = ((),),
-    max_rounds: int = 4,
 ) -> np.ndarray:
     """Line integrals of nonnegative integrands to a relative tolerance.
 
     The absolute tolerance an adaptive pass needs depends on the unknown
     magnitude of the result, so passes are repeated with the tolerance
-    re-anchored to the previous estimate until it is consistent.
+    re-anchored to the previous estimate until it is consistent, at most
+    _LINE_ROUNDS times.
 
     The integrand is called as f(x, k) for the owners k in 0..n-1, and
     ``seeds`` holds one sequence per owner, so n = len(seeds); the result
@@ -227,7 +229,7 @@ def integrate_line_relative(
     estimate = np.maximum(np.maximum.reduceat(fabs, np.cumsum([0] + sizes[:-1])), 1e-300)
     value = np.zeros(n)
     active = np.arange(n)
-    for _ in range(max_rounds):
+    for _ in range(_LINE_ROUNDS):
         abs_tol = np.maximum(rel_tol * estimate[active], 1e-300)
         got = integrate_interval(lambda x, k, active=active: f(x, active[k]), -math.inf,
                                  math.inf, tol=abs_tol, seeds=[seeds[k] for k in active]).real

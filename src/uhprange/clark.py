@@ -33,6 +33,10 @@ _SC_ACCOUNTING_RTOL = 0.05
 
 _DEFAULT_Y_GRID = tuple(np.geomspace(1e2, 1e6, 9))
 
+#: A spectral measure is ``normalized`` when its total mass is within this
+#: of 1.
+_MASS_TOL = 1e-6
+
 #: Midpoint rounds on a segment's probe points for its density tables: 2209
 #: points on a finite segment, 1201 on a half-line.
 _TABLE_ROUNDS = 4
@@ -117,11 +121,13 @@ class ClarkMeasure:
 def _atoms(phi: PhiFunction, taus: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per real branch, the roots of phi(x) = tau for every tau and their
     masses 1/phi'(x); the mass is 0 where there is no root or the
-    derivative is outside (0, ATOM_DERIVATIVE_MAX).  One solve per branch."""
+    derivative is outside (0, ATOM_DERIVATIVE_MAX).  One solve per branch;
+    a root beyond the scan limit raises ConvergenceError, as its atom would
+    be lost."""
     require_contraction(phi)
     out = []
     for tbl in phi.branch_tables():
-        x = tbl.solve(taus)
+        x = tbl.solve(phi._require_reach(tbl, taus))
         fp, ok = np.zeros(x.shape), ~np.isnan(x)
         fp[ok] = phi.derivative(x[ok])
         atom = (0.0 < fp) & (fp < ATOM_DERIVATIVE_MAX)
@@ -184,8 +190,7 @@ def clark_singular_mass(phi: PhiFunction, tau: float, y_grid=None
     return float(atom_total[0]), float(sc[0]), tails[0]
 
 
-def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
-                   mass_tol: float = 1e-6) -> list[ClarkMeasure]:
+def clark_measures(phi: PhiFunction, taus, *, y_grid=None) -> list[ClarkMeasure]:
     """Full decomposition of the spectral measure at every tau.  The
     tau-independent work is shared: one solve per branch for the atoms, one
     quadrature per segment domain, one batched tail query, and one boundary
@@ -230,7 +235,7 @@ def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
         total = atom_total[k] + ac_mass[k] + sc[k]
         diagnostics = {"tsereteli": tails[k], "atom_mass": atom_total[k], "ac_mass": ac_mass[k],
                        "sc_mass": sc[k], "total_mass": total, "mass_defect": abs(total - 1.0),
-                       "normalized": abs(total - 1.0) <= mass_tol}
+                       "normalized": abs(total - 1.0) <= _MASS_TOL}
         out.append(ClarkMeasure(
             tau=tau, atoms=atoms, ac_segments=segments,
             density_tables=tuple(t[k] for t in tables), ac_mass=ac_mass[k],
@@ -239,7 +244,6 @@ def clark_measures(phi: PhiFunction, taus, *, y_grid=None,
     return out
 
 
-def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None,
-                  mass_tol: float = 1e-6) -> ClarkMeasure:
+def clark_measure(phi: PhiFunction, tau: float, *, y_grid=None) -> ClarkMeasure:
     """The one-tau case of clark_measures."""
-    return clark_measures(phi, [tau], y_grid=y_grid, mass_tol=mass_tol)[0]
+    return clark_measures(phi, [tau], y_grid=y_grid)[0]

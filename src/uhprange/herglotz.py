@@ -1,11 +1,12 @@
 """Analytic self-maps of the upper half-plane.
 
-A map is either assembled from its integral representation
-``phi(z) = alpha + beta*z + integral (1+t*z)/(t-z) d(rho)(t)`` or taken
-from a small catalog of closed forms.  Every map carries its real-branch
-structure: the maximal open intervals of the line where the boundary
-function is real analytic and strictly increasing.  Root finding, level
-sets and the spectral-measure constructions all lean on that monotonicity.
+A map is given by its integral representation
+``phi(z) = alpha + beta*z + integral (1+t*z)/(t-z) d(rho)(t)``, evaluated
+by kernel integrals or, for the small catalog, by closed forms; or it is a
+composition of such a map.  Every map carries its real-branch structure:
+the maximal open intervals of the line where the boundary function is
+real analytic and strictly increasing.  Root finding, level sets and the
+spectral-measure constructions all lean on that monotonicity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -23,6 +24,9 @@ from ._roots import SCAN_LIMIT, Branch, BranchTable, SegmentTable
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      UnsupportedStructureError)
 from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
+
+#: preimage_window pads its window by this share of its width, at least 1.
+_WINDOW_PAD = 0.1
 
 
 @dataclass(frozen=True)
@@ -52,25 +56,24 @@ class PhiFunction:
     Invariants maintained by construction: beta >= 0; the branch list is
     sorted and disjoint; on every branch the boundary restriction is real
     and strictly increasing; ``nonreal_segments`` carry the boundary set
-    where the imaginary part is positive (the a.c. support of rho).
+    where the imaginary part is positive (the a.c. support of rho).  A
+    composition has no representation data: its ``rho``, ``rho_k`` and
+    ``alpha`` are None.
     """
+
+    rho: RealMeasure | None = None
+    rho_k: float | None = None
+    alpha: float | None = None
 
     def __init__(self, *, beta: float, branches: Sequence[Branch],
                  nonreal_segments: Sequence[tuple[float, float]],
-                 support_hull: tuple[float, float] | None,
-                 rho: RealMeasure | None, rho_k: float | None,
-                 alpha: float | None, name: str,
-                 excluded_points: Sequence[float] = (),
+                 support_hull: tuple[float, float] | None, name: str,
                  branches_complete: bool = True):
         self.beta = float(beta)
         self.real_branches = tuple(sorted(branches, key=lambda b: b.left))
         self.nonreal_segments = tuple(nonreal_segments)
         self.support_hull = support_hull
-        self.rho = rho
-        self.rho_k = rho_k
-        self.alpha = alpha
         self.name = name
-        self.excluded_points = tuple(excluded_points)
         self.branches_complete = branches_complete
         self._tables: dict[int, BranchTable] = {}
         self._segment_tables: list[SegmentTable] | None = None
@@ -80,11 +83,23 @@ class PhiFunction:
     def _eval_complex(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _boundary_complex(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _derivative_complex(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _boundary_pair(self, x: np.ndarray, slope: bool = True
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(phi(x + i0), phi'(x + i0)) at real points, or (phi(x + i0), None)
+        where the map gives no slope or ``slope`` is off, without domain
+        checks: inf at a pole, NaN where a value is not resolved.  The
+        values of every boundary query, the segment tables and their disk
+        crossings."""
+        raise NotImplementedError
+
+    def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Re phi(x + i0), Re phi'(x)) at real points: the callable of the
+        branch tables.  Here from the boundary and derivative hooks (closed
+        forms, or a composition's chain rule)."""
+        return self.boundary_real(x), np.real(self._derivative_complex(x.astype(complex)))
 
     # -- public surface ----------------------------------------------------
 
@@ -98,17 +113,17 @@ class PhiFunction:
 
     def boundary(self, x) -> np.ndarray:
         """Boundary values on the real line (vectorized, closed upper
-        half-plane); exact zero imaginary part on real branches."""
+        half-plane); exact zero imaginary part on real branches, inf at a
+        pole.  NaN off the real branches (a principal value not resolved)
+        raises ConvergenceError naming the point; on a branch it stays NaN."""
         arr, scalar = _as_array(x, float)
-        out = self._boundary_complex(arr)
+        out = self._boundary_values(arr)
         return complex(out[0]) if scalar else out
 
     def boundary_value(self, x: float) -> complex:
-        """Boundary value at a single real point, with domain checks."""
+        """Boundary value at a single real point; DomainError where it is
+        not finite (a pole)."""
         x = float(x)
-        for p in self.excluded_points:
-            if x == p:
-                raise DomainError(f"boundary value not defined at {p}")
         w = self.boundary(x)
         if not (np.isfinite(w.real) and np.isfinite(w.imag)):
             raise DomainError(f"boundary value diverges at {x}")
@@ -117,22 +132,19 @@ class PhiFunction:
     def boundary_real(self, x) -> np.ndarray:
         """Real boundary values; meaningful on real branches only."""
         arr, scalar = _as_array(x, float)
-        out = np.real(self._boundary_complex(arr))
+        out = np.real(self._boundary_values(arr))
         return float(out[0]) if scalar else out
 
-    def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Re phi(x + i0), Re phi'(x)) at real points, without domain
-        checks: the callable of the branch tables.  Here from the boundary
-        and derivative hooks (closed forms, or a composition's chain rule)."""
-        return self.boundary_real(x), np.real(self._derivative_complex(x.astype(complex)))
-
-    def _boundary_pair(self, x: np.ndarray, slope: bool = True
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(phi(x + i0), phi'(x + i0)) at real points, or (phi(x + i0), None)
-        where the map gives no slope or ``slope`` is off: the segment
-        tables' values and their disk crossings' callable.  Here the
-        boundary hook alone."""
-        return self._boundary_complex(x), None
+    def _boundary_values(self, x: np.ndarray) -> np.ndarray:
+        """The boundary hook's values, under the one rule of every map: NaN
+        off the real branches raises ConvergenceError."""
+        out = self._boundary_pair(x, slope=False)[0]
+        nan = np.isnan(out)
+        if nan.any():
+            bad = x[nan & ~self._on_branch_mask(x)]
+            if bad.size:
+                raise ConvergenceError(f"principal value not resolved at x={float(bad[0])!r}")
+        return out
 
     def derivative(self, z):
         """Derivative at z in the open upper half-plane, or at a real x
@@ -190,14 +202,15 @@ class PhiFunction:
         """The nonempty clamped preimages of the intervals (lo_k, hi_k), k
         the flat index, as rows (k, xa, xb), branch by branch: every distinct
         end is solved once per branch, and an infinite end maps to the
-        branch's own end."""
+        branch's own end.  A finite end whose root lies beyond the scan
+        limit raises ConvergenceError (_require_reach)."""
         lo, hi = (np.asarray(v, dtype=float).ravel() for v in (lo, hi))
         ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
         solved, tables = ~np.isinf(ends), self.branch_tables()
         x = np.empty((len(tables), ends.size))
         for i, tbl in enumerate(tables):
             x[i] = np.where(ends < 0.0, tbl.branch.left, tbl.branch.right)
-            x[i, solved] = tbl.solve_clamped(ends[solved])
+            x[i, solved] = tbl.solve_clamped(self._require_reach(tbl, ends[solved]))
         xa, xb = x[:, inv[:lo.size]], x[:, inv[lo.size:]]
         del x  # freed before the rows are built: the peak of a deep power's pullback
         keep = xb > xa
@@ -217,6 +230,20 @@ class PhiFunction:
             pulled[:, 0] = rows[pulled[:, 0].astype(int), 0]
             rows = pulled
 
+    def _require_reach(self, tbl: BranchTable, targets: np.ndarray) -> np.ndarray:
+        """The finite targets, once none lies beyond the table's value range
+        at an infinite branch end: for beta > 0 phi runs to +-inf there, so
+        such a target has a root past the table, which stops within
+        SCAN_LIMIT, and ConvergenceError names the branch."""
+        b = tbl.branch
+        far = targets[((targets > tbl.ys[-1]) & math.isinf(b.right))
+                      | ((targets < tbl.ys[0]) & math.isinf(b.left))]
+        if self.beta > 0 and far.size:
+            raise ConvergenceError(
+                f"the root of phi(x) = {float(far[0])!r} on branch ({b.left}, {b.right}) "
+                f"lies beyond the scan limit |x| < {SCAN_LIMIT:g}")
+        return targets
+
     def _require_branches(self):
         if not self.branches_complete:
             raise UnsupportedStructureError(
@@ -235,9 +262,10 @@ class PhiFunction:
             return -math.inf if side == "left" else math.inf
         return v1
 
-    def preimage_window(self, lo: float, hi: float, pad_frac: float = 0.1) -> tuple[float, float]:
+    def preimage_window(self, lo: float, hi: float) -> tuple[float, float]:
         """A finite window provably containing {x: phi(x) in [lo, hi]} up to
-        the outward scan limit, padded for Monte Carlo use."""
+        the outward scan limit, padded by _WINDOW_PAD of its width (at
+        least 1) for Monte Carlo use."""
         ends = self.pullback([lo], [hi])[:, 1:].ravel().tolist()
         for (l, r) in self.nonreal_segments:
             if np.isfinite(l):
@@ -246,7 +274,7 @@ class PhiFunction:
                 ends.append(r)
         lo_x = min(ends) if ends else -1.0
         hi_x = max(ends) if ends else 1.0
-        pad = max(1.0, pad_frac * (hi_x - lo_x))
+        pad = max(1.0, _WINDOW_PAD * (hi_x - lo_x))
         return (max(lo_x - pad, -SCAN_LIMIT), min(hi_x + pad, SCAN_LIMIT))
 
     def iterate(self, n: int) -> "PhiFunction":
@@ -263,9 +291,11 @@ class PhiFunction:
 
 
 class NevanlinnaPhi(PhiFunction):
-    """Map assembled from its integral representation."""
+    """Map assembled from its integral representation.  The data fix its
+    structure: the real branches are the gaps between the atoms and pieces
+    of rho, the non-real segments rho's density segments, the hull rho's."""
 
-    def __init__(self, data: NevanlinnaData):
+    def __init__(self, data: NevanlinnaData, name: str | None = None):
         rho = data.rho
         blockers = ([(p, p) for (p, _) in rho.atoms]
                     + [(q.left, q.right) for q in rho.ac_pieces + rho.sc_pieces])
@@ -274,38 +304,26 @@ class NevanlinnaPhi(PhiFunction):
         if far:
             raise PreconditionError(
                 f"position {far[0]!r} is beyond the scan limit: |x| < {SCAN_LIMIT:g}")
-        branches = [Branch(l, r) for (l, r) in gaps_between(blockers)]
-        hull = rho.support_hull()
-        k = float(np.real(rho.integrate(lambda t: 1.0 + t * t))) if hull is not None else 0.0
-        if any(math.isinf(p.left) or math.isinf(p.right) for p in rho.ac_pieces):
-            k = math.inf
         super().__init__(
-            beta=data.beta, branches=branches, nonreal_segments=rho.density_segments,
-            support_hull=hull, rho=rho, rho_k=k, alpha=data.alpha,
-            name=f"nevanlinna(alpha={data.alpha}, beta={data.beta})",
-            excluded_points=[p for (p, _) in rho.atoms],
+            beta=data.beta, branches=[Branch(l, r) for (l, r) in gaps_between(blockers)],
+            nonreal_segments=rho.density_segments, support_hull=rho.support_hull(),
+            name=name or f"nevanlinna(alpha={data.alpha}, beta={data.beta})",
             branches_complete=not rho.sc_pieces)
-        self.data = data
+        self.data, self.rho, self.alpha = data, rho, data.alpha
+
+    @cached_property
+    def rho_k(self) -> float:
+        """The second moment int (1 + t^2) d(rho)(t), integrated on first
+        use; inf where a density piece reaches infinity."""
+        if any(math.isinf(p.left) or math.isinf(p.right) for p in self.rho.ac_pieces):
+            return math.inf
+        return float(np.real(self.rho.integrate(lambda t: 1.0 + t * t)))
 
     def _eval_complex(self, z: np.ndarray) -> np.ndarray:
         return kernel_integral(self.rho, _kernel, z, start=self.data.alpha + self.data.beta * z)
 
     def _derivative_complex(self, z: np.ndarray) -> np.ndarray:
         return kernel_integral(self.rho, _kernel_derivative, z, start=self.data.beta)
-
-    def _boundary_complex(self, x: np.ndarray) -> np.ndarray:
-        """phi(x + i0) in one kernel pass (Plemelj limits inside the pieces),
-        inf at the atoms of rho.  NaN off the branches raises
-        ConvergenceError naming the point; on a branch it stays NaN."""
-        out = np.asarray(kernel_integral(self.rho, _kernel, x, pv=True,
-                                         start=self.data.alpha + self.data.beta * x), dtype=complex)
-        odd = ~np.isfinite(out)  # atoms, piece ends and unresolved principal values
-        if odd.any():
-            out[odd & np.isin(x, self.excluded_points)] = complex(math.inf, 0.0)
-            bad = x[np.isnan(out) & ~self._on_branch_mask(x)]
-            if bad.size:
-                raise ConvergenceError(f"principal value not resolved at x={float(bad[0])!r}")
-        return out
 
     def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Value and slope from one pass over rho (off its support)."""
@@ -315,13 +333,19 @@ class NevanlinnaPhi(PhiFunction):
     def _boundary_pair(self, x: np.ndarray, slope: bool = True
                        ) -> tuple[np.ndarray, np.ndarray | None]:
         """The Plemelj limits of phi and phi' from one pass over rho where
-        every density piece is named, else phi's alone; NaN where a
-        principal value is not resolved, without raising."""
+        every density piece is named, else phi's alone; complex(inf, 0) at
+        the atoms of rho."""
         start = self.data.alpha + self.data.beta * x
         if slope and all(p.closed_form is not None for p in self.rho.ac_pieces):
-            return kernel_integral(self.rho, _kernel_pair, x, pv=True,
-                                   start=(start, self.data.beta))
-        return kernel_integral(self.rho, _kernel, x, pv=True, start=start), None
+            value, d = kernel_integral(self.rho, _kernel_pair, x, pv=True,
+                                       start=(start, self.data.beta))
+        else:
+            value, d = kernel_integral(self.rho, _kernel, x, pv=True, start=start), None
+        value = np.asarray(value, dtype=complex)
+        odd = ~np.isfinite(value)  # atoms, piece ends and unresolved principal values
+        if odd.any():
+            value[odd & np.isin(x, [p for (p, _) in self.rho.atoms])] = complex(math.inf, 0.0)
+        return value, d
 
 
 def _kernel(t, z, w):
@@ -360,26 +384,18 @@ _kernel_pair.halves = (_kernel, _kernel_derivative)
 _kernel_pair.tree = (_tree_weights, (0, 1))
 
 
-class ClosedFormPhi(PhiFunction):
-    """Catalog map given by closed-form evaluation/boundary/derivative; its
-    non-real segments and support hull are those of its measure rho."""
+class ClosedFormPhi(NevanlinnaPhi):
+    """Catalog map: representation data, which give its structure as they
+    give any map's, evaluated by closed forms for the value, the derivative
+    and the boundary value; its branch tables take the pair of the last two."""
 
-    def __init__(self, *, name: str, eval_fn: Callable, boundary_fn: Callable,
-                 deriv_fn: Callable, branches, rho: RealMeasure, rho_k: float | None,
-                 alpha: float | None, excluded_points=()):
-        super().__init__(beta=1.0, branches=branches,
-                         nonreal_segments=rho.density_segments,
-                         support_hull=rho.support_hull(), rho=rho, rho_k=rho_k,
-                         alpha=alpha, name=name, excluded_points=excluded_points)
-        self._eval_fn = eval_fn
-        self._boundary_fn = boundary_fn
-        self._deriv_fn = deriv_fn
+    def __init__(self, name: str, data: NevanlinnaData, eval_fn: Callable,
+                 boundary_fn: Callable, deriv_fn: Callable):
+        super().__init__(data, name)
+        self._eval_fn, self._boundary_fn, self._deriv_fn = eval_fn, boundary_fn, deriv_fn
 
     def _eval_complex(self, z):
         return self._eval_fn(z)
-
-    def _boundary_complex(self, x):
-        return self._boundary_fn(x)
 
     def _derivative_complex(self, z):
         return self._deriv_fn(z)
@@ -388,6 +404,8 @@ class ClosedFormPhi(PhiFunction):
         """The closed forms' boundary values and their derivative at x + 0j,
         which every catalog map's branch cuts make the limit from above."""
         return self._boundary_fn(x), self._deriv_fn(x.astype(complex)) if slope else None
+
+    _boundary_and_slope = PhiFunction._boundary_and_slope
 
 
 class IteratedPhi(PhiFunction):
@@ -417,11 +435,8 @@ class IteratedPhi(PhiFunction):
             hull = (min(finite_ends), max(finite_ends))
         nonreal = tuple(g for g in gaps_between((b.left, b.right) for b in branches)
                         if np.isfinite(g[0]) or np.isfinite(g[1]))
-        super().__init__(beta=base.beta, branches=branches,
-                         nonreal_segments=nonreal, support_hull=hull,
-                         rho=None, rho_k=None, alpha=None,
-                         name=f"{base.name}^{n}",
-                         excluded_points=base.excluded_points)
+        super().__init__(beta=base.beta, branches=branches, nonreal_segments=nonreal,
+                         support_hull=hull, name=f"{base.name}^{n}")
         self.base = base
         self.n = n
 
@@ -437,11 +452,12 @@ class IteratedPhi(PhiFunction):
             w = self.base._eval_complex(w)
         return w
 
-    def _boundary_complex(self, x):
+    def _boundary_pair(self, x, slope: bool = True):
+        """The boundary values stepped through the base map's; no slope."""
         w = x.astype(complex)
         for _ in range(self.n):
             w = self._step_value(w)
-        return w
+        return w, None
 
     def _derivative_complex(self, z):
         w = z
@@ -459,7 +475,7 @@ class IteratedPhi(PhiFunction):
         step = real & ~(np.isinf(w.real) & (self.base.beta > 0))
         out = w.copy()
         if step.any():
-            out[step] = self.base._boundary_complex(w[step].real)
+            out[step] = self.base._boundary_pair(w[step].real, slope=False)[0]
         if (~real).any():
             out[~real] = self.base._eval_complex(w[~real])
         return out
@@ -500,34 +516,13 @@ def _sqrt_piece() -> AcPiece:
 
 
 def _make_sqrt() -> ClosedFormPhi:
-    rho = RealMeasure(ac_pieces=(_sqrt_piece(),))
-
-    def eval_fn(z):
-        return _sqrt_prod(np.asarray(z, dtype=complex))
-
-    def boundary_fn(x):
-        x = np.asarray(x, dtype=float)
-        return _sqrt_prod(x.astype(complex))
-
-    def deriv_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return z / _sqrt_prod(z)
-
     return ClosedFormPhi(
-        name="sqrt", eval_fn=eval_fn, boundary_fn=boundary_fn, deriv_fn=deriv_fn,
-        branches=[Branch(-math.inf, -1.0), Branch(1.0, math.inf)],
-        rho=rho, rho_k=0.5, alpha=0.0, excluded_points=())
+        "sqrt", NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(_sqrt_piece(),))),
+        _sqrt_prod, lambda x: _sqrt_prod(x.astype(complex)), lambda z: z / _sqrt_prod(z))
 
 
 def _make_zlog() -> ClosedFormPhi:
-    rho = RealMeasure.poisson(-math.inf, 0.0)
-
-    def eval_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return z + np.log(z)
-
     def boundary_fn(x):
-        x = np.asarray(x, dtype=float)
         out = np.empty(x.shape, dtype=complex)
         pos = x > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -535,26 +530,15 @@ def _make_zlog() -> ClosedFormPhi:
             out[~pos] = x[~pos] + np.log(np.abs(x[~pos])) + 1j * math.pi
         return out
 
-    def deriv_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return 1.0 + 1.0 / z
-
     return ClosedFormPhi(
-        name="zlog", eval_fn=eval_fn, boundary_fn=boundary_fn, deriv_fn=deriv_fn,
-        branches=[Branch(0.0, math.inf)], rho=rho, rho_k=math.inf, alpha=None,
-        excluded_points=(0.0,))
+        "zlog", NevanlinnaData(0.0, 1.0, RealMeasure.poisson(-math.inf, 0.0)),
+        lambda z: z + np.log(z), boundary_fn, lambda z: 1.0 + 1.0 / z)
 
 
 def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
     alpha = float(alpha)
-    rho = RealMeasure.poisson(-1.0, 1.0)
-
-    def eval_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return alpha + z + np.log(z - 1.0) - np.log(z + 1.0)
 
     def boundary_fn(x):
-        x = np.asarray(x, dtype=float)
         out = np.empty(x.shape, dtype=complex)
         on = np.abs(x) > 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -564,39 +548,25 @@ def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
                         + 1j * math.pi)
         return out
 
-    def deriv_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return 1.0 + 2.0 / ((z - 1.0) * (z + 1.0))
-
     return ClosedFormPhi(
-        name=f"zloglin(alpha={alpha})", eval_fn=eval_fn, boundary_fn=boundary_fn,
-        deriv_fn=deriv_fn,
-        branches=[Branch(-math.inf, -1.0), Branch(1.0, math.inf)],
-        rho=rho, rho_k=2.0, alpha=alpha, excluded_points=(-1.0, 1.0))
+        f"zloglin(alpha={alpha})", NevanlinnaData(alpha, 1.0, RealMeasure.poisson(-1.0, 1.0)),
+        lambda z: alpha + z + np.log(z - 1.0) - np.log(z + 1.0), boundary_fn,
+        lambda z: 1.0 + 2.0 / ((z - 1.0) * (z + 1.0)))
 
 
 def _make_sqrtpole(alpha: float = 0.0) -> ClosedFormPhi:
     alpha = float(alpha)
-    rho = RealMeasure(atoms=((1.0, 0.5),), ac_pieces=(_sqrt_piece(),))
-
-    def eval_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return alpha + _sqrt_prod(z) + 1.0 / (1.0 - z)
 
     def boundary_fn(x):
-        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return alpha + _sqrt_prod(x.astype(complex)) + 1.0 / (1.0 - x)
 
-    def deriv_fn(z):
-        z = np.asarray(z, dtype=complex)
-        return z / _sqrt_prod(z) + 1.0 / (1.0 - z) ** 2
-
+    # 1/(1 - z) is the atom (1, 1/2), whose kernel adds 1/(1 - z) - 1/2
+    rho = RealMeasure(atoms=((1.0, 0.5),), ac_pieces=(_sqrt_piece(),))
     return ClosedFormPhi(
-        name=f"sqrtpole(alpha={alpha})", eval_fn=eval_fn, boundary_fn=boundary_fn,
-        deriv_fn=deriv_fn,
-        branches=[Branch(-math.inf, -1.0), Branch(1.0, math.inf)],
-        rho=rho, rho_k=1.5, alpha=None, excluded_points=(1.0,))
+        f"sqrtpole(alpha={alpha})", NevanlinnaData(alpha + 0.5, 1.0, rho),
+        lambda z: alpha + _sqrt_prod(z) + 1.0 / (1.0 - z), boundary_fn,
+        lambda z: z / _sqrt_prod(z) + 1.0 / (1.0 - z) ** 2)
 
 
 #: name -> (factory, parameter names)

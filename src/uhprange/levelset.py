@@ -23,6 +23,9 @@ from .measures import IntervalSet, atom_sum, cauchy_kernel, gaps_between, join_r
 
 _EPS = np.finfo(float).eps
 
+#: Abscissa tolerance of the disk crossings (disk_panels).
+_DISK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class DiskQuery:
@@ -74,7 +77,7 @@ def preimage_interval_measure(phi: PhiFunction, interval: tuple[float, float]
 # -- disk preimages ------------------------------------------------------------
 
 
-def disk_panels(phi: PhiFunction, a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def disk_panels(phi: PhiFunction, a, b, tol: float = _DISK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Panels of the non-real boundary set whose values land in the disks
     over (a_k, b_k), read off the map's segment tables.
 
@@ -151,40 +154,37 @@ def _crossings(f, c, r, lo, hi, alo, ahi, tol: float) -> np.ndarray:
     return bisect_increasing(h, lo, hi, 0.0, xtol=tol, start=start)
 
 
-def disk_measures(phi: PhiFunction, a, b, tol: float = 1e-8
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def disk_measures(phi: PhiFunction, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measures of the disks' preimages over (a_k, b_k), shaped like a, and
     the rows (k, u, v) they cover: the real-branch preimages of the
     diameters (real values in a disk are those in its diameter,
     phi.pullback) and the boundary panels (disk_panels), summed as joined
     rows (join_rows)."""
-    panels, _ = disk_panels(phi, a, b, tol=tol)
+    panels, _ = disk_panels(phi, a, b)
     real = phi.pullback(a, b)
     return row_measure(join_rows(np.concatenate([real, panels])), np.shape(a)), real, panels
 
 
-def disk_preimages(phi: PhiFunction, a, b, tol: float = 1e-8
-                   ) -> tuple[list[IntervalSet], np.ndarray]:
+def disk_preimages(phi: PhiFunction, a, b) -> tuple[list[IntervalSet], np.ndarray]:
     """Preimages of the disks over (a_k, b_k) as sets, with unresolved
     widths: the joined rows of disk_measures, one IntervalSet per disk."""
     a, b = (np.asarray(v, dtype=float).ravel() for v in (a, b))
-    panels, unresolved = disk_panels(phi, a, b, tol=tol)
+    panels, unresolved = disk_panels(phi, a, b)
     rows = join_rows(np.concatenate([phi.pullback(a, b), panels]))
     cuts = np.searchsorted(rows[:, 0], np.arange(a.size + 1))
     return [IntervalSet(tuple(map(tuple, rows[cuts[k]:cuts[k + 1], 1:].tolist())))
             for k in range(a.size)], unresolved
 
 
-def preimage_disk_set(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8
-                      ) -> tuple[IntervalSet, float]:
+def preimage_disk_set(phi: PhiFunction, q: DiskQuery) -> tuple[IntervalSet, float]:
     """The one-disk case of disk_preimages."""
-    sets, unresolved = disk_preimages(phi, [q.a], [q.b], tol=tol)
+    sets, unresolved = disk_preimages(phi, [q.a], [q.b])
     return sets[0], float(unresolved[0])
 
 
-def preimage_disk_measure(phi: PhiFunction, q: DiskQuery, tol: float = 1e-8) -> float:
+def preimage_disk_measure(phi: PhiFunction, q: DiskQuery) -> float:
     """The one-disk case of disk_measures."""
-    return float(disk_measures(phi, [q.a], [q.b], tol=tol)[0][0])
+    return float(disk_measures(phi, [q.a], [q.b])[0][0])
 
 
 def resolvent_tail_measures(phi: PhiFunction, taus, ys) -> np.ndarray:

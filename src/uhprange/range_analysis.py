@@ -31,6 +31,21 @@ VERDICT_FLOOR = 1e-3
 CROSS_GAP_TOL = 0.05
 _D_Y_GRID = (1e2, 1e4, 1e6)
 
+#: The default grids: _GRID_CENTERS centers (_TAU_POINTS taus) over the
+#: hull padded by _GRID_PAD, an infinite hull end clamped to +-_HULL_CLAMP;
+#: _GRID_LENGTHS lengths 1, 1/2, ...
+_GRID_CENTERS, _GRID_LENGTHS, _TAU_POINTS = 201, 11, 81
+_GRID_PAD, _HULL_CLAMP = 10.0, 30.0
+
+#: Relative tolerance of a Rayleigh quotient's numerator.
+_RAYLEIGH_TOL = 1e-8
+
+#: The levels y of boole_check.
+_BOOLE_LEVELS = (0.5, 1.0, 2.0, 10.0)
+
+#: Absolute tolerance of the closure of an orbit product's tail.
+_ORBIT_TAIL_TOL = 1e-12
+
 
 # -- grids ---------------------------------------------------------------------
 
@@ -54,37 +69,37 @@ class QueryGrid:
                          tuple(sorted(set(self.lengths) | set(other.lengths), reverse=True)))
 
 
-def _clamped_hull(phi: PhiFunction, infinite_clamp: float = 30.0) -> tuple[float, float]:
+def _clamped_hull(phi: PhiFunction) -> tuple[float, float]:
     hull = phi.support_hull
     if hull is None:
         return (-1.0, 1.0)
-    lo = -infinite_clamp if math.isinf(hull[0]) else hull[0]
-    hi = infinite_clamp if math.isinf(hull[1]) else hull[1]
+    lo = -_HULL_CLAMP if math.isinf(hull[0]) else hull[0]
+    hi = _HULL_CLAMP if math.isinf(hull[1]) else hull[1]
     if hi <= lo:
         hi = lo + 1.0
     return lo, hi
 
 
-def _hull_points(phi: PhiFunction, n: int, pad: float, *extra: float) -> tuple[float, ...]:
+def _hull_points(phi: PhiFunction, n: int, *extra: float) -> tuple[float, ...]:
     """n points spanning the padded hull, dyadic points accumulating at the
     hull endpoints from both sides, and the extra points, sorted."""
     lo, hi = _clamped_hull(phi)
     dy = [e + s * 2.0**-k for e in (lo, hi) for s in (1.0, -1.0) for k in range(11)]
-    return tuple(np.unique(np.concatenate([np.linspace(lo - pad, hi + pad, n),
+    return tuple(np.unique(np.concatenate([np.linspace(lo - _GRID_PAD, hi + _GRID_PAD, n),
                                            np.asarray(dy + list(extra))])).tolist())
 
 
-def default_grid(phi: PhiFunction, n_centers: int = 201, n_lengths: int = 11,
-                 pad: float = 10.0) -> QueryGrid:
+def default_grid(phi: PhiFunction) -> QueryGrid:
     """Centers covering the padded hull plus dyadic points accumulating at
-    the hull endpoints; lengths 1, 1/2, ..., 2**-(n_lengths-1)."""
-    lengths = 2.0 ** -np.arange(n_lengths, dtype=float)
-    return QueryGrid(_hull_points(phi, n_centers, pad), tuple(lengths.tolist()))
+    the hull endpoints; lengths 1, 1/2, ..., 2**-(_GRID_LENGTHS-1)."""
+    lengths = 2.0 ** -np.arange(_GRID_LENGTHS, dtype=float)
+    return QueryGrid(_hull_points(phi, _GRID_CENTERS), tuple(lengths.tolist()))
 
 
-def default_tau_grid(phi: PhiFunction, n: int = 81, pad: float = 10.0) -> tuple[float, ...]:
-    """The centers of default_grid with n points over the padded hull, and 0."""
-    return _hull_points(phi, n, pad, 0.0)
+def default_tau_grid(phi: PhiFunction) -> tuple[float, ...]:
+    """The centers of default_grid with _TAU_POINTS points over the padded
+    hull, and 0."""
+    return _hull_points(phi, _TAU_POINTS, 0.0)
 
 
 # -- test functions and Rayleigh quotients ---------------------------------------
@@ -147,60 +162,35 @@ class TestFunctionUc:
         return math.exp(2.0 * math.pi * self.c) * span + (math.pi - span)
 
 
-def _abs2_of(u):
-    """|u|^2 on the closed upper half-plane, for a u other than TestFunctionUc."""
-    if hasattr(u, "abs2_boundary"):
-        return u.abs2_boundary
-    return lambda w: np.abs(np.asarray(u(np.asarray(w, complex)))) ** 2
-
-
-def rayleigh_quotient(phi: PhiFunction, u, rel_tol: float = 1e-8) -> float:
+def rayleigh_quotient(phi: PhiFunction, u: TestFunctionUc) -> float:
     """Boundary-integral quotient of composed-versus-plain squared norms."""
-    return float(rayleigh_quotients(phi, [u], rel_tol)[0])
+    return float(rayleigh_quotients(phi, [u])[0])
 
 
-def rayleigh_quotients(phi: PhiFunction, us, rel_tol: float = 1e-8) -> np.ndarray:
+def rayleigh_quotients(phi: PhiFunction, us) -> np.ndarray:
     """Quotient of squared boundary norms |u o phi|^2 / |u|^2 for each test
-    function u in us.  Every numerator is an owner of one relative line
-    integral, so phi.boundary is called once per round on the abscissae of
-    all of them.  A TestFunctionUc is seeded with the preimage of its
-    interval (one pullback per distinct interval); any other u has no
-    seeds.  A u without a closed-form ``norm2`` has its norm integrated.
-    Each quotient has the bits of a call of its own."""
+    function u in us, a TestFunctionUc (any other u raises
+    PreconditionError).  Every numerator is an owner of one line integral
+    to _RAYLEIGH_TOL relative, so phi.boundary is called once per round on
+    the abscissae of all of them, each seeded with the preimage of its
+    interval (one pullback per distinct interval); every denominator is
+    its closed-form ``norm2``.  Each quotient has the bits of a call of its
+    own."""
     require_contraction(phi)
     us = list(us)
-    uc = [isinstance(u, TestFunctionUc) for u in us]
-    a, b, c = (np.asarray([getattr(u, name) if ok else math.nan for u, ok in zip(us, uc)])
-               for name in "abc")
-    others = {k: _abs2_of(u) for k, (u, ok) in enumerate(zip(us, uc)) if not ok}
-
+    if not all(isinstance(u, TestFunctionUc) for u in us):
+        raise PreconditionError("Rayleigh quotients take TestFunctionUc test functions")
+    a, b, c = (np.asarray([getattr(u, name) for u in us]) for name in "abc")
     ends = [e for seg in phi.nonreal_segments for e in seg if np.isfinite(e)]
     preimages: dict[tuple[float, float], list[float]] = {}
-    seeds: list[list[float]] = []
-    for u, ok in zip(us, uc):
-        if ok and (u.a, u.b) not in preimages:
+    for u in us:
+        if (u.a, u.b) not in preimages:
             pre, _ = preimage_interval_measure(phi, (u.a, u.b))
             preimages[u.a, u.b] = [e for piece in pre for e in piece]
-        seeds.append(preimages[u.a, u.b] + ends if ok else [])
-
-    def abs2(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """|u_k(w)|^2 for the owner k of every point w (NaN parameters give
-        the other owners NaN until their own call fills them in)."""
-        out = _uc_abs2(w, a[k], b[k], c[k])
-        for j, abs2_j in others.items():
-            mine = k == j
-            out[mine] = abs2_j(w[mine])
-        return out
-
-    num = _quad.integrate_line_relative(lambda x, k: abs2(phi.boundary(x), k),
-                                        rel_tol=rel_tol, seeds=seeds)
-    den = np.asarray([u.norm2() if hasattr(u, "norm2") else math.nan for u in us])
-    integrated = np.asarray([k for k, u in enumerate(us) if not hasattr(u, "norm2")], dtype=int)
-    if len(integrated):
-        den[integrated] = _quad.integrate_line_relative(
-            lambda x, k: abs2(x.astype(complex), integrated[k]), rel_tol=rel_tol,
-            seeds=[[]] * len(integrated))
-    return num / den
+    num = _quad.integrate_line_relative(
+        lambda x, k: _uc_abs2(phi.boundary(x), a[k], b[k], c[k]), rel_tol=_RAYLEIGH_TOL,
+        seeds=[preimages[u.a, u.b] + ends for u in us])
+    return num / np.asarray([u.norm2() for u in us])
 
 
 def contraction_check(phi: PhiFunction, m: int = 20, seed: int = 0) -> float:
@@ -411,14 +401,15 @@ def closed_range_report(phi: PhiFunction, grid: QueryGrid | None = None,
 # -- identity checks --------------------------------------------------------------
 
 
-def boole_check(mu: RealMeasure, y_list=(0.5, 1.0, 2.0, 10.0)) -> float:
-    """Max over y and both tails of |y * tail measure - total mass| for a
-    singular probability measure (for which the identity is exact)."""
+def boole_check(mu: RealMeasure) -> float:
+    """Max over the levels y of _BOOLE_LEVELS and both tails of
+    |y * tail measure - total mass| for a singular probability measure (for
+    which the identity is exact)."""
     if mu.ac_pieces:
         raise PreconditionError("identity check requires a singular measure")
     if abs(mu.total_mass() - 1.0) > 1e-9:
         raise PreconditionError("identity check requires a probability measure")
-    ys = np.asarray(y_list, dtype=float)
+    ys = np.asarray(_BOOLE_LEVELS, dtype=float)
     errors = np.abs(ys[:, None] * tail_measures(cauchy_transform(mu), ys) - 1.0)
     return float(errors.max(initial=0.0))
 
@@ -549,7 +540,7 @@ def _outer_branches(phi: PhiFunction, hull: tuple[float, float]) -> tuple[Branch
 
 
 def _orbit_product_log_bound(k: float, eta: float, delta_d: float,
-                             delta_c: float, tail_tol: float = 1e-12) -> float:
+                             delta_c: float) -> float:
     """Upper bound on the log of prod over n >= 0 of
     (1 + k/(delta_d + n*eta)^2)(1 + k/(delta_c + n*eta)^2), for positive
     eta and deltas.
@@ -564,10 +555,10 @@ def _orbit_product_log_bound(k: float, eta: float, delta_d: float,
     g is convex in n, so each g(n) is at most its mean over [n-1/2, n+1/2]
     and the closure is an upper bound for every N >= 1.  It exceeds the
     true tail by k*eta/(12 u^3) to leading order; N is the least count that
-    puts this below tail_tol, capped at 2e6 terms as a memory guard.
+    puts this below _ORBIT_TAIL_TOL, capped at 2e6 terms as a memory guard.
     """
     root_k = math.sqrt(k)
-    u_min = (k * eta / (12.0 * tail_tol)) ** (1.0 / 3.0)
+    u_min = (k * eta / (12.0 * _ORBIT_TAIL_TOL)) ** (1.0 / 3.0)
     total = 0.0
     for delta in (delta_d, delta_c):
         n_terms = int(min(max(math.ceil((u_min - delta) / eta + 0.5), 1), 2e6))

@@ -164,6 +164,16 @@ def test_clark_measures_rejects_nonfinite_tau():
             clark_measure(phi, bad)
 
 
+def test_clark_measure_refuses_a_root_beyond_the_scan_limit():
+    """With an atom at 9e7 the root of phi = 0 on (9e7, inf) lies near
+    1.35e8, past the branch table: the atom of mass 1/3 was dropped and the
+    measure read total mass 0.667, not normalized."""
+    from uhprange import ConvergenceError
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(9e7, 0.5)))
+    with pytest.raises(ConvergenceError, match=r"beyond the scan limit \|x\| < 1e\+08"):
+        clark_measure(phi, 0.0)
+
+
 def test_tsereteli_point_mass():
     est = singular_mass_tsereteli(cauchy_transform(RealMeasure.point_mass(0.0)))
     assert abs(est.estimate - 1.0) < 1e-8

@@ -51,6 +51,14 @@ def test_rayleigh_identity_and_translation():
     assert abs(rayleigh_quotient(phi_translation(3.0), u) - 1.0) < 1e-8
 
 
+def test_rayleigh_quotient_takes_only_concentrating_test_functions():
+    """Every caller passes a TestFunctionUc, whose norm is a closed form;
+    any other test function is refused."""
+    for u in (lambda z: 1.0 / (z + 1j), (-0.5, 0.5, 2.0)):
+        with pytest.raises(PreconditionError, match="TestFunctionUc"):
+            rayleigh_quotient(phi_identity(), u)
+
+
 def test_uc_rejects_what_it_cannot_compute():
     for a, b in [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)]:
         with pytest.raises(PreconditionError, match="finite"):
