@@ -40,6 +40,12 @@ _GRID_PAD, _HULL_CLAMP = 10.0, 30.0
 #: Relative tolerance of a Rayleigh quotient's numerator.
 _RAYLEIGH_TOL = 1e-8
 
+#: Seeds of a Rayleigh line integral graded toward each finite end e of
+#: the non-real segments, e -+ _END_RATIO**-k max(1, |e|) for
+#: k = 1.._END_DEPTH: phi(x + i0) has a branch point at e, next to which
+#: the integrand can spike more narrowly than adaptive bisection sees.
+_END_RATIO, _END_DEPTH = 16.0, 8
+
 #: The levels y of boole_check.
 _BOOLE_LEVELS = (0.5, 1.0, 2.0, 10.0)
 
@@ -173,7 +179,8 @@ def rayleigh_quotients(phi: PhiFunction, us) -> np.ndarray:
     PreconditionError).  Every numerator is an owner of one line integral
     to _RAYLEIGH_TOL relative, so phi.boundary is called once per round on
     the abscissae of all of them, each seeded with the preimage of its
-    interval (one pullback per distinct interval); every denominator is
+    interval (one pullback per distinct interval) and with the points
+    graded toward every finite segment end; every denominator is
     its closed-form ``norm2``.  Each quotient has the bits of a call of its
     own."""
     require_contraction(phi)
@@ -181,7 +188,9 @@ def rayleigh_quotients(phi: PhiFunction, us) -> np.ndarray:
     if not all(isinstance(u, TestFunctionUc) for u in us):
         raise PreconditionError("Rayleigh quotients take TestFunctionUc test functions")
     a, b, c = (np.asarray([getattr(u, name) for u in us]) for name in "abc")
-    ends = [e for seg in phi.nonreal_segments for e in seg if np.isfinite(e)]
+    grading = [0.0] + [s * _END_RATIO**-k for k in range(1, _END_DEPTH + 1) for s in (-1.0, 1.0)]
+    ends = [e + d * max(1.0, abs(e)) for seg in phi.nonreal_segments for e in seg
+            if np.isfinite(e) for d in grading]
     preimages: dict[tuple[float, float], list[float]] = {}
     for u in us:
         if (u.a, u.b) not in preimages:
