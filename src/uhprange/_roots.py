@@ -4,24 +4,24 @@ Boundary restrictions of half-plane self-maps are strictly increasing on
 each real branch, so every equation f(x) = target has at most one solution
 per branch and a bracket with evaluated signs always holds it.  The solver
 and the branch tables take one callable that returns f and its slope f'
-together (one kernel pass for a representation map or a Cauchy
-transform), or f and None.  A table holds the values on a probe grid
-(geometric clustering toward endpoints, where values typically blow up)
-and the slopes there; solving then reduces to a searchsorted bracket plus
-a vectorized safeguarded Newton iteration.  A target equal to a probe's
-value is that probe.  Each other element starts at a point its caller
-gives: in a table bracket, the inverse cubic Hermite point of the two
-probes (Fritsch and Carlson's monotone interpolation, read as x of y);
-between two atoms of a Cauchy transform, the root of a model with poles at
-both ends; else its bracket's midpoint.  Given the slope, each step is
-Newton's; a step leaving the bracket is replaced by the one-pole step,
-exact for f = a + c/(p - x) with the pole p at the bracket end beyond the
-root (values blow up at branch ends and at the atoms of a Cauchy
-transform); a step that is not finite, leaves the bracket, or is not
-shorter than half the step before the last (a lying slope) is replaced by
-bisection.  Without a slope every step bisects.  A root is the Newton
-point of the evaluation that closes its bracket, taken with that
-evaluation's own slope.
+together (one kernel pass for a representation map or a Cauchy transform),
+or f and None, and read their real parts (a map's complex boundary pair is
+exactly real on a branch).  A table holds the values on a probe grid
+(geometric clustering toward endpoints, where values typically blow up) and
+the slopes there; solving then reduces to a searchsorted bracket plus a
+vectorized safeguarded Newton iteration.  A target equal to a probe's value
+is that probe.  Each other element starts at a point its caller gives: in a
+table bracket, the inverse cubic Hermite point of the two probes (Fritsch
+and Carlson's monotone interpolation, read as x of y); between two atoms of
+a Cauchy transform, the root of a model with poles at both ends; else its
+bracket's midpoint.  Given the slope, each step is Newton's; a step leaving
+the bracket is replaced by the one-pole step, exact for f = a + c/(p - x)
+with the pole p at the bracket end beyond the root (values blow up at
+branch ends and at the atoms of a Cauchy transform); a step that is not
+finite, leaves the bracket, or is not shorter than half the step before the
+last (a lying slope) is replaced by bisection.  Without a slope every step
+bisects.  A root is the Newton point of the evaluation that closes its
+bracket, taken with that evaluation's own slope.
 
 A non-real boundary segment has a table too (SegmentTable): the complex
 boundary values on a grid refined to a fixed rule, with a bound on each
@@ -52,6 +52,9 @@ XTOL = 1e-12
 #: Most roots solved together: bounds the root finder's state, the
 #: temporaries of f and its slope, and the brackets BranchTable.solve gathers.
 SOLVE_SLICE = 2 ** 12
+
+#: Most evaluations of one root, beyond which its bracket's midpoint is the root.
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,13 @@ class BranchTable:
         self.branch = branch
         self.f = f
         xs = probe_points(branch)
-        ys, ds = f(xs)
-        ys = np.asarray(ys, dtype=float)
+        ys, ds = (None if v is None else np.real(v) for v in f(xs))
         # Non-finite probes go first: a NaN would spread through the
         # running maximum to the rest of the table.
         keep = np.isfinite(ys)
         self.xs = xs[keep]
         self.values = ys[keep]
-        self.slopes = (np.full(self.xs.shape, np.nan) if ds is None
-                       else np.array(ds, dtype=float)[keep])
+        self.slopes = np.full(self.xs.shape, np.nan) if ds is None else ds[keep]
         # Guard against rounding-level non-monotonicity in the table only;
         # the root finder uses the exact function.
         self.ys = np.maximum.accumulate(self.values)
@@ -299,7 +300,7 @@ def _hermite_start(x0, x1, y0, y1, d0, d1, target) -> np.ndarray:
 
 
 def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
-                      max_iter: int = 200, start=None) -> np.ndarray:
+                      start=None) -> np.ndarray:
     """Roots of increasing f(x) = target in valid brackets (lo, hi), with
     f(lo) < target <= f(hi).  ``f(x)`` returns the pair (f(x), f'(x)), or
     (f(x), None) where there is no slope; a callable with ``per_element``
@@ -328,25 +329,25 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
     per_element = getattr(f, "per_element", False)
     for i in range(0, lo.size, SOLVE_SLICE):
         k = slice(i, i + SOLVE_SLICE)
-        out[k] = _solve_slice(f, lo[k], hi[k], target[k], x[k], xtol, max_iter,
+        out[k] = _solve_slice(f, lo[k], hi[k], target[k], x[k], xtol,
                               i if per_element else None)
     return out
 
 
-def _solve_slice(f, lo, hi, target, x, xtol, max_iter, offset) -> np.ndarray:
+def _solve_slice(f, lo, hi, target, x, xtol, offset) -> np.ndarray:
     """bisect_increasing on one slice from the points x, f called f(x), or
     f(x, k) given the batch's index ``offset`` of the slice's first
     element; lo and hi are updated in place."""
     out, active = np.empty(lo.shape), np.arange(lo.size)
     last, before = 0.5 * (hi - lo), hi - lo  # the last two step lengths
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not active.size:
             break
         with np.errstate(over="ignore", invalid="ignore"):
             value, slope = f(x) if offset is None else f(x, offset + active)
-            r = np.asarray(value) - target  # exact in sign: r < 0 is f(x) < target
+            r = np.real(value) - target  # exact in sign: r < 0 is f(x) < target
         # a copy: a real view would hold its complex base
-        d = np.full(x.shape, np.nan) if slope is None else np.array(slope, dtype=float)
+        d = np.full(x.shape, np.nan) if slope is None else np.array(np.real(slope), dtype=float)
         below = r < 0.0
         np.copyto(lo, x, where=below)
         np.copyto(hi, x, where=~below)

@@ -90,16 +90,10 @@ class PhiFunction:
                        ) -> tuple[np.ndarray, np.ndarray | None]:
         """(phi(x + i0), phi'(x + i0)) at real points, or (phi(x + i0), None)
         where the map gives no slope or ``slope`` is off, without domain
-        checks: inf at a pole, NaN where a value is not resolved.  The
-        values of every boundary query, the segment tables and their disk
-        crossings."""
+        checks: inf at a pole, NaN where a value is not resolved.  The one
+        real-line hook: every boundary query, the branch tables (which read
+        the real parts), the segment tables and their disk crossings."""
         raise NotImplementedError
-
-    def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Re phi(x + i0), Re phi'(x)) at real points: the callable of the
-        branch tables.  Here from the boundary and derivative hooks (closed
-        forms, or a composition's chain rule)."""
-        return self.boundary_real(x), np.real(self._derivative_complex(x.astype(complex)))
 
     # -- public surface ----------------------------------------------------
 
@@ -183,7 +177,7 @@ class PhiFunction:
             # map and tables would be a cycle, which only a full collection frees
             twin = copy.copy(self)
             twin._tables, twin._segment_tables = {}, None
-            self._tables[key] = BranchTable(branch, twin._boundary_and_slope)
+            self._tables[key] = BranchTable(branch, twin._boundary_pair)
         return self._tables[key]
 
     def branch_tables(self) -> list[BranchTable]:
@@ -256,7 +250,7 @@ class PhiFunction:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         tbl = self.branch_table(branch)
-        v1, v2, v3 = map(float, tbl.f(tbl.xs[:3] if side == "left" else tbl.xs[:-4:-1])[0])
+        v1, v2, v3 = np.real(tbl.f(tbl.xs[:3] if side == "left" else tbl.xs[:-4:-1])[0]).tolist()
         d12, d23 = abs(v1 - v2), abs(v2 - v3)
         if d12 >= 0.9 * d23 and d12 > 1e-9 * (1.0 + abs(v1)):
             return -math.inf if side == "left" else math.inf
@@ -325,18 +319,13 @@ class NevanlinnaPhi(PhiFunction):
     def _derivative_complex(self, z: np.ndarray) -> np.ndarray:
         return kernel_integral(self.rho, _kernel_derivative, z, start=self.data.beta)
 
-    def _boundary_and_slope(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Value and slope from one pass over rho (off its support)."""
-        return kernel_integral(self.rho, _kernel_pair, x,
-                               start=(self.data.alpha + self.data.beta * x, self.data.beta))
-
     def _boundary_pair(self, x: np.ndarray, slope: bool = True
                        ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The Plemelj limits of phi and phi' from one pass over rho where
-        every density piece is named, else phi's alone; complex(inf, 0) at
-        the atoms of rho."""
+        """The Plemelj limits of phi, and of phi' where asked, from one pass
+        over rho (the slope is NaN inside a density piece given by a
+        callable); complex(inf, 0) at the atoms of rho."""
         start = self.data.alpha + self.data.beta * x
-        if slope and all(p.closed_form is not None for p in self.rho.ac_pieces):
+        if slope:
             value, d = kernel_integral(self.rho, _kernel_pair, x, pv=True,
                                        start=(start, self.data.beta))
         else:
@@ -387,7 +376,7 @@ _kernel_pair.tree = (_tree_weights, (0, 1))
 class ClosedFormPhi(NevanlinnaPhi):
     """Catalog map: representation data, which give its structure as they
     give any map's, evaluated by closed forms for the value, the derivative
-    and the boundary value; its branch tables take the pair of the last two."""
+    and the boundary value; its boundary pair is the pair of the last two."""
 
     def __init__(self, name: str, data: NevanlinnaData, eval_fn: Callable,
                  boundary_fn: Callable, deriv_fn: Callable):
@@ -404,8 +393,6 @@ class ClosedFormPhi(NevanlinnaPhi):
         """The closed forms' boundary values and their derivative at x + 0j,
         which every catalog map's branch cuts make the limit from above."""
         return self._boundary_fn(x), self._deriv_fn(x.astype(complex)) if slope else None
-
-    _boundary_and_slope = PhiFunction._boundary_and_slope
 
 
 class IteratedPhi(PhiFunction):
@@ -430,15 +417,12 @@ class IteratedPhi(PhiFunction):
             raise UnsupportedStructureError(
                 f"branch pullback emptied at depth while iterating {base.name}")
         finite_ends = [e for b in branches for e in (b.left, b.right) if np.isfinite(e)]
-        hull = None
-        if finite_ends:
-            hull = (min(finite_ends), max(finite_ends))
+        hull = (min(finite_ends), max(finite_ends)) if finite_ends else None
         nonreal = tuple(g for g in gaps_between((b.left, b.right) for b in branches)
                         if np.isfinite(g[0]) or np.isfinite(g[1]))
         super().__init__(beta=base.beta, branches=branches, nonreal_segments=nonreal,
                          support_hull=hull, name=f"{base.name}^{n}")
-        self.base = base
-        self.n = n
+        self.base, self.n = base, n
 
     def pullback(self, lo, hi) -> np.ndarray:
         """The preimages of the intervals (lo_k, hi_k) as rows (k, xa, xb),
@@ -447,38 +431,42 @@ class IteratedPhi(PhiFunction):
         return next(islice(self.base.pullbacks(lo, hi), self.n - 1, None))
 
     def _eval_complex(self, z):
-        w = z
-        for _ in range(self.n):
-            w = self.base._eval_complex(w)
-        return w
-
-    def _boundary_pair(self, x, slope: bool = True):
-        """The boundary values stepped through the base map's; no slope."""
-        w = x.astype(complex)
-        for _ in range(self.n):
-            w = self._step_value(w)
-        return w, None
+        return self._steps(z, slope=False)[0]
 
     def _derivative_complex(self, z):
-        w = z
-        prod = np.ones(z.shape, dtype=complex)
-        for _ in range(self.n):
-            prod = prod * self.base._derivative_complex(w)
-            w = self._step_value(w)
-        return prod
+        return self._steps(z, slope=True)[1]
 
-    def _step_value(self, w):
-        """One base step: boundary values on the real line, else interior.
-        A real +-inf (the base map's value at an atom) stays where it is for
-        beta > 0, as phi(x) ~ beta x at infinity."""
-        real = w.imag == 0.0
-        step = real & ~(np.isinf(w.real) & (self.base.beta > 0))
-        out = w.copy()
-        if step.any():
-            out[step] = self.base._boundary_pair(w[step].real, slope=False)[0]
-        if (~real).any():
-            out[~real] = self.base._eval_complex(w[~real])
-        return out
+    def _boundary_pair(self, x, slope: bool = True):
+        return self._steps(x.astype(complex), slope)
+
+    def _steps(self, w, slope: bool):
+        """The n base steps from w, and the chain rule's slope where asked
+        (else None): a real step takes the base map's boundary value, and its
+        slope where it leaves the base's branches; any other factor, the
+        base's derivative, waits for the last step and is taken where the
+        slope is not NaN (as after a step into a callable density piece).  A
+        real +-inf (an atom's value) stays for beta > 0, as phi ~ beta x."""
+        d, later = (np.ones(w.shape, dtype=complex) if slope else None), []
+        for _ in range(self.n):
+            real = w.imag == 0.0
+            step = real & ~(np.isinf(w.real) & (self.base.beta > 0))
+            off = step & ~self.base._on_branch_mask(w.real) if slope else np.zeros_like(step)
+            on, w = step & ~off, w.copy()
+            if slope:  # the factors of the steps on a base branch and the non-real ones wait
+                later.append((np.flatnonzero(~real | on), w[~real | on]))
+            if on.any():
+                w[on] = self.base._boundary_pair(w[on].real, slope=False)[0]
+            if off.any():  # each point leaves the line once: its slope is 1 until then
+                w[off], d[off] = self.base._boundary_pair(w[off].real)
+            if (~real).any():
+                w[~real] = self.base._eval_complex(w[~real])
+        for k, z in later:
+            live = ~np.isnan(d[k])
+            if live.any():
+                dz = self.base._derivative_complex(z[live])
+                with np.errstate(invalid="ignore", over="ignore"):  # inf slopes at the atoms
+                    d[k[live]] *= dz
+        return w, d
 
 
 # -- construction -------------------------------------------------------------

@@ -10,7 +10,7 @@ rather than detected numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -851,13 +851,14 @@ def kernel_integral(mu: RealMeasure, kernel: Callable, z, start=0.0, tol: float 
     p.v. + i pi density(x) from ``form.boundary`` or one ``_quad.pv_cauchy``
     call (G for the Cauchy kernel, x m + (1+x^2) G for the representation
     kernel); on a finite end where the density does not vanish, +inf on a
-    left end and -inf on a right one.  A kernel with ``boundary_slope``
-    (cauchy_kernel_derivative) gives G'(x + i0) inside a named piece, and
-    NaN inside any other piece and on those ends.  Pieces are added in
-    order, and a point's value does not depend on the others.  A kernel with ``halves``
-    (a kernel and its derivative, as cauchy_kernel_pair) gives (value,
-    slope) from one atom_sum pass, each piece taking each half; ``start`` is
-    a pair or one number for both; the value has the first half's bits.
+    left end and -inf on a right one, and where it vanishes the integral
+    (_plemelj).  A kernel with ``boundary_slope`` (cauchy_kernel_derivative)
+    gives G'(x + i0) inside a named piece, and NaN inside any other piece
+    and on every end.  Pieces are added in order, and a point's value does
+    not depend on the others.  A kernel with ``halves`` (a kernel and its
+    derivative, as cauchy_kernel_pair) gives (value, slope) from one
+    atom_sum pass, each piece taking each half; ``start`` is a pair or one
+    number for both; the value has the first half's bits.
     """
     z = np.asarray(z)
     sums = atom_sum(kernel, mu, z)
@@ -882,39 +883,49 @@ def _piece_values(piece: AcPiece, kernel: Callable, flat: np.ndarray, tol: float
     """The integral of K(t, z_k) against one density piece at every point
     of a flat array, as complex numbers (see kernel_integral)."""
     vals = np.empty(flat.shape, dtype=complex)
-    slope = hasattr(kernel, "boundary_slope")
-    ends = {e: math.nan if slope else s * math.inf
-            for e, p, s in ((piece.left, piece.left_exponent, 1.0),
-                            (piece.right, piece.right_exponent, -1.0))
-            if pv and e in flat and (p < 0.0 or p == 0.0 and
-                                     np.ravel(piece.density(np.asarray([e])))[0] != 0.0)}
-    inside = ((piece.left < flat) & (flat < piece.right) if pv
-              else np.zeros(flat.shape, dtype=bool))
-    skip = inside.copy()
-    for end, value in ends.items():
-        vals[flat == end], skip = value, skip | (flat == end)
+    on = (piece.left <= flat) & (flat <= piece.right) if pv else np.zeros(flat.shape, dtype=bool)
     form = piece.closed_form if hasattr(kernel, "closed_form") else None
     if form is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals[~skip] = kernel.closed_form(form, flat[~skip])
+            vals[~on] = kernel.closed_form(form, flat[~on])
     else:
         lost = np.zeros(flat.shape, dtype=bool)
         for e, p in ((piece.left, piece.left_exponent), (piece.right, piece.right_exponent)):
             if p < 0.0:
-                lost |= ~skip & (np.abs(flat - e) < _NEAR_END * abs(e))
+                lost |= ~on & (np.abs(flat - e) < _NEAR_END * abs(e))
         vals[lost] = math.nan
-        idx = np.flatnonzero(~skip & ~lost)
+        idx = np.flatnonzero(~on & ~lost)
         for i in range(0, len(idx), _POINTS_PER_CALL):
             chunk = idx[i:i + _POINTS_PER_CALL]
             vals[chunk] = _density_integral(piece, kernel, flat[chunk], tol)
-    if inside.any() and slope:  # G'(x + i0) of a named piece
-        vals[inside] = kernel.boundary_slope(form, flat[inside]) if form is not None else math.nan
-    elif inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
-        x = flat[inside]
-        g = (form.boundary(x) if form is not None else
-             _quad.pv_cauchy(piece.density, piece.left, piece.right, x, tol, piece.left_exponent,
-                             piece.right_exponent) + 1j * math.pi * piece.density(x))
-        vals[inside] = kernel.boundary(piece.mass, x, g)
+    if on.any():
+        vals[on] = _plemelj(piece, kernel, form, flat[on], tol)
+    return vals
+
+
+def _plemelj(piece: AcPiece, kernel: Callable, form, x: np.ndarray, tol: float) -> np.ndarray:
+    """The limits from above at points x of the piece's closed interval
+    (see kernel_integral).  On an end e where the density vanishes the
+    integrand goes as (t - e)**(p - 1), p > 0 the end's exponent: it takes
+    that power's substitution (-1/2's for p = 0), as a node on e gives 0 inf."""
+    vals, inside = np.full(x.shape, math.nan, dtype=complex), (piece.left < x) & (x < piece.right)
+    if hasattr(kernel, "boundary_slope"):  # G'(x + i0) of a named piece, else NaN
+        if form is not None and inside.any():
+            vals[inside] = kernel.boundary_slope(form, x[inside])
+        return vals
+    for e, p, s in ((piece.left, piece.left_exponent, 1.0), (piece.right, piece.right_exponent, -1.0)):
+        at = x == e
+        if at.any() and (p < 0.0 or np.ravel(piece.density(np.asarray([e])))[0] != 0.0):
+            vals[at] = s * math.inf
+        elif at.any():
+            end = {"left_exponent" if s > 0.0 else "right_exponent": p - 1.0 if p > 0.0 else -0.5}
+            vals[at] = _density_integral(replace(piece, **end), kernel, x[at][:1], tol)[0]
+    if inside.any():  # Plemelj: G(x + i0) = p.v. + i pi density(x)
+        xi = x[inside]
+        g = (form.boundary(xi) if form is not None else
+             _quad.pv_cauchy(piece.density, piece.left, piece.right, xi, tol, piece.left_exponent,
+                             piece.right_exponent) + 1j * math.pi * piece.density(xi))
+        vals[inside] = kernel.boundary(piece.mass, xi, g)
     return vals
 
 

@@ -3,14 +3,17 @@ import pytest
 
 
 class _Counted:
-    """f wrapped so that it counts the points it is evaluated at."""
+    """f wrapped so that it counts the points it is evaluated at; a
+    per-element callable (``per_element`` set) keeps its flag and is passed
+    the points' indices."""
 
     def __init__(self, f):
         self.f, self.points = f, 0
+        self.per_element = getattr(f, "per_element", False)
 
-    def __call__(self, x):
+    def __call__(self, x, *k):
         self.points += np.size(x)
-        return self.f(x)
+        return self.f(x, *k)
 
 
 @pytest.fixture

@@ -204,7 +204,7 @@ def test_branch_table_keeps_its_range_from_an_end_off_by_ulps():
     shifted, right = 0.4794108189541962, 0.5461268797421517
     roots = []
     for left in (np.nextafter(shifted, 0.0), shifted, np.nextafter(shifted, 1.0)):
-        tbl = BranchTable(Branch(float(left), right), phi3._boundary_and_slope)
+        tbl = BranchTable(Branch(float(left), right), phi3._boundary_pair)
         lo, hi = tbl.value_range
         assert lo < -1e13 and hi > 1e14
         roots.append(tbl.solve(np.asarray([0.3]))[0])

@@ -329,9 +329,12 @@ _END_MAPS = {
     "zlog": lambda: phi_from_catalog("zlog"),
     "uniform_atom": lambda: phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.uniform(
         0.0, 1.0, mass=0.5).combined(RealMeasure.point_mass(2.0, 0.5)))),
-    # a density given by a callable: no slope, so the crossings bisect
+    # a density given by a callable: the slope is NaN only inside that piece,
+    # so the crossings there bisect
     "callable": lambda: phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(
         AcPiece(-1.0, 1.0, lambda t: 0.5 * np.sqrt(np.clip(1.0 - t * t, 0.0, None))),)))),
+    # a composition: the chain rule's slope
+    "zloglin5_iterate2": lambda: phi_from_catalog("zloglin", alpha=5.0).iterate(2),
 }
 
 

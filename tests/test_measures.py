@@ -695,7 +695,7 @@ def test_boundary_matches_the_plemelj_formula():
                                        math.inf]
         on = x[phi._on_branch_mask(x)]
         assert on.size == 10
-        assert np.array_equal(phi.boundary_real(on), phi._boundary_and_slope(on)[0])
+        assert np.array_equal(phi.boundary_real(on), phi._boundary_pair(on)[0].real)
 
 
 def test_boundary_on_a_density_end():
@@ -715,6 +715,32 @@ def test_boundary_on_a_density_end():
     assert math.isnan(cauchy_transform(shared).boundary_re(1.0))
     with pytest.raises(ConvergenceError, match="x=1.0"):
         phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, shared)).boundary(np.asarray([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.5])
+def test_boundary_on_an_end_where_a_callable_density_vanishes(exponent):
+    """On an end where a callable density vanishes the boundary value is
+    the finite integral, not NaN (a Gauss node that rounded onto the end
+    gave 0 inf): the half disc 0.5 sqrt(1 - t^2), declared with end
+    exponent 0 or 0.5, gives phi(-1) = 3 pi/4 - 1 = -phi(1)."""
+    half_disc = AcPiece(-1.0, 1.0, lambda t: 0.5 * np.sqrt(np.clip(1.0 - t * t, 0.0, None)),
+                        exponent, exponent)
+    phi = phi_from_nevanlinna(NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(half_disc,))))
+    exact = 0.75 * math.pi - 1.0
+    assert np.all(np.abs(phi.boundary(np.asarray([-1.0, 1.0])) - [exact, -exact]) <= 1e-13)
+
+
+def test_sqrt_data_end_values_and_evidence():
+    """sqrt's representation data give the catalog's 0 at both ends of its
+    segment, and so its Rayleigh quotients, whose seeds hold those ends
+    (closed_range_report raised ConvergenceError naming x = -1.0)."""
+    from uhprange import TestFunctionUc, rayleigh_quotient
+    sqrt = phi_from_catalog("sqrt")
+    rep = phi_from_nevanlinna(sqrt.data)
+    assert np.all(np.abs(rep.boundary(np.asarray([-1.0, 1.0]))) <= 1e-13)
+    u = TestFunctionUc(-0.5, 0.5, 16.0)
+    ref = rayleigh_quotient(sqrt, u)
+    assert abs(rayleigh_quotient(rep, u) - ref) <= 1e-9 * ref
 
 
 def test_arcsine_principal_values(monkeypatch):

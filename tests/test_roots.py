@@ -81,7 +81,10 @@ def _recording(monkeypatch, count_evals):
     def recorded(f, lo, hi, target, **kw):
         counted = count_evals(f)
         roots = bisect_increasing(counted, lo, hi, target, **kw)
-        value = lambda x: f(x)[0]
+        if counted.per_element:  # element k evaluated at the k-th point
+            value = lambda x: f(x, np.arange(np.size(x)))[0]
+        else:
+            value = lambda x: f(x)[0]
         calls.append((value, counted, kw, np.broadcast_to(target, roots.shape), roots))
         return roots
 
@@ -125,6 +128,21 @@ def test_density_crossings_take_few_evaluations(monkeypatch, count_evals):
         RealMeasure.point_mass(0.0, 0.5))), [1e2])
     f = calls[1][1].f
     assert f(np.asarray([0.5]))[1] is None
+
+
+def test_composition_crossings_take_few_evaluations(monkeypatch, count_evals):
+    """The disk crossings of zloglin(5).iterate(2) for 300 seeded disks take
+    the composition's chain-rule slope: at most 3 evaluations per root
+    (bisection took 7.5), every root in a certified bracket."""
+    calls = _recording(monkeypatch, count_evals)
+    rng = np.random.default_rng(1)
+    c, r = rng.uniform(-4.0, 4.0, 300), 10.0 ** rng.uniform(-2.0, 0.7, 300)
+    levelset.disk_panels(phi_from_catalog("zloglin", alpha=5.0).iterate(2), c - r, c + r)
+    crossings = [c for c in calls if c[4].size]
+    assert sum(c[4].size for c in crossings) >= 100
+    for f, counted, kw, targets, roots in crossings:
+        assert counted.points <= 3 * roots.size
+        _assert_contract(f, roots, targets, kw["xtol"])
 
 
 def _boole_measures(count=25, seed=0):
@@ -206,7 +224,7 @@ def test_unusable_starts_give_the_midpoint_roots(slope):
 @pytest.mark.parametrize("lie", ["scaled", "zero", "nan", "negative"])
 def test_lying_slope_keeps_the_contract(lie):
     """A slope scaled by 1e6, zero, NaN or of the wrong sign still gives
-    certified roots within max_iter, without a RuntimeWarning."""
+    certified roots within MAX_ITER evaluations, without a RuntimeWarning."""
     phi = phi_from_catalog("zloglin", alpha=5.0)
     table = phi.branch_tables()[1]
     targets = np.linspace(-20.0, 30.0, 51)

@@ -162,7 +162,7 @@ def _composed_table_ratio(phi, n, grid):
     b = np.asarray(grid.centers)[None, :] + 0.5 * np.asarray(grid.lengths)[:, None]
     total = np.zeros(a.shape)
     for branch in it.real_branches:
-        tbl = BranchTable(branch, it._boundary_and_slope)
+        tbl = BranchTable(branch, it._boundary_pair)
         total += np.maximum(tbl.solve_clamped(b) - tbl.solve_clamped(a), 0.0)
     return float(np.min(total / np.asarray(grid.lengths)[:, None]))
 
