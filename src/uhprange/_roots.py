@@ -21,7 +21,17 @@ branch ends and at the atoms of a Cauchy transform); a step that is not
 finite, leaves the bracket, or is not shorter than half the step before the
 last (a lying slope) is replaced by bisection.  Without a slope every step
 bisects.  A root is the Newton point of the evaluation that closes its
-bracket, taken with that evaluation's own slope.
+bracket, taken with that evaluation's own slope.  A step computes the
+common case, a valid Newton point or its tol/2 closing step, for the whole
+slice in a few array passes, and only the other elements take the
+one-pole and bisection rules.
+
+A query solves every branch of a map in one root loop (solve_tables): the
+same targets go to each of the map's tables, whose one boundary rule
+solves all their brackets, gathered SOLVE_SLICE elements at a time across
+the tables, one bisect_increasing call per slice; BranchTable.solve is
+its one-table case.  Each element keeps its own state, so the roots are
+those of one solve per table, bit for bit.
 
 A non-real boundary segment has a table too (SegmentTable): the complex
 boundary values on a grid refined to a fixed rule, with a bound on each
@@ -50,7 +60,7 @@ SCAN_LIMIT = 1e8
 XTOL = 1e-12
 
 #: Most roots solved together: bounds the root finder's state, the
-#: temporaries of f and its slope, and the brackets BranchTable.solve gathers.
+#: temporaries of f and its slope, and the brackets solve_tables gathers.
 SOLVE_SLICE = 2 ** 12
 
 #: Most evaluations of one root, beyond which its bracket's midpoint is the root.
@@ -143,27 +153,9 @@ class BranchTable:
 
     def solve(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Roots of f(x) = target on the branch; NaN where the target is
-        outside the tabulated value range.  A target equal to the raw value
-        of its bracket's upper probe is that probe; every other root starts
-        at the bracket's inverse cubic Hermite point (x as a function of y
-        through both probes, with slopes dx/dy = 1/f'), or its secant point
-        where that point is not finite or not strictly inside.  Brackets
-        are gathered for SOLVE_SLICE targets at a time."""
+        outside the tabulated value range: solve_tables on this table."""
         targets = np.asarray(targets, dtype=float)
-        flat = targets.ravel()
-        out = np.full(flat.shape, np.nan)
-        idx = np.searchsorted(self.ys, flat)
-        ok = (idx > 0) & (idx < len(self.ys))
-        exact = np.flatnonzero(ok)[self.values[idx[ok]] == flat[ok]]
-        out[exact] = self.xs[idx[exact]]
-        ok[exact] = False
-        ok = np.flatnonzero(ok)
-        for k in (ok[i:i + SOLVE_SLICE] for i in range(0, ok.size, SOLVE_SLICE)):
-            j = idx[k]  # the upper probe of each bracket
-            x0, x1, y0, y1 = self.xs[j - 1], self.xs[j], self.values[j - 1], self.values[j]
-            start = _hermite_start(x0, x1, y0, y1, self.slopes[j - 1], self.slopes[j], flat[k])
-            out[k] = bisect_increasing(self.f, x0, x1, flat[k], xtol=xtol, start=start)
-        return out.reshape(targets.shape)
+        return solve_tables([self], targets, xtol)[0].reshape(targets.shape)
 
     def solve_clamped(self, targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
         """Like solve, but targets off the low/high end of the value range
@@ -171,12 +163,67 @@ class BranchTable:
         two clamped solutions measure preimage intervals)."""
         targets = np.asarray(targets, dtype=float)
         flat = targets.ravel()
-        out = self.solve(flat, xtol=xtol)
-        low = flat <= self.ys[0]
-        high = flat >= self.ys[-1]
-        out[low] = self.xs[0] if not np.isfinite(self.branch.left) else self.branch.left
-        out[high] = self.xs[-1] if not np.isfinite(self.branch.right) else self.branch.right
-        return out.reshape(targets.shape)
+        return self.clamp(flat, self.solve(flat, xtol)).reshape(targets.shape)
+
+    def clamp(self, targets: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """The roots of the flat targets, with those off the low/high end of
+        the value range set, in place, to the branch's end on that side
+        (its outermost probe where that end is infinite)."""
+        left, right = self.branch.left, self.branch.right
+        roots[targets <= self.ys[0]] = left if np.isfinite(left) else self.xs[0]
+        roots[targets >= self.ys[-1]] = right if np.isfinite(right) else self.xs[-1]
+        return roots
+
+
+def solve_tables(tables: list[BranchTable], targets: np.ndarray, xtol: float = XTOL) -> np.ndarray:
+    """Roots of f(x) = target for the same flat targets on every table's
+    branch, one row per table; NaN where a target is outside that table's
+    value range.  A target equal to the raw value of its bracket's upper
+    probe is that probe; every other root starts at the bracket's inverse
+    cubic Hermite point (x as a function of y through both probes, with
+    slopes dx/dy = 1/f'), or its secant point where that point is not
+    finite or not strictly inside.  The tables are one map's, whose one
+    boundary rule every table's f holds, so every branch is solved in one
+    root loop: brackets are gathered SOLVE_SLICE elements at a time across
+    the tables, in table order, and each slice is one bisect_increasing
+    call with the first table's f."""
+    flat = np.asarray(targets, dtype=float).ravel()
+    out = np.full((len(tables), flat.size), np.nan)
+    parts, count = [], 0  # the slice being gathered: (table, elements, upper probes)
+    for i, tbl in enumerate(tables):
+        idx = np.searchsorted(tbl.ys, flat)
+        ok = (idx > 0) & (idx < len(tbl.ys))
+        exact = np.flatnonzero(ok)[tbl.values[idx[ok]] == flat[ok]]
+        out[i, exact] = tbl.xs[idx[exact]]
+        ok[exact] = False
+        k = np.flatnonzero(ok)
+        while k.size:
+            take = SOLVE_SLICE - count
+            parts.append((i, k[:take], idx[k[:take]]))
+            count, k = count + min(take, k.size), k[take:]
+            if count == SOLVE_SLICE:
+                _solve_brackets(tables, parts, flat, out, xtol)
+                parts, count = [], 0
+    if parts:
+        _solve_brackets(tables, parts, flat, out, xtol)
+    return out
+
+
+def _solve_brackets(tables, parts, flat, out, xtol) -> None:
+    """The brackets of one slice of solve_tables, given per table as
+    ``parts`` (table index, elements, upper probes), in one
+    bisect_increasing call; their roots go to ``out``."""
+    cols = []
+    for i, k, j in parts:
+        t = tables[i]
+        cols.append((t.xs[j - 1], t.xs[j], t.values[j - 1], t.values[j],
+                     t.slopes[j - 1], t.slopes[j], flat[k]))
+    x0, x1, y0, y1, d0, d1, target = (np.concatenate(c) for c in zip(*cols))
+    roots = bisect_increasing(tables[0].f, x0, x1, target, xtol=xtol,
+                              start=_hermite_start(x0, x1, y0, y1, d0, d1, target))
+    ends = np.cumsum([k.size for _, k, _ in parts])[:-1]
+    for (i, k, _), r in zip(parts, np.split(roots, ends)):
+        out[i, k] = r
 
 
 #: A segment table splits an interval while its midpoint value lies farther
@@ -337,58 +384,82 @@ def bisect_increasing(f: Callable, lo, hi, target, xtol: float = XTOL,
 def _solve_slice(f, lo, hi, target, x, xtol, offset) -> np.ndarray:
     """bisect_increasing on one slice from the points x, f called f(x), or
     f(x, k) given the batch's index ``offset`` of the slice's first
-    element; lo and hi are updated in place."""
+    element; lo and hi are updated in place.  The slice runs under one
+    errstate, f's calls included."""
     out, active = np.empty(lo.shape), np.arange(lo.size)
     last, before = 0.5 * (hi - lo), hi - lo  # the last two step lengths
-    for _ in range(MAX_ITER):
-        if not active.size:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, slope = f(x) if offset is None else f(x, offset + active)
-            r = np.real(value) - target  # exact in sign: r < 0 is f(x) < target
-        # a copy: a real view would hold its complex base
-        d = np.full(x.shape, np.nan) if slope is None else np.array(np.real(slope), dtype=float)
-        below = r < 0.0
-        np.copyto(lo, x, where=below)
-        np.copyto(hi, x, where=~below)
-        done = hi - lo <= np.maximum(xtol, 8.0 * _EPS * np.abs(x))
-        if done.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = np.clip(x[done] - r[done] / d[done], lo[done], hi[done])
-            out[active[done]] = np.where(np.isnan(root), 0.5 * (lo[done] + hi[done]), root)
-            keep = ~done
-            active, lo, hi, target, x, r, below, d, last, before = (
-                v[keep] for v in (active, lo, hi, target, x, r, below, d, last, before))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(MAX_ITER):
             if not active.size:
                 break
-        if slope is None:
-            x = 0.5 * (lo + hi)
-            continue
-        new = _safeguarded_point(x, r, d, lo, hi, below, xtol, before)
-        x, last, before = new, np.abs(new - x), last
-    out[active] = 0.5 * (lo + hi)
+            value, slope = f(x) if offset is None else f(x, offset + active)
+            r = np.real(value) - target  # exact in sign: r < 0 is f(x) < target
+            # a copy: a real view would hold its complex base
+            d = np.full(x.shape, np.nan) if slope is None else np.array(np.real(slope), dtype=float)
+            below = r < 0.0
+            np.copyto(lo, x, where=below)
+            np.copyto(hi, x, where=~below)
+            tol = np.maximum(xtol, 8.0 * _EPS * np.abs(x))
+            newton = x - r / d
+            done = hi - lo <= tol
+            if done.any():
+                closed, keep = done.nonzero()[0], (~done).nonzero()[0]
+                l, h = lo[closed], hi[closed]
+                root = np.clip(newton[closed], l, h)
+                out[active[closed]] = np.where(np.isnan(root), 0.5 * (l + h), root)
+                active, lo, hi, target, x, r, d, below, newton, tol, last, before = (
+                    v[keep] for v in (active, lo, hi, target, x, r, d, below, newton, tol,
+                                      last, before))
+                if not active.size:
+                    break
+            if slope is None:
+                x = 0.5 * (lo + hi)
+                continue
+            new = _next_point(x, r, d, newton, lo, hi, below, tol, before)
+            x, last, before = new, np.abs(new - x), last
+        out[active] = 0.5 * (lo + hi)
     return out
 
 
-def _safeguarded_point(x, r, d, lo, hi, below, xtol, before) -> np.ndarray:
+def _next_point(x, r, d, newton, lo, hi, below, tol, before) -> np.ndarray:
+    """_safeguarded_point's next point, from the Newton point ``newton``
+    and tol = max(xtol, 8 eps |x|).  Its common case is computed here for
+    every element: where Newton's point is valid (between x and p, the
+    bracket end on the root's side), the point is Newton's, or its tol/2
+    step where it lies within tol/2 of x, or the midpoint where that is not
+    nearer x than half of ``before``.  The tol/2 step is valid because x is
+    the other end of a bracket wider than tol, as in _solve_slice; only the
+    elements whose Newton point is not valid go to _safeguarded_point."""
+    p = np.where(below, hi, lo)
+    valid = (lo <= newton) & (newton <= hi) & (newton != p)
+    half = 0.5 * tol
+    new = np.where(np.abs(newton - x) < half, x + np.where(below, half, -half), newton)
+    new = np.where(np.abs(new - x) <= 0.5 * before, new, 0.5 * (lo + hi))
+    slow = np.flatnonzero(~valid)
+    if slow.size:
+        new[slow] = _safeguarded_point(*(v[slow] for v in (x, r, d, lo, hi, below, tol, before)))
+    return new
+
+
+def _safeguarded_point(x, r, d, lo, hi, below, tol, before) -> np.ndarray:
     """The next point from the iterate x (an end of the bracket (lo, hi),
-    with residual r = f(x) - target and slope d): Newton's, if it lies
-    between x and p, the bracket end on the root's side; else the one-pole
-    point x' = p - d (p-x)^2 / (d (p-x) - r), which lies in (x, p) for
-    d > 0.  Within tol/2 of x it moves to tol/2 from x.  The midpoint
-    replaces a point that is not finite, not between x and p, or not
-    nearer x than half of ``before``, the step before the last (which
-    bounds the work of a lying slope by about twice bisection's)."""
+    with residual r = f(x) - target, slope d and tol = max(xtol, 8 eps |x|)):
+    Newton's, if it lies between x and p, the bracket end on the root's
+    side; else the one-pole point x' = p - d (p-x)^2 / (d (p-x) - r), which
+    lies in (x, p) for d > 0.  Within tol/2 of x it moves to tol/2 from x.
+    The midpoint replaces a point that is not finite, not between x and p,
+    or not nearer x than half of ``before``, the step before the last
+    (which bounds the work of a lying slope by about twice bisection's).
+    Called under _solve_slice's errstate."""
     p = np.where(below, hi, lo)
 
     def valid(v):  # from x toward the root, short of p
         return (lo <= v) & (v <= hi) & (v != p)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new = x - r / d
-        new = np.where(valid(new), new, p - d * (p - x) ** 2 / (d * (p - x) - r))
+    new = x - r / d
+    new = np.where(valid(new), new, p - d * (p - x) ** 2 / (d * (p - x) - r))
     # within tol/2 of x, go tol/2 toward the root: the next evaluation closes the bracket
-    half = 0.5 * np.maximum(xtol, 8.0 * _EPS * np.abs(x))
+    half = 0.5 * tol
     new = np.where(np.abs(new - x) < half, x + np.where(below, half, -half), new)
     ok = valid(new) & (np.abs(new - x) <= 0.5 * before)
     return np.where(ok, new, 0.5 * (lo + hi))

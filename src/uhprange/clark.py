@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _quad
-from ._roots import probe_grid
+from ._roots import probe_grid, solve_tables
 from .cauchy import CauchyTransform
 from .errors import PreconditionError
 from .herglotz import PhiFunction, require_contraction
@@ -121,18 +121,18 @@ class ClarkMeasure:
 def _atoms(phi: PhiFunction, taus: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per real branch, the roots of phi(x) = tau for every tau and their
     masses 1/phi'(x); the mass is 0 where there is no root or the
-    derivative is outside (0, ATOM_DERIVATIVE_MAX).  One solve per branch;
-    a root beyond the scan limit raises ConvergenceError, as its atom would
-    be lost."""
+    derivative is outside (0, ATOM_DERIVATIVE_MAX).  Every branch is
+    solved in one root loop (solve_tables), and every root's derivative
+    taken in one call; a root beyond the scan limit raises
+    ConvergenceError, as its atom would be lost."""
     require_contraction(phi)
-    out = []
-    for tbl in phi.branch_tables():
-        x = tbl.solve(phi._require_reach(tbl, taus))
-        fp, ok = np.zeros(x.shape), ~np.isnan(x)
-        fp[ok] = phi.derivative(x[ok])
-        atom = (0.0 < fp) & (fp < ATOM_DERIVATIVE_MAX)
-        out.append((x, np.divide(1.0, fp, out=np.zeros(x.shape), where=atom)))
-    return out
+    tables = phi.branch_tables()
+    phi._require_reach(tables, taus)
+    x = solve_tables(tables, taus)
+    fp, ok = np.zeros(x.shape), ~np.isnan(x)
+    fp[ok] = phi.derivative(x[ok])
+    atom = (0.0 < fp) & (fp < ATOM_DERIVATIVE_MAX)
+    return list(zip(x, np.divide(1.0, fp, out=np.zeros(x.shape), where=atom)))
 
 
 def clark_atoms(phi: PhiFunction, tau: float) -> list[tuple[float, float]]:
@@ -166,9 +166,9 @@ def clark_density(phi: PhiFunction, tau: float, x) -> np.ndarray:
 def clark_singular_masses(phi: PhiFunction, taus, y_grid=None
                           ) -> tuple[np.ndarray, np.ndarray, list[TsereteliEstimate]]:
     """(atom masses, sc estimates, tail diagnostics) for every tau, without
-    density work: one solve per branch for the atoms and one batched
-    disk-preimage query for all tail sets.  An atom total within 5 percent
-    of the tail limit accounts for the whole tail (no sc mass)."""
+    density work: one root loop over every branch for the atoms and one
+    batched disk-preimage query for all tail sets.  An atom total within 5
+    percent of the tail limit accounts for the whole tail (no sc mass)."""
     taus = np.asarray(taus, dtype=float)
     return _singular_masses(phi, taus, _atoms(phi, taus), y_grid)
 
@@ -192,11 +192,11 @@ def clark_singular_mass(phi: PhiFunction, tau: float, y_grid=None
 
 def clark_measures(phi: PhiFunction, taus, *, y_grid=None) -> list[ClarkMeasure]:
     """Full decomposition of the spectral measure at every tau.  The
-    tau-independent work is shared: one solve per branch for the atoms, one
-    quadrature per segment domain, one batched tail query, and one boundary
-    evaluation per segment on its probe points after _TABLE_ROUNDS rounds of
-    midpoints, the abscissae of every tau's density table there; each entry
-    equals its one-tau call."""
+    tau-independent work is shared: one root loop over every branch for the
+    atoms, one quadrature per segment domain, one batched tail query, and one
+    boundary evaluation per segment on its probe points after _TABLE_ROUNDS
+    rounds of midpoints, the abscissae of every tau's density table there;
+    each entry equals its one-tau call."""
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.isfinite(taus).all():
         raise PreconditionError(f"tau must be finite, got {taus[~np.isfinite(taus)][0]}")

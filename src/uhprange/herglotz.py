@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._roots import SCAN_LIMIT, Branch, BranchTable, SegmentTable
+from ._roots import SCAN_LIMIT, Branch, BranchTable, SegmentTable, solve_tables
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      UnsupportedStructureError)
 from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
@@ -171,18 +171,21 @@ class PhiFunction:
         return mask
 
     def branch_table(self, branch: Branch) -> BranchTable:
-        key = self.real_branches.index(branch)
+        return self._branch_table(self.real_branches.index(branch))
+
+    def _branch_table(self, key: int) -> BranchTable:
+        """The table of the key-th real branch, built on first use and kept."""
         if key not in self._tables:
             # evaluated by a copy without the tables: through the map itself,
             # map and tables would be a cycle, which only a full collection frees
             twin = copy.copy(self)
             twin._tables, twin._segment_tables = {}, None
-            self._tables[key] = BranchTable(branch, twin._boundary_pair)
+            self._tables[key] = BranchTable(self.real_branches[key], twin._boundary_pair)
         return self._tables[key]
 
     def branch_tables(self) -> list[BranchTable]:
         self._require_branches()
-        return [self.branch_table(b) for b in self.real_branches]
+        return [self._branch_table(key) for key in range(len(self.real_branches))]
 
     def segment_tables(self) -> list[SegmentTable]:
         """One table of the boundary values per non-real segment, built on
@@ -195,16 +198,21 @@ class PhiFunction:
     def pullback(self, lo, hi) -> np.ndarray:
         """The nonempty clamped preimages of the intervals (lo_k, hi_k), k
         the flat index, as rows (k, xa, xb), branch by branch: every distinct
-        end is solved once per branch, and an infinite end maps to the
-        branch's own end.  A finite end whose root lies beyond the scan
-        limit raises ConvergenceError (_require_reach)."""
+        end is solved once per branch, every branch in one root loop
+        (solve_tables), and an infinite end maps to the branch's own end.
+        A finite end whose root lies beyond the scan limit raises
+        ConvergenceError (_require_reach)."""
         lo, hi = (np.asarray(v, dtype=float).ravel() for v in (lo, hi))
         ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
         solved, tables = ~np.isinf(ends), self.branch_tables()
+        targets = ends[solved]
+        self._require_reach(tables, targets)
+        roots = solve_tables(tables, targets)
         x = np.empty((len(tables), ends.size))
         for i, tbl in enumerate(tables):
             x[i] = np.where(ends < 0.0, tbl.branch.left, tbl.branch.right)
-            x[i, solved] = tbl.solve_clamped(self._require_reach(tbl, ends[solved]))
+            x[i, solved] = tbl.clamp(targets, roots[i])
+        del roots
         xa, xb = x[:, inv[:lo.size]], x[:, inv[lo.size:]]
         del x  # freed before the rows are built: the peak of a deep power's pullback
         keep = xb > xa
@@ -224,19 +232,19 @@ class PhiFunction:
             pulled[:, 0] = rows[pulled[:, 0].astype(int), 0]
             rows = pulled
 
-    def _require_reach(self, tbl: BranchTable, targets: np.ndarray) -> np.ndarray:
-        """The finite targets, once none lies beyond the table's value range
-        at an infinite branch end: for beta > 0 phi runs to +-inf there, so
-        such a target has a root past the table, which stops within
-        SCAN_LIMIT, and ConvergenceError names the branch."""
-        b = tbl.branch
-        far = targets[((targets > tbl.ys[-1]) & math.isinf(b.right))
-                      | ((targets < tbl.ys[0]) & math.isinf(b.left))]
-        if self.beta > 0 and far.size:
-            raise ConvergenceError(
-                f"the root of phi(x) = {float(far[0])!r} on branch ({b.left}, {b.right}) "
-                f"lies beyond the scan limit |x| < {SCAN_LIMIT:g}")
-        return targets
+    def _require_reach(self, tables: list[BranchTable], targets: np.ndarray) -> None:
+        """Raises ConvergenceError, naming the branch, where a finite target
+        lies beyond a table's value range at an infinite branch end: for
+        beta > 0 phi runs to +-inf there, so such a target has a root past
+        the table, which stops within SCAN_LIMIT."""
+        for tbl in tables:
+            b = tbl.branch
+            far = targets[((targets > tbl.ys[-1]) & math.isinf(b.right))
+                          | ((targets < tbl.ys[0]) & math.isinf(b.left))]
+            if self.beta > 0 and far.size:
+                raise ConvergenceError(
+                    f"the root of phi(x) = {float(far[0])!r} on branch ({b.left}, {b.right}) "
+                    f"lies beyond the scan limit |x| < {SCAN_LIMIT:g}")
 
     def _require_branches(self):
         if not self.branches_complete:
@@ -492,6 +500,14 @@ def _sqrt_prod(z: np.ndarray) -> np.ndarray:
     return np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
 
 
+def _sqrt_prod_slope(z: np.ndarray) -> np.ndarray:
+    """Its derivative z / (sqrt(z-1) sqrt(z+1)); NaN at the branch points
+    +-1, as a representation map's slope on a piece end."""
+    s = _sqrt_prod(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s == 0.0, np.nan, z / s)
+
+
 def _sqrt_density(t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - t * t, 0.0, None)) / (math.pi * (1.0 + t * t))
 
@@ -506,7 +522,7 @@ def _sqrt_piece() -> AcPiece:
 def _make_sqrt() -> ClosedFormPhi:
     return ClosedFormPhi(
         "sqrt", NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(_sqrt_piece(),))),
-        _sqrt_prod, lambda x: _sqrt_prod(x.astype(complex)), lambda z: z / _sqrt_prod(z))
+        _sqrt_prod, lambda x: _sqrt_prod(x.astype(complex)), _sqrt_prod_slope)
 
 
 def _make_zlog() -> ClosedFormPhi:
@@ -549,12 +565,15 @@ def _make_sqrtpole(alpha: float = 0.0) -> ClosedFormPhi:
         with np.errstate(divide="ignore", invalid="ignore"):
             return alpha + _sqrt_prod(x.astype(complex)) + 1.0 / (1.0 - x)
 
+    def deriv_fn(z):
+        with np.errstate(divide="ignore", invalid="ignore"):  # the pole at 1
+            return _sqrt_prod_slope(z) + 1.0 / (1.0 - z) ** 2
+
     # 1/(1 - z) is the atom (1, 1/2), whose kernel adds 1/(1 - z) - 1/2
     rho = RealMeasure(atoms=((1.0, 0.5),), ac_pieces=(_sqrt_piece(),))
     return ClosedFormPhi(
         f"sqrtpole(alpha={alpha})", NevanlinnaData(alpha + 0.5, 1.0, rho),
-        lambda z: alpha + _sqrt_prod(z) + 1.0 / (1.0 - z), boundary_fn,
-        lambda z: z / _sqrt_prod(z) + 1.0 / (1.0 - z) ** 2)
+        lambda z: alpha + _sqrt_prod(z) + 1.0 / (1.0 - z), boundary_fn, deriv_fn)
 
 
 #: name -> (factory, parameter names)

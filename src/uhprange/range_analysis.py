@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from . import _quad
-from ._roots import Branch
+from ._roots import Branch, solve_tables
 from .cauchy import cauchy_transform
 from .clark import clark_singular_masses
 from .errors import OrbitBreakError, PreconditionError
@@ -493,17 +493,20 @@ def similarity_certificate(phi: PhiFunction) -> SimilarityCertificate:
             k=k, product_bound=None, orbit_gap_ok=None, hull=hull,
             details={"limit_left_of_support": lim_c, "limit_right_of_support": lim_d})
 
-    tbl_l = phi.branch_table(bl)
-    tbl_r = phi.branch_table(br)
     scale = max(1.0, d - c)
     offsets = np.concatenate([scale * 2.0 ** -np.arange(1, 21, dtype=float),
                               scale * 2.0 ** np.arange(0, 11, dtype=float)])
     offsets = np.unique(offsets)
 
+    # the values right of the hull are solved on the left outer branch and
+    # those left of it on the right one, both branches in one root loop
+    outer = np.concatenate([d + offsets, c - offsets])
+    vals = phi.boundary_real(outer)
+    roots = solve_tables([phi.branch_table(bl), phi.branch_table(br)], vals)
     candidates = []  # (direction, c1, d1, eta)
-    for up, outer, tbl in ((True, d + offsets, tbl_l), (False, c - offsets, tbl_r)):
-        vals = phi.boundary_real(outer)
-        for x, v, root in zip(outer, vals, tbl.solve(vals)):
+    for up, row, part in ((True, 0, slice(None, offsets.size)),
+                          (False, 1, slice(offsets.size, None))):
+        for x, v, root in zip(outer[part], vals[part], roots[row, part]):
             (c1, d1), eta = ((root, x), v - x) if up else ((x, root), x - v)
             if not math.isnan(root) and (c1 < c if up else d1 > d) and eta > 0:
                 candidates.append(("up" if up else "down", float(c1), float(d1), float(eta)))

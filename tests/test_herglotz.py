@@ -349,3 +349,23 @@ def test_catalog_report_takes_no_kernel_integral(monkeypatch, name, params):
     rep = closed_range_report(phi, grid=QueryGrid((-1.0, 0.0, 0.5, 2.0), (1.0, 0.25)),
                               tau_grid=(-1.0, 0.0, 0.5))
     assert np.isfinite(list(rep.estimates().values())).all()
+
+
+@pytest.mark.parametrize("name,params", [("sqrt", {}), ("sqrtpole", {"alpha": 0.0}),
+                                         ("sqrtpole", {"alpha": -1.0})])
+def test_catalog_slope_at_the_branch_points_is_nan(name, params):
+    """At the branch points +-1 of sqrt(z-1) sqrt(z+1) the slope is NaN, as
+    a representation map's is on a piece end, and no RuntimeWarning is
+    raised (the suite turns one into an error): the closed form divided by
+    zero there and gave +-inf+nanj.  The values and the derivative
+    elsewhere keep their closed forms."""
+    phi = phi_from_catalog(name, **params)
+    x = np.asarray([-1.0, 1.0])
+    value, slope = phi._boundary_pair(x)
+    assert np.isnan(slope).all()
+    assert np.isnan(phi_from_nevanlinna(phi.data)._boundary_pair(x)[1]).all()
+    assert np.array_equal(value, phi._boundary_pair(x, slope=False)[0])
+    z = np.asarray([0.5j, 2.0, -3.0 + 1e-9j])
+    pole = 1.0 / (1.0 - z) ** 2 if name == "sqrtpole" else 0.0
+    assert np.array_equal(phi._derivative_complex(z),
+                          z / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0)) + pole)

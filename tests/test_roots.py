@@ -6,11 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uhprange import (AcPiece, NevanlinnaData, RealMeasure, boole_check, cauchy_transform,
-                      constant_B, phi_from_catalog, phi_from_nevanlinna, phi_identity)
-from uhprange import levelset
-from uhprange._roots import XTOL, BranchTable, bisect_increasing
+                      clark_atoms, constant_B, phi_from_catalog, phi_from_nevanlinna,
+                      phi_identity)
+from uhprange import _roots, levelset
+from uhprange._roots import (SOLVE_SLICE, XTOL, BranchTable, _next_point, _safeguarded_point,
+                             bisect_increasing, solve_tables)
 from uhprange.clark import _DEFAULT_Y_GRID
 from uhprange.levelset import tail_measures
 from uhprange.range_analysis import default_grid
@@ -283,3 +287,126 @@ def test_constant_b_sqrt_accuracy():
     assert abs(est.value - 0.000244140612267) <= 1e-8 * 0.000244140612267
     exact = 2.0 * math.expm1(0.5 * math.log1p(2.0**-22)) / 2.0**-10
     assert abs(est.value - exact) <= 1e-12 * exact
+
+
+def _uniform_atom_map():
+    """1 + z + uniform(0, 1, 0.5) + the atom (2, 0.5): the density
+    benchmark's map, three real branches."""
+    rho = RealMeasure.uniform(0.0, 1.0, 0.5).combined(RealMeasure.point_mass(2.0, 0.5))
+    return phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, rho))
+
+
+_TABLE_MAPS = {
+    "zloglin0": phi_from_catalog("zloglin", alpha=0.0),
+    "sqrt": phi_from_catalog("sqrt"),
+    "translation_pole": phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.point_mass(0.0))),
+    "uniform_atom": _uniform_atom_map(),
+    "atoms3_iterate2": phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(
+        [(-1.0, 0.5), (0.0, 1.0), (2.0, 0.3)]))).iterate(2),
+}
+
+
+def _per_table(tables, targets):
+    return np.vstack([table.solve(targets) for table in tables])
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_TABLE_MAPS)),
+       targets=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30),
+       probes=st.integers(0, 3))
+def test_one_loop_over_every_branch_is_the_per_table_solve(name, targets, probes):
+    """solve_tables over all of a map's tables, one root loop, gives each
+    table's own solve bit for bit, with some of every table's probe values
+    among the targets (roots with no evaluation)."""
+    tables = _TABLE_MAPS[name].branch_tables()
+    targets = np.concatenate([targets] + [t.values[probes::23] for t in tables])
+    assert np.array_equal(solve_tables(tables, targets).view(np.int64),
+                          _per_table(tables, targets).view(np.int64))
+
+
+def test_one_loop_gathers_slices_across_tables(monkeypatch):
+    """A batch longer than SOLVE_SLICE over translation+pole's two tables is
+    gathered SOLVE_SLICE brackets at a time across them: three
+    bisect_increasing calls, the second spanning both tables, and the roots
+    of the per-table solves bit for bit."""
+    tables = _TABLE_MAPS["translation_pole"].branch_tables()
+    targets = np.linspace(-40.0, 40.0, SOLVE_SLICE + 40)
+    sizes = []
+
+    def counted(f, lo, *args, **kwargs):
+        sizes.append(np.size(lo))
+        return bisect_increasing(f, lo, *args, **kwargs)
+    monkeypatch.setattr(_roots, "bisect_increasing", counted)
+    roots = solve_tables(tables, targets)
+    assert sizes[:2] == [SOLVE_SLICE, SOLVE_SLICE] and len(sizes) == 3
+    assert np.array_equal(roots.view(np.int64), _per_table(tables, targets).view(np.int64))
+
+
+def test_clark_atoms_takes_one_root_loop(monkeypatch):
+    """clark_atoms on the three branches of the uniform+atom map solves
+    them in one bisect_increasing call (one per branch before)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bisect_increasing(*args, **kwargs)
+    monkeypatch.setattr(_roots, "bisect_increasing", counted)
+    phi = _uniform_atom_map()
+    atoms = clark_atoms(phi, 0.5)
+    assert len(phi.real_branches) == 3 and len(atoms) == 3
+    assert len(calls) == 1
+
+
+def _solver_states(n, seed):
+    """n states of the safeguarded step as _solve_slice makes them: x the
+    end of a bracket (lo, hi) wider than tol on the side where the
+    residual r = f(x) - target has its sign, p the other end.  Newton's
+    point with the secant's slope d lies a fraction of the way from x to p:
+    inside, beyond p, within tol/2 of x (1e-16 of the way), or NaN; on
+    integer ends with d = 1 it is exactly p.  Other slopes lie: zero,
+    negative, 1e6 or 1e-9 times the secant's, NaN or +-inf.  ``before`` is
+    inf, ample or less than the step."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-12.0, 8.0, n)
+    lo = rng.uniform(-1.0, 1.0, n) * scale
+    hi = lo + scale * 10.0 ** rng.uniform(-11.0, 1.0, n)
+    on_p = rng.random(n) < 0.05
+    lo[on_p] = np.floor(lo[on_p]) - 3.0
+    hi[on_p] = lo[on_p] + 8.0
+    below = rng.random(n) < 0.5
+    x, p = np.where(below, lo, hi), np.where(below, hi, lo)
+    frac = np.select([rng.random(n) < 0.15, rng.random(n) < 0.2, rng.random(n) < 0.1],
+                     [rng.uniform(1.0, 3.0, n), np.full(n, 1e-16), np.full(n, np.nan)],
+                     rng.uniform(0.0, 1.0, n))
+    d = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    r = d * frac * (x - p)  # negative below the target
+    r[below & np.isnan(r)] = -np.inf
+    kind = rng.integers(0, 7, n)
+    d = np.select([kind == 1, kind == 2, kind == 3, kind == 4, kind == 5, kind == 6],
+                  [np.zeros(n), -d, 1e6 * d, np.full(n, np.nan),
+                   np.where(rng.random(n) < 0.5, np.inf, -np.inf), 1e-9 * d], d)
+    d[on_p], r[on_p] = 1.0, (x - p)[on_p]
+    tol = np.maximum(XTOL, 8.0 * _EPS * np.abs(x))
+    before = np.select([rng.random(n) < 0.3, rng.random(n) < 0.3],
+                       [np.full(n, np.inf), 1e-3 * (hi - lo)], 4.0 * (hi - lo))
+    keep = hi - lo > tol
+    return tuple(v[keep] for v in (x, r, d, lo, hi, below, tol, before))
+
+
+def test_fast_step_is_the_safeguarded_step():
+    """_next_point, whose common case (a valid Newton point, or its tol/2
+    closing step) skips _safeguarded_point, returns its bits on the
+    states of 200000 draws whose bracket is not closed, each kind present."""
+    x, r, d, lo, hi, below, tol, before = state = _solver_states(200000, 7)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        newton = x - r / d
+        fast = _next_point(x, r, d, newton, lo, hi, below, tol, before)
+        slow = _safeguarded_point(*state)
+    assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+    p = np.where(below, hi, lo)
+    valid = (lo <= newton) & (newton <= hi) & (newton != p)
+    short = valid & (np.abs(newton - x) < 0.5 * tol)
+    mid = slow == 0.5 * (lo + hi)
+    near = ~valid & (np.abs(newton - x) < 0.5 * tol)  # the one-pole point comes first
+    assert min(valid.sum(), (~valid).sum(), short.sum(), (valid & mid).sum(), near.sum(),
+               (newton == p).sum(), np.isnan(newton).sum(), np.isinf(d).sum()) > 100
