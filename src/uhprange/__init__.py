@@ -13,8 +13,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, OrbitBreakError
 from .herglotz import (CATALOG, NevanlinnaData, PhiFunction, phi_from_catalog,
                        phi_from_nevanlinna, phi_identity, phi_translation)
 from .levelset import (DiskQuery, mc_oracle_measure, preimage_disk_measure,
-                       preimage_disk_set, preimage_interval_measure,
-                       preimage_interval_set, tail_set_measure)
+                       preimage_interval_measure, preimage_interval_set, tail_set_measure)
 from .measures import AcPiece, IntervalSet, RealMeasure, ScCantorPiece
 from .range_analysis import (AUpperResult, ConstantEstimate, QueryGrid, RangeReport,
                              SimilarityCertificate, SimilarityLowerBound,
@@ -41,7 +40,7 @@ __all__ = [
     "default_grid", "default_tau_grid", "g_tau", "letac_check",
     "mc_oracle_measure", "phi_from_catalog", "phi_from_nevanlinna",
     "phi_identity", "phi_translation", "preimage_disk_measure",
-    "preimage_disk_set", "preimage_interval_measure", "preimage_interval_set",
+    "preimage_interval_measure", "preimage_interval_set",
     "rayleigh_quotient", "similarity_certificate",
     "similarity_lower_bound", "singular_mass_tsereteli", "tail_set_measure",
 ]

@@ -83,7 +83,8 @@ class CauchyTransform:
                 raise PreconditionError("boundary_re with slope needs a measure source")
             out = self._resolvent_re(arr)
         else:
-            hit = arr[np.isin(arr, self._pos)]
+            pos = self._pos  # sorted: the first atom not below a point is the one it may hit
+            hit = arr[pos.take(np.searchsorted(pos, arr), mode="clip") == arr] if pos.size else []
             if len(hit):
                 raise DomainError(f"Re G undefined exactly at a point mass ({hit[0]})")
             if slope:

@@ -63,6 +63,61 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def read_config(cfg: dict, args) -> dict:
+    """The config as the commands read it, every value and both list flags
+    checked and converted before any numeric work: the seed (--seed over
+    the config's, at least 0) and similarity_depth as integers; the
+    catalog params, grids, tolerances and taus (--tau over the config's) as
+    finite floats; the points (--points over the config's) as finite
+    complex numbers.  A bad value raises ConfigError naming it."""
+    spec, grids, tol = cfg["phi"], _section(cfg, "grids"), _section(cfg, "tolerances")
+    if isinstance(spec, dict) and "params" in spec:
+        params = _section(spec, "params", "phi.params")
+        spec = dict(spec, params={k: _number(v, f"phi.params.{k}") for k, v in params.items()})
+    taus = args.tau.split(",") if args.tau else cfg.get("tau", [0.0])
+    points = args.points.split(",") if args.points else cfg.get("points", [])
+    seed = _number(cfg.get("seed", 0) if args.seed is None else args.seed, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
+    return dict(
+        cfg, phi=spec, seed=seed,
+        similarity_depth=_number(cfg.get("similarity_depth", 4), "similarity_depth", int),
+        grids={k: _numbers(grids[k], f"grids.{k}") for k in ("centers", "lengths", "tau")
+               if k in grids},
+        tolerances={k: _number(tol.get(k, v), f"tolerances.{k}")
+                    for k, v in (("verdict_floor", 1e-3), ("cross_gap", 0.05))},
+        tau=_numbers(taus, "--tau" if args.tau else "tau"),
+        points=_numbers(points, "--points" if args.points else "points", complex))
+
+
+def _section(cfg: dict, key: str, name: str | None = None) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _numbers(values, name: str, kind=float) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return [_number(v, f"{name}[{i}]", kind) for i, v in enumerate(values)]
+
+
+_KINDS = {float: "a number", int: "an integer", complex: "a complex number"}
+
+
+def _number(value, name: str, kind=float):
+    """value as a finite float, an int, or a finite complex (from a string
+    like "1+2j")."""
+    try:
+        x = kind(str(value).strip().replace(" ", "")) if kind is complex else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
+    if kind is not int and not np.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def build_phi(cfg: dict) -> PhiFunction:
     spec = cfg["phi"]
     if not isinstance(spec, dict) or len({"catalog", "nevanlinna"} & set(spec)) != 1:
@@ -104,16 +159,13 @@ def build_phi(cfg: dict) -> PhiFunction:
 def build_grid(cfg: dict, phi: PhiFunction) -> QueryGrid:
     grids = cfg.get("grids", {})
     base = default_grid(phi)
-    centers = tuple(float(c) for c in grids.get("centers", base.centers))
-    lengths = tuple(float(l) for l in grids.get("lengths", base.lengths))
-    return QueryGrid(centers, lengths)
+    return QueryGrid(tuple(grids.get("centers", base.centers)),
+                     tuple(grids.get("lengths", base.lengths)))
 
 
 def build_tau_grid(cfg: dict, phi: PhiFunction) -> tuple[float, ...]:
     grids = cfg.get("grids", {})
-    if "tau" in grids:
-        return tuple(float(t) for t in grids["tau"])
-    return default_tau_grid(phi)
+    return tuple(grids["tau"]) if "tau" in grids else default_tau_grid(phi)
 
 
 # -- writers ----------------------------------------------------------------------
@@ -136,7 +188,7 @@ def _write_rows(path: Path, fieldnames: list[str], rows: list[dict], fmt: str,
 
 
 def _header(cfg: dict, command: str, extra: dict | None = None) -> dict:
-    head = {"command": command, "seed": int(cfg.get("seed", 0)),
+    head = {"command": command, "seed": cfg["seed"],
             "format": cfg.get("format", "json")}
     if extra:
         head.update(extra)
@@ -147,12 +199,10 @@ def _header(cfg: dict, command: str, extra: dict | None = None) -> dict:
 
 
 def cmd_eval(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
-    raw_points = args.points.split(",") if args.points else cfg.get("points", [])
-    if not raw_points:
+    if not cfg["points"]:
         raise ConfigError("eval needs points (--points or config 'points')")
     rows = []
-    for raw in raw_points:
-        z = complex(str(raw).strip().replace(" ", ""))
+    for z in cfg["points"]:
         if z.imag == 0:
             x = z.real
             branch = phi.branch_of(x)
@@ -179,8 +229,7 @@ def cmd_eval(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
 
 
 def cmd_clark(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
-    taus = ([float(t) for t in args.tau.split(",")] if args.tau
-            else [float(t) for t in cfg.get("tau", [0.0])])
+    taus = cfg["tau"]
     rows, grids = [], {}  # id of a density grid -> (grid, its rows awaiting the densities)
     for idx, (tau, cm) in enumerate(zip(taus, clark_measures(phi, taus))):
         rows.append({
@@ -212,11 +261,9 @@ def cmd_clark(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
 def cmd_constants(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
     grid = build_grid(cfg, phi)
     taus = build_tau_grid(cfg, phi)
-    tol = cfg.get("tolerances", {})
-    rep = closed_range_report(
-        phi, grid=grid, tau_grid=taus,
-        floor=float(tol.get("verdict_floor", 1e-3)),
-        gap_tol=float(tol.get("cross_gap", 0.05)))
+    tol = cfg["tolerances"]
+    rep = closed_range_report(phi, grid=grid, tau_grid=taus, floor=tol["verdict_floor"],
+                              gap_tol=tol["cross_gap"])
     rows = [{
         "A_upper": _fnum(rep.A_upper), "B": _fnum(rep.B_est), "C": _fnum(rep.C_est),
         "D": _fnum(rep.D_est), "cross_gap": _fnum(rep.cross_gap),
@@ -251,8 +298,7 @@ def cmd_similarity(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> in
         "orbit_gap_ok": "" if cert.orbit_gap_ok is None else str(cert.orbit_gap_ok).lower()}]
     lb_rows = []
     if cert.status == "certified":
-        N = int(cfg.get("similarity_depth", 4))
-        lb = similarity_lower_bound(phi, N=N, grid=build_grid(cfg, phi))
+        lb = similarity_lower_bound(phi, N=cfg["similarity_depth"], grid=build_grid(cfg, phi))
         lb_rows = [{"power": n + 1, "lower_bound": _fnum(v)}
                    for n, v in enumerate(lb.values)]
     _write_rows(out / "similarity", list(rows[0].keys()), rows, fmt,
@@ -264,8 +310,7 @@ def cmd_similarity(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> in
 
 
 def cmd_verify(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> int:
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     rows = []
 
     def record(suite: str, case: str, err: float, tol: float):
@@ -359,9 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else list(argv)))
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = read_config(load_config(args.config), args)
         fmt = args.format or cfg.get("format", "json")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}")

@@ -3,9 +3,11 @@
 Three set families drive the range analysis: preimages of finite
 intervals under the boundary map, preimages of disks with a real
 diameter, and the tail sets {Re G > y} / {Re G < -y} of a Cauchy
-transform.  Disks are read off the map's cached tables of its non-real
-boundary segments, and their panel ends are roots.  A seeded Monte Carlo
-estimator provides an independent check on every deterministic value.
+transform.  Each is a batch of rows (k, u, v) measured by row_measure.
+Disks are read off the map's cached tables of its non-real boundary
+segments; a measure's tail sets off its support and on its density scan,
+their crossings closed in one root solve.  A seeded Monte Carlo estimator
+provides an independent check on every deterministic value.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class DiskQuery:
 def row_measure(rows: np.ndarray, shape) -> np.ndarray:
     """The Lebesgue measure of each query's preimage, shaped ``shape``, from
     its rows (k, u, v), k the query's flat index: the widths v - u summed
-    per query in row order."""
+    per query in row order (float zeros where there are no rows)."""
     return np.bincount(rows[:, 0].astype(int), rows[:, 2] - rows[:, 1],
-                       minlength=math.prod(shape)).reshape(shape)
+                       minlength=math.prod(shape)).reshape(shape).astype(float)
 
 
 def preimage_interval_set(phi: PhiFunction, interval: tuple[float, float]) -> IntervalSet:
@@ -176,12 +178,6 @@ def disk_preimages(phi: PhiFunction, a, b) -> tuple[list[IntervalSet], np.ndarra
             for k in range(a.size)], unresolved
 
 
-def preimage_disk_set(phi: PhiFunction, q: DiskQuery) -> tuple[IntervalSet, float]:
-    """The one-disk case of disk_preimages."""
-    sets, unresolved = disk_preimages(phi, [q.a], [q.b])
-    return sets[0], float(unresolved[0])
-
-
 def preimage_disk_measure(phi: PhiFunction, q: DiskQuery) -> float:
     """The one-disk case of disk_measures."""
     return float(disk_measures(phi, [q.a], [q.b])[0][0])
@@ -199,31 +195,20 @@ def resolvent_tail_measures(phi: PhiFunction, taus, ys) -> np.ndarray:
 
 # -- tail sets of Cauchy transforms ---------------------------------------------
 
+#: Abscissa tolerance of every tail root.
+_TAIL_TOL = 1e-15
+
 
 def tail_measures(G: CauchyTransform, ys) -> np.ndarray:
     """|{x : Re G(x) > y}| and |{x : Re G(x) < -y}| for every level y, shape
-    (len(ys), 2).
-
-    A resolvent is the one-tau case of resolvent_tail_measures.  For a
-    measure source the line splits into components off the singular
-    support, where G is real and increasing, plus the interiors of the
-    density intervals.  Neither the component ends nor the density scans
-    depend on y, so each is evaluated once for every level.
-    """
+    (len(ys), 2): for a measure source the row measure of tail_rows, for a
+    resolvent the one-tau case of resolvent_tail_measures."""
     ys = np.asarray(ys, dtype=float).ravel()
     if not np.all(ys > 0):
         raise PreconditionError("tail level y must be positive")
     if G.kind == "phi_tau":
         return resolvent_tail_measures(G.phi, [G.tau], ys)[0]
-    # query 2k is the upper tail at ys[k], query 2k + 1 the lower one
-    level, sgn = np.repeat(ys, 2), np.tile([1.0, -1.0], ys.size)
-    pos, _ = G.point_masses()
-    acs = G.measure.density_segments
-    total = _off_support_measures(G, gaps_between([(p, p) for p in pos.tolist()] + list(acs)),
-                                  level, sgn)
-    for part in _density_measures(G, acs, pos, level, sgn).T:
-        total = total + part
-    return total.reshape(-1, 2)
+    return row_measure(tail_rows(G, ys), (ys.size, 2))
 
 
 def tail_set_measure(G: CauchyTransform, y: float, side: str) -> float:
@@ -234,69 +219,81 @@ def tail_set_measure(G: CauchyTransform, y: float, side: str) -> float:
     return float(tail_measures(G, [y])[0, int(side == "lower")])
 
 
-def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: np.ndarray | float) -> np.ndarray:
-    """Point just inside a component endpoint, resolvable in float."""
-    step = np.maximum(width * 2.0 ** -49, 16.0 * _EPS * (np.abs(edge) + 1e-300))
-    return edge + sign * step
-
-
-def _owner_sums(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """Sums of values per owner (owners ascending).  Owners with equal
-    counts are summed as rows of one array, which rounds each sum as numpy
-    rounds the sum of that owner's values alone."""
-    counts = np.bincount(owner, minlength=n)
-    starts, out = np.cumsum(counts) - counts, np.zeros(n)
-    for c in np.unique(counts[counts > 0]):
-        rows = np.flatnonzero(counts == c)
-        out[rows] = values[starts[rows, None] + np.arange(c)].sum(axis=1)
-    return out
-
-
-def _off_support_measures(G: CauchyTransform, comps, level: np.ndarray,
-                          sgn: np.ndarray) -> np.ndarray:
-    """The tail sets off the singular support, where Re G is real and
-    increasing: the bounded components (gaps between blocks), where it runs
-    from -inf to +inf, plus the unbounded end component where it tends to 0
-    from the tail's side.  One evaluation of the component ends, one root
-    solve for every crossing of every query, each step taking Re G and
-    Re G' = int d(mu)(t) / (t - x)^2 from one pass over the atoms.  A
-    crossing starts at the root of a model with poles at the component's
-    finite ends, whose strengths the end values give (_secular_start)."""
-    f = lambda xs: G.real_value(xs, tol=1e-9, slope=True)
+def tail_rows(G: CauchyTransform, ys: np.ndarray) -> np.ndarray:
+    """The tail sets of a measure source at the positive levels ys as rows
+    (k, u, v), sorted by k and u: query 2i is {Re G > ys[i]}, 2i + 1 is
+    {Re G < -ys[i]}.  Off the singular support Re G increases across each
+    gap, and from 0 to its edge value on each end component: each is a row
+    whole or cut at its root.  Inside a density segment, cut at the atoms, a
+    row is a run of scan points beyond the level (probe_grid with one round
+    of midpoints; the ends count as below every level, standing in for a
+    crossing that hugs a blow-up point) closed at its crossings.  The probes
+    and the scan take one boundary_re call for every level.  Every crossing
+    is an element k of one root solve of the increasing m_k Re G = target
+    (m_k = +-1), with (Re G, Re G') from one boundary_re pass, whose NaN
+    slope inside a piece without a closed form bisects; a gap root starts at
+    _secular_start, an end root at the root of its one-pole model."""
+    targets = (ys[:, None] * np.asarray([1.0, -1.0])).ravel()
+    level, sgn = np.abs(targets), np.sign(targets)
     upper = sgn > 0
-    gaps = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
-                       and c[1] > c[0]]).reshape(-1, 2)
-    gl, gr = gaps[:, 0], gaps[:, 1]
-    width = gr - gl
-    lo, hi = _nudge_in(gl, width, +1.0), _nudge_in(gr, width, -1.0)
+    pos, _ = G.point_masses()
+    acs = G.measure.density_segments
+    comps = gaps_between([(p, p) for p in pos.tolist()] + list(acs))
+    gl, gr = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
+                         and c[1] > c[0]]).reshape(-1, 2).T
+    lo, hi = _nudge_in(gl, gr - gl, +1.0), _nudge_in(gr, gr - gl, -1.0)
     # the end components: (-inf, edge) for the upper tail, (edge, +inf) for the lower
     edges = np.asarray([next((r for l, r in comps if l == -math.inf and np.isfinite(r)), np.nan),
                         next((l for l, r in comps if r == math.inf and np.isfinite(l)), np.nan)])
     nears, has = _nudge_in(edges, np.ones(2), np.asarray([-1.0, 1.0])), ~np.isnan(edges)
-    fnears = np.full(2, np.nan)
-    probes = np.concatenate([lo, hi, nears[has]])
-    flo, fhi, fnears[has] = np.split(G.real_value(probes, tol=1e-9), [len(lo), 2 * len(lo)])
-    side = np.where(upper, 0, 1)
-    edge, near = edges[side], nears[side]
-    far = edge - sgn * np.maximum(4.0 * G.total_mass / level, 16.0 * _EPS * (np.abs(edge) + 1.0))
-    outer = sgn * fnears[side] > level  # False where there is no end component
+    xs, end = _scan_points(acs, pos)
+    values = G.boundary_re(np.concatenate([lo, hi, nears[has], xs[~end]]))
+    flo, fhi = values[:lo.size], values[lo.size:2 * lo.size]
+    fnears, scan = np.full(2, np.nan), np.full(xs.size, np.nan)  # NaN is below every level
+    fnears[has], scan[~end] = np.split(values[2 * lo.size:], [has.sum()])
+    # a gap is whole where the tail holds at its start, cut where it holds at its other end
     full = np.where(upper[:, None], flo >= level[:, None], fhi <= -level[:, None])
     mid = ~full & ~np.where(upper[:, None], fhi <= level[:, None], flo >= -level[:, None])
     (kf, gf), (km, gm) = np.nonzero(full), np.nonzero(mid)
-    targets = sgn * level
-    starts = np.concatenate([
-        _secular_start(gl[gm], gr[gm], -flo[gm] * (lo[gm] - gl[gm]),
-                       fhi[gm] * (gr[gm] - hi[gm]), targets[km]),
-        (edge - fnears[side] * (edge - near) / targets)[outer]])
-    roots = bisect_increasing(f, np.concatenate([lo[gm], np.minimum(far, near)[outer]]),
-                              np.concatenate([hi[gm], np.maximum(far, near)[outer]]),
-                              targets[np.concatenate([km, np.flatnonzero(outer)])],
-                              xtol=1e-15, start=starts)
-    inner = roots[:km.size]
-    total = _owner_sums(width[gf], kf, level.size)
-    total += _owner_sums(np.where(upper[km], gr[gm] - inner, inner - gl[gm]), km, level.size)
-    total[outer] += sgn[outer] * (edge[outer] - roots[km.size:])
-    return total
+    edge, near, fnear = (v[np.where(upper, 0, 1)] for v in (edges, nears, fnears))
+    ko = np.flatnonzero(sgn * fnear > level)  # False where there is no end component
+    far = edge - sgn * np.maximum(4.0 * G.total_mass / level, 16.0 * _EPS * (np.abs(edge) + 1.0))
+    # a cut gap or end component runs from its root up for the upper tail, down for the lower
+    kc = np.concatenate([km, ko])
+    left, right = np.concatenate([gl[gm], edge[ko]]), np.concatenate([gr[gm], edge[ko]])
+    step = np.diff((sgn[:, None] * scan > level[:, None]).astype(np.int8), axis=1)
+    (kd, first), (_, last) = np.nonzero(step == 1), np.nonzero(step == -1)
+    a, b = xs[first], xs[last + 1]
+    rise, fall = ~end[first], ~end[last + 1]
+    kr, kl = kd[rise], kd[fall]
+    m = np.concatenate([np.ones(kc.size), sgn[kr], -sgn[kl]])
+
+    def f(x, k):
+        g, dg = G.boundary_re(x, slope=True)
+        mk = m[k]
+        return mk * g, mk * dg
+
+    f.per_element = True
+    roots = bisect_increasing(
+        f, np.concatenate([lo[gm], np.minimum(far, near)[ko], a[rise], xs[last[fall]]]),
+        np.concatenate([hi[gm], np.maximum(far, near)[ko], xs[first[rise] + 1], b[fall]]),
+        np.concatenate([targets[kc], level[kr], -level[kl]]), xtol=_TAIL_TOL,
+        start=np.concatenate([
+            _secular_start(gl[gm], gr[gm], -flo[gm] * (lo[gm] - gl[gm]),
+                           fhi[gm] * (gr[gm] - hi[gm]), targets[km]),
+            edge[ko] - fnear[ko] * (edge[ko] - near[ko]) / targets[ko],
+            np.full(kr.size + kl.size, np.nan)]))
+    cut, a[rise], b[fall] = np.split(roots, [kc.size, kc.size + kr.size])
+    k, u, v = (np.concatenate(c) for c in zip(
+        (kf, gl[gf], gr[gf]), (kc, np.where(upper[kc], cut, left), np.where(upper[kc], right, cut)),
+        (kd, a, b)))
+    return np.column_stack([k, u, v])[np.lexsort((u, k))]
+
+
+def _nudge_in(edge: np.ndarray, width: np.ndarray, sign: np.ndarray | float) -> np.ndarray:
+    """Point just inside a component endpoint, resolvable in float."""
+    step = np.maximum(width * 2.0 ** -49, 16.0 * _EPS * (np.abs(edge) + 1e-300))
+    return edge + sign * step
 
 
 def _secular_start(gl, gr, a, b, y) -> np.ndarray:
@@ -316,59 +313,19 @@ def _secular_start(gl, gr, a, b, y) -> np.ndarray:
     return np.where((a > 0.0) & (b > 0.0) & np.isfinite(a + b), gl + u, np.nan)
 
 
-def _density_measures(G: CauchyTransform, acs, pos: np.ndarray, level: np.ndarray,
-                      sgn: np.ndarray) -> np.ndarray:
-    """The tail sets inside each density segment, shape (queries, segments).
-
-    Re G is smooth but not monotone here.  Each segment, cut at its
-    interior nodes, is scanned on its probe points with one round of
-    midpoints (probe_grid), clustered geometrically at the ends (where the
-    transform blows up), evaluated once for all queries.  Each run of scan
-    points beyond a query's level starts at a rising crossing and ends at
-    a falling one.  The segment ends count as below every level, so a run
-    that reaches one ends there, standing in for an unreachable crossing
-    hugging a blow-up point.  The crossings on +Re G and on -Re G are
-    refined in one root solve each, with the slope Re G'(x + i0) where
-    every piece is named and by bisection otherwise.
-    """
-    xs, end, interval = [np.empty(0)], [np.empty(0, dtype=bool)], [np.empty(0, dtype=int)]
-    for i, (left, right) in enumerate(acs):
+def _scan_points(acs, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scan points of the density segments cut at the atoms, each piece's
+    ends around its probe_grid, and which of them are ends."""
+    xs, end = [np.empty(0)], [np.empty(0, dtype=bool)]
+    for left, right in acs:
         cuts = [left, *np.sort(pos[(pos > left) & (pos < right)]).tolist(), right]
-        for (u, v) in zip(cuts[:-1], cuts[1:]):
-            wseg = v - u
-            if not np.isfinite(wseg):
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if not np.isfinite(v - u):
                 raise PreconditionError("density intervals must be finite for tail scans")
-            if wseg <= 0:
-                continue
-            xs.append(np.concatenate([[u], probe_grid((u, v), 1), [v]]))
-            end.append(np.arange(len(xs[-1])) % (len(xs[-1]) - 1) == 0)
-            interval.append(np.full(len(xs[-1]), i))
-    xs, end, interval = (np.concatenate(v) for v in (xs, end, interval))
-    high = np.zeros((level.size, xs.size), dtype=bool)
-    if xs.size:
-        high[:, ~end] = sgn[:, None] * G.boundary_re(xs[~end]) - level[:, None] > 0
-    before, after = np.zeros_like(high), np.zeros_like(high)
-    before[:, 1:], after[:, :-1] = high[:, :-1], high[:, 1:]
-    (kf, first), (kl, last) = np.nonzero(high & ~before), np.nonzero(high & ~after)
-    a, b = xs[first - 1], xs[last + 1]
-    rise, fall = ~end[first - 1], ~end[last + 1]
-    named = all(p.closed_form is not None for p in G.measure.ac_pieces)
-
-    def crossing(x, s):
-        if named:
-            g, dg = G.boundary_re(x, slope=True)
-            return s * g, s * dg
-        return s * G.boundary_re(x), None
-
-    for s in (1.0, -1.0):
-        r, f = rise & (sgn[kf] == s), fall & (sgn[kl] == -s)
-        roots = bisect_increasing(lambda x, s=s: crossing(x, s),
-                                  np.concatenate([a[r], xs[last[f]]]),
-                                  np.concatenate([xs[first[r]], b[f]]),
-                                  np.concatenate([level[kf[r]], -level[kl[f]]]), xtol=1e-13)
-        a[r], b[f] = roots[:r.sum()], roots[r.sum():]
-    return np.bincount(kf * len(acs) + interval[first], np.maximum(b - a, 0.0),
-                       minlength=level.size * len(acs)).reshape(level.size, len(acs))
+            if v > u:
+                xs.append(np.concatenate([[u], probe_grid((u, v), 1), [v]]))
+                end.append(np.arange(xs[-1].size) % (xs[-1].size - 1) == 0)
+    return np.concatenate(xs), np.concatenate(end)
 
 
 # -- Monte Carlo oracle ----------------------------------------------------------

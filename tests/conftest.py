@@ -4,15 +4,16 @@ import pytest
 
 class _Counted:
     """f wrapped so that it counts the points it is evaluated at; a
-    per-element callable (``per_element`` set) keeps its flag and is passed
-    the points' indices."""
+    per-element callable (``per_element`` set) keeps its flag, is passed
+    the points' indices and keeps them in ``elements``, one array a call."""
 
     def __init__(self, f):
-        self.f, self.points = f, 0
+        self.f, self.points, self.elements = f, 0, []
         self.per_element = getattr(f, "per_element", False)
 
     def __call__(self, x, *k):
         self.points += np.size(x)
+        self.elements.extend(k)
         return self.f(x, *k)
 
 

@@ -153,6 +153,40 @@ def test_config_errors(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+_ZLOGLIN5 = {"phi": {"catalog": "zloglin", "params": {"alpha": 5.0}}, "format": "json"}
+#: (command and flags, config entries over _ZLOGLIN5, the entry the error names)
+_MALFORMED = {
+    **{f"{command[0]}-params-{kind}": (command, {"phi": {"catalog": "zloglin", "params": params}},
+                                       "phi.params")
+       for command in (["eval", "--points", "1j"], ["clark"], ["constants"], ["similarity"])
+       for kind, params in (("string", {"alpha": "x"}), ("list", [1]))},
+    "grid-centers": (["constants"], {"grids": {"centers": ["x"]}}, "grids.centers[0]"),
+    "grid-tau": (["constants"], {"grids": {"tau": [0, "x"]}}, "grids.tau[1]"),
+    "verdict-floor": (["constants"], {"tolerances": {"verdict_floor": "x"}},
+                      "tolerances.verdict_floor"),
+    **{f"{command}-seed": ([command], {"seed": "x"}, "seed")
+       for command in ("constants", "clark", "similarity")},
+    "config-tau": (["clark"], {"tau": ["x"]}, "tau[0]"),
+    "flag-tau": (["clark", "--tau", "1,abc"], {}, "--tau[1]"),
+    "config-points": (["eval"], {"points": ["0.5", "x"]}, "points[1]"),
+    "flag-points": (["eval", "--points", "1+-1j"], {}, "--points[0]"),
+    "nan-point": (["eval", "--points", "nan"], {}, "--points[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_values_are_config_errors(tmp_path, capsys, case):
+    """A config value or list flag that is not a number of its kind (or
+    not finite) is a config error: exit 2 and one stderr line naming it,
+    where these exited 1 with a traceback (and a nan point exited 3 from
+    its principal value)."""
+    command, entries, name = _MALFORMED[case]
+    cfg = write_config(tmp_path, dict(_ZLOGLIN5, **entries))
+    assert run([command[0], "--config", cfg, "--out", str(tmp_path)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}") and err.count("\n") == 1
+
+
 def test_negative_density_mass_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"phi": {"nevanlinna": {
         "alpha": 1.0, "beta": 1.0,

@@ -110,6 +110,38 @@ def test_tail_measures_count_overlapping_pieces_once(overlap_pair):
     assert np.allclose(over[:, 0], [19.992, 4.971, 0.2950], atol=1e-3)
 
 
+_MIXED_TAIL_MEASURES = {
+    "uniform_atom_at_end": RealMeasure.uniform(0.0, 1.0, 0.5).combined(
+        RealMeasure.point_mass(1.0, 0.5)),
+    "arcsine_atom_at_end": RealMeasure.arcsine(-1.0, 1.0, 0.5).combined(
+        RealMeasure.point_mass(-1.0, 0.5)),
+    "poisson_two_atoms": RealMeasure.poisson(-2.0, 2.0).combined(
+        RealMeasure.from_atoms([(-3.0, 0.2), (0.5, 0.3)])),
+    "two_uniforms_apart": RealMeasure.uniform(0.0, 1.0, 0.5).combined(
+        RealMeasure.uniform(1.5, 2.0, 0.5)),
+    "two_uniforms_abutting": RealMeasure.uniform(0.0, 1.0, 0.5).combined(
+        RealMeasure.uniform(1.0, 2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_TAIL_MEASURES))
+def test_tail_sets_with_densities_match_a_grid_count(name):
+    """The tail sets of measures with density parts, beside atoms at their
+    ends or inside, apart or abutting, at y = 0.3, 1 and 3, both sides:
+    each within 8 dx of dx times the count of grid points where +-Re G
+    lies beyond y, on a grid of spacing dx = 6.5e-5 over (-12, 14) less
+    the atoms."""
+    mu = _MIXED_TAIL_MEASURES[name]
+    G = cauchy_transform(mu)
+    xs = np.linspace(-12.0, 14.0, 400001)
+    dx = xs[1] - xs[0]
+    re = G.boundary_re(xs[~np.isin(xs, G.point_masses()[0])])
+    ys = np.asarray([0.3, 1.0, 3.0])
+    counted = dx * np.stack([np.count_nonzero(re > ys[:, None], axis=1),
+                             np.count_nonzero(re < -ys[:, None], axis=1)], axis=1)
+    assert np.all(np.abs(tail_measures(G, ys) - counted) <= 8.0 * dx)
+
+
 def test_boole_random_atoms_and_cantor():
     rng = np.random.default_rng(2)
     for _ in range(5):
