@@ -5,8 +5,9 @@ each real branch, so every equation f(x) = target has at most one solution
 per branch and a bracket with evaluated signs always holds it.  The solver
 and the branch tables take one callable that returns f and its slope f'
 together (one kernel pass for a representation map or a Cauchy transform),
-or f and None, and read their real parts (a map's complex boundary pair is
-exactly real on a branch).  A table holds the values on a probe grid
+or f and None, and read their real parts: a catalog or representation map's
+pair on its real branches is float64, read as it is, and any other complex
+pair is exactly real on a branch.  A table holds the values on a probe grid
 (geometric clustering toward endpoints, where values typically blow up) and
 the slopes there; solving then reduces to a searchsorted bracket plus a
 vectorized safeguarded Newton iteration.  A target equal to a probe's value
@@ -23,8 +24,8 @@ last (a lying slope) is replaced by bisection.  Without a slope every step
 bisects.  A root is the Newton point of the evaluation that closes its
 bracket, taken with that evaluation's own slope.  A step computes the
 common case, a valid Newton point or its tol/2 closing step, for the whole
-slice in a few array passes, and only the other elements take the
-one-pole and bisection rules.
+slice in a few array passes, and only the other elements take the one-pole
+and bisection rules.
 
 A query solves every branch of a map in one root loop (solve_tables): the
 same targets go to each of the map's tables, whose one boundary rule
@@ -394,8 +395,9 @@ def _solve_slice(f, lo, hi, target, x, xtol, offset) -> np.ndarray:
                 break
             value, slope = f(x) if offset is None else f(x, offset + active)
             r = np.real(value) - target  # exact in sign: r < 0 is f(x) < target
-            # a copy: a real view would hold its complex base
-            d = np.full(x.shape, np.nan) if slope is None else np.array(np.real(slope), dtype=float)
+            # a complex slope's real part is copied: a view would hold its complex base
+            d = (np.full(x.shape, np.nan) if slope is None
+                 else slope.real.copy() if slope.dtype.kind == "c" else slope)
             below = r < 0.0
             np.copyto(lo, x, where=below)
             np.copyto(hi, x, where=~below)

@@ -296,16 +296,19 @@ def cmd_similarity(cfg: dict, phi: PhiFunction, out: Path, fmt: str, args) -> in
         "c1": _fnum(cert.c1), "d1": _fnum(cert.d1), "eta": _fnum(cert.eta),
         "k": _fnum(cert.k), "product_bound": _fnum(cert.product_bound),
         "orbit_gap_ok": "" if cert.orbit_gap_ok is None else str(cert.orbit_gap_ok).lower()}]
-    lb_rows = []
+    lb_rows, stop = [], ""
     if cert.status == "certified":
         lb = similarity_lower_bound(phi, N=cfg["similarity_depth"], grid=build_grid(cfg, phi))
         lb_rows = [{"power": n + 1, "lower_bound": _fnum(v)}
                    for n, v in enumerate(lb.values)]
+        if lb.stop_reason:
+            stop = (f"; powers 1 to {lb.max_depth} of {cfg['similarity_depth']}: "
+                    f"{lb.stop_reason}")
     _write_rows(out / "similarity", list(rows[0].keys()), rows, fmt,
                 _header(cfg, "similarity", {"phi": phi.name}))
     _write_rows(out / "similarity_powers", ["power", "lower_bound"], lb_rows, fmt,
                 _header(cfg, "similarity", {"phi": phi.name}))
-    print(f"similarity: {cert.status}")
+    print(f"similarity: {cert.status}{stop}")
     return 0
 
 

@@ -92,7 +92,12 @@ class PhiFunction:
         where the map gives no slope or ``slope`` is off, without domain
         checks: inf at a pole, NaN where a value is not resolved.  The one
         real-line hook: every boundary query, the branch tables (which read
-        the real parts), the segment tables and their disk crossings."""
+        the real parts), the segment tables and their disk crossings.  The
+        pair of a catalog or representation map is float64 where no point
+        lies in the closure of a non-real segment (so on the real branches,
+        where it is exactly real), with the bits of the real parts that
+        the complex path gives the same points; else, and for a
+        composition, it is complex."""
         raise NotImplementedError
 
     # -- public surface ----------------------------------------------------
@@ -111,7 +116,7 @@ class PhiFunction:
         pole.  NaN off the real branches (a principal value not resolved)
         raises ConvergenceError naming the point; on a branch it stays NaN."""
         arr, scalar = _as_array(x, float)
-        out = self._boundary_values(arr)
+        out = self._boundary_values(arr).astype(complex, copy=False)
         return complex(out[0]) if scalar else out
 
     def boundary_value(self, x: float) -> complex:
@@ -203,7 +208,12 @@ class PhiFunction:
         A finite end whose root lies beyond the scan limit raises
         ConvergenceError (_require_reach)."""
         lo, hi = (np.asarray(v, dtype=float).ravel() for v in (lo, hi))
-        ends, inv = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        return self._pull(*np.unique(np.concatenate([lo, hi]), return_inverse=True))
+
+    def _pull(self, ends: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """pullback's rows from the distinct ends and the inverse that
+        gives the intervals' lo (its first half) and hi (its second)."""
+        count = inv.size // 2
         solved, tables = ~np.isinf(ends), self.branch_tables()
         targets = ends[solved]
         self._require_reach(tables, targets)
@@ -213,22 +223,30 @@ class PhiFunction:
             x[i] = np.where(ends < 0.0, tbl.branch.left, tbl.branch.right)
             x[i, solved] = tbl.clamp(targets, roots[i])
         del roots
-        xa, xb = x[:, inv[:lo.size]], x[:, inv[lo.size:]]
+        xa, xb = x[:, inv[:count]], x[:, inv[count:]]
         del x  # freed before the rows are built: the peak of a deep power's pullback
         keep = xb > xa
         # stored by column, so that pulling the rows back reads contiguous ends
-        return np.stack([np.flatnonzero(keep) % lo.size, xa[keep], xb[keep]]).T
+        return np.stack([np.flatnonzero(keep) % count, xa[keep], xb[keep]]).T
 
-    def pullbacks(self, lo, hi):
+    def pullbacks(self, lo, hi, max_roots: float = math.inf):
         """Yields the preimages of the intervals (lo_k, hi_k) under phi, phi_2,
         phi_3, ... as pullback's rows (k, xa, xb): power n's rows are power
         n - 1's pulled back through the map, phi_n^-1(I) = phi^-1(phi_(n-1)^-1(I)),
         each keeping the k of the row it came from.  No composition is
-        tabulated."""
+        tabulated.  Before pulling a power's rows back, the size of the root
+        table that pullback would solve, distinct ends times branch tables,
+        is known; where it exceeds ``max_roots`` the generator stops and
+        returns that size (the value of its StopIteration)."""
         rows = self.pullback(lo, hi)
         while True:
             yield rows
-            pulled = self.pullback(rows[:, 1], rows[:, 2])
+            ends, inv = np.unique(np.concatenate([rows[:, 1], rows[:, 2]]), return_inverse=True)
+            size = ends.size * len(self.real_branches)
+            if size > max_roots:
+                return size
+            pulled = self._pull(ends, inv)
+            del ends, inv  # not held while the rows are read
             pulled[:, 0] = rows[pulled[:, 0].astype(int), 0]
             rows = pulled
 
@@ -253,12 +271,13 @@ class PhiFunction:
                 "(singular-continuous representing measure)")
 
     def value_limit(self, branch: Branch, side: str) -> float:
-        """One-sided boundary limit at a branch endpoint; +-inf when the
-        probe differences do not contract."""
+        """One-sided boundary limit at a branch endpoint, from the branch
+        table's three probe values nearest it; +-inf when their differences
+        do not contract."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         tbl = self.branch_table(branch)
-        v1, v2, v3 = np.real(tbl.f(tbl.xs[:3] if side == "left" else tbl.xs[:-4:-1])[0]).tolist()
+        v1, v2, v3 = (tbl.values[:3] if side == "left" else tbl.values[:-4:-1]).tolist()
         d12, d23 = abs(v1 - v2), abs(v2 - v3)
         if d12 >= 0.9 * d23 and d12 > 1e-9 * (1.0 + abs(v1)):
             return -math.inf if side == "left" else math.inf
@@ -331,17 +350,20 @@ class NevanlinnaPhi(PhiFunction):
                        ) -> tuple[np.ndarray, np.ndarray | None]:
         """The Plemelj limits of phi, and of phi' where asked, from one pass
         over rho (the slope is NaN inside a density piece given by a
-        callable); complex(inf, 0) at the atoms of rho."""
+        callable); inf at the atoms of rho.  Where no point lies in a
+        density piece (ends included) the pass takes no Plemelj limit and
+        stays in real arithmetic, which gives the real parts of the limits
+        bit for bit: the pair is float64."""
         start = self.data.alpha + self.data.beta * x
+        pv = any(((p.left <= x) & (x <= p.right)).any() for p in self.rho.ac_pieces)
         if slope:
-            value, d = kernel_integral(self.rho, _kernel_pair, x, pv=True,
+            value, d = kernel_integral(self.rho, _kernel_pair, x, pv=pv,
                                        start=(start, self.data.beta))
         else:
-            value, d = kernel_integral(self.rho, _kernel, x, pv=True, start=start), None
-        value = np.asarray(value, dtype=complex)
+            value, d = kernel_integral(self.rho, _kernel, x, pv=pv, start=start), None
         odd = ~np.isfinite(value)  # atoms, piece ends and unresolved principal values
         if odd.any():
-            value[odd & np.isin(x, [p for (p, _) in self.rho.atoms])] = complex(math.inf, 0.0)
+            value[odd & np.isin(x, [p for (p, _) in self.rho.atoms])] = math.inf
         return value, d
 
 
@@ -383,13 +405,16 @@ _kernel_pair.tree = (_tree_weights, (0, 1))
 
 class ClosedFormPhi(NevanlinnaPhi):
     """Catalog map: representation data, which give its structure as they
-    give any map's, evaluated by closed forms for the value, the derivative
-    and the boundary value; its boundary pair is the pair of the last two."""
+    give any map's, evaluated by closed forms: the value, the derivative,
+    and the boundary pair ``pair_fn(x, slope)``, whose slope is the
+    derivative at x + 0j (every catalog map's branch cuts make it the limit
+    from above).  Where no point lies on the closed cut, the pair takes
+    real-branch forms in float64 (see PhiFunction._boundary_pair)."""
 
     def __init__(self, name: str, data: NevanlinnaData, eval_fn: Callable,
-                 boundary_fn: Callable, deriv_fn: Callable):
+                 deriv_fn: Callable, pair_fn: Callable):
         super().__init__(data, name)
-        self._eval_fn, self._boundary_fn, self._deriv_fn = eval_fn, boundary_fn, deriv_fn
+        self._eval_fn, self._deriv_fn, self._pair_fn = eval_fn, deriv_fn, pair_fn
 
     def _eval_complex(self, z):
         return self._eval_fn(z)
@@ -398,9 +423,7 @@ class ClosedFormPhi(NevanlinnaPhi):
         return self._deriv_fn(z)
 
     def _boundary_pair(self, x, slope: bool = True):
-        """The closed forms' boundary values and their derivative at x + 0j,
-        which every catalog map's branch cuts make the limit from above."""
-        return self._boundary_fn(x), self._deriv_fn(x.astype(complex)) if slope else None
+        return self._pair_fn(x, slope)
 
 
 class IteratedPhi(PhiFunction):
@@ -432,11 +455,13 @@ class IteratedPhi(PhiFunction):
                          support_hull=hull, name=f"{base.name}^{n}")
         self.base, self.n = base, n
 
-    def pullback(self, lo, hi) -> np.ndarray:
-        """The preimages of the intervals (lo_k, hi_k) as rows (k, xa, xb),
-        pulled back n times through the base map's own tables (pullbacks):
-        no table of the composition is built."""
-        return next(islice(self.base.pullbacks(lo, hi), self.n - 1, None))
+    def _pull(self, ends: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """The preimages of the intervals as rows (k, xa, xb), pulled back n
+        times through the base map's own tables (pullbacks): no table of
+        the composition is built."""
+        count = inv.size // 2
+        return next(islice(self.base.pullbacks(ends[inv[:count]], ends[inv[count:]]),
+                           self.n - 1, None))
 
     def _eval_complex(self, z):
         return self._steps(z, slope=False)[0]
@@ -508,6 +533,30 @@ def _sqrt_prod_slope(z: np.ndarray) -> np.ndarray:
         return np.where(s == 0.0, np.nan, z / s)
 
 
+def _sqrt_pair(x: np.ndarray, slope: bool):
+    """The boundary pair of _sqrt_prod: off the cut [-1, 1] in float64,
+    sign(x) sqrt|x - 1| sqrt|x + 1| and x (1/s), the bits of the complex
+    forms' real parts (numpy divides by a complex s as a product with
+    1/s); else the complex forms at x + 0j."""
+    if (np.abs(x) > 1.0).all():
+        s = np.copysign(np.sqrt(np.abs(x - 1.0)) * np.sqrt(np.abs(x + 1.0)), x)
+        return s, x * (1.0 / s) if slope else None
+    z = x.astype(complex)
+    return _sqrt_prod(z), _sqrt_prod_slope(z) if slope else None
+
+
+def _log_pair(value: np.ndarray, cut: np.ndarray, deriv: Callable, x: np.ndarray, slope: bool):
+    """The boundary pair of a map whose limit from above is its real part
+    ``value`` plus i pi on the closed cut ``cut``: float64 where no point
+    lies on the cut, with the slope deriv(x), else complex, with the slope
+    deriv(x + 0j).  Both slopes have the same bits where ``deriv`` divides
+    only powers of two (numpy's complex division multiplies by the
+    divisor's reciprocal, which is exact for those)."""
+    if not cut.any():
+        return value, deriv(x) if slope else None
+    return value + 1j * math.pi * cut, deriv(x.astype(complex)) if slope else None
+
+
 def _sqrt_density(t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - t * t, 0.0, None)) / (math.pi * (1.0 + t * t))
 
@@ -522,58 +571,56 @@ def _sqrt_piece() -> AcPiece:
 def _make_sqrt() -> ClosedFormPhi:
     return ClosedFormPhi(
         "sqrt", NevanlinnaData(0.0, 1.0, RealMeasure(ac_pieces=(_sqrt_piece(),))),
-        _sqrt_prod, lambda x: _sqrt_prod(x.astype(complex)), _sqrt_prod_slope)
+        _sqrt_prod, _sqrt_prod_slope, _sqrt_pair)
 
 
 def _make_zlog() -> ClosedFormPhi:
-    def boundary_fn(x):
-        out = np.empty(x.shape, dtype=complex)
-        pos = x > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[pos] = x[pos] + np.log(x[pos])
-            out[~pos] = x[~pos] + np.log(np.abs(x[~pos])) + 1j * math.pi
-        return out
+    deriv_fn = lambda z: 1.0 + 1.0 / z
+
+    def pair_fn(x, slope):  # x + log|x|, and i pi on the cut x <= 0
+        with np.errstate(divide="ignore"):
+            value = x + np.log(np.abs(x))
+        return _log_pair(value, x <= 0.0, deriv_fn, x, slope)
 
     return ClosedFormPhi(
         "zlog", NevanlinnaData(0.0, 1.0, RealMeasure.poisson(-math.inf, 0.0)),
-        lambda z: z + np.log(z), boundary_fn, lambda z: 1.0 + 1.0 / z)
+        lambda z: z + np.log(z), deriv_fn, pair_fn)
 
 
 def _make_zloglin(alpha: float = 0.0) -> ClosedFormPhi:
     alpha = float(alpha)
+    deriv_fn = lambda z: 1.0 + 2.0 / ((z - 1.0) * (z + 1.0))
 
-    def boundary_fn(x):
-        out = np.empty(x.shape, dtype=complex)
-        on = np.abs(x) > 1.0
+    def pair_fn(x, slope):
+        # alpha + x + log|(x - 1)/(x + 1)|, and i pi on the cut |x| <= 1, where
+        # (1 - x)/(1 + x) is the negated quotient bit for bit
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[on] = alpha + x[on] + np.log((x[on] - 1.0) / (x[on] + 1.0))
-            xin = x[~on]
-            out[~on] = (alpha + xin + np.log((1.0 - xin) / (1.0 + xin))
-                        + 1j * math.pi)
-        return out
+            value = alpha + x + np.log(np.abs((x - 1.0) / (x + 1.0)))
+        return _log_pair(value, np.abs(x) <= 1.0, deriv_fn, x, slope)
 
     return ClosedFormPhi(
         f"zloglin(alpha={alpha})", NevanlinnaData(alpha, 1.0, RealMeasure.poisson(-1.0, 1.0)),
-        lambda z: alpha + z + np.log(z - 1.0) - np.log(z + 1.0), boundary_fn,
-        lambda z: 1.0 + 2.0 / ((z - 1.0) * (z + 1.0)))
+        lambda z: alpha + z + np.log(z - 1.0) - np.log(z + 1.0), deriv_fn, pair_fn)
 
 
 def _make_sqrtpole(alpha: float = 0.0) -> ClosedFormPhi:
     alpha = float(alpha)
 
-    def boundary_fn(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return alpha + _sqrt_prod(x.astype(complex)) + 1.0 / (1.0 - x)
-
     def deriv_fn(z):
         with np.errstate(divide="ignore", invalid="ignore"):  # the pole at 1
             return _sqrt_prod_slope(z) + 1.0 / (1.0 - z) ** 2
+
+    def pair_fn(x, slope):
+        s, ds = _sqrt_pair(x, slope)
+        w = x if s.dtype == float else x.astype(complex)  # the slope's arithmetic
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return alpha + s + 1.0 / (1.0 - x), ds + 1.0 / (1.0 - w) ** 2 if slope else None
 
     # 1/(1 - z) is the atom (1, 1/2), whose kernel adds 1/(1 - z) - 1/2
     rho = RealMeasure(atoms=((1.0, 0.5),), ac_pieces=(_sqrt_piece(),))
     return ClosedFormPhi(
         f"sqrtpole(alpha={alpha})", NevanlinnaData(alpha + 0.5, 1.0, rho),
-        lambda z: alpha + _sqrt_prod(z) + 1.0 / (1.0 - z), boundary_fn, deriv_fn)
+        lambda z: alpha + _sqrt_prod(z) + 1.0 / (1.0 - z), deriv_fn, pair_fn)
 
 
 #: name -> (factory, parameter names)

@@ -124,6 +124,31 @@ def test_similarity_zloglin5(tmp_path):
     assert all(float(r["lower_bound"]) > 1e-3 for r in powers["rows"])
 
 
+def test_similarity_names_a_stop_at_the_root_budget(tmp_path, capsys):
+    """A 300-atom map at similarity_depth 4 exits 0 within seconds: its
+    powers stop at 2, before power 3's root table of 5.5e7 roots passes
+    the budget, and the stdout line names the stop (this config once held
+    that table); a run that reaches its depth prints the status alone."""
+    import numpy as np
+    atoms = [[float(p), 1.0 / 300.0] for p in np.linspace(-3.0, 3.0, 300)]
+    cfg = write_config(tmp_path, {
+        "phi": {"nevanlinna": {"alpha": 1.0, "beta": 1.0, "atoms": atoms}},
+        "grids": {"centers": [0.0], "lengths": [1.0]}, "similarity_depth": 4, "format": "json"})
+    start = time.perf_counter()
+    assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 30.0
+    assert capsys.readouterr().out == (
+        "similarity: certified; powers 1 to 2 of 4: power 3 would solve 54541802 branch "
+        "roots, over the budget of 8388608\n")
+    powers = json.loads((tmp_path / "similarity_powers.json").read_text())["rows"]
+    assert [r["power"] for r in powers] == [1, 2]
+    cfg = write_config(tmp_path, {"phi": {"catalog": "zloglin", "params": {"alpha": 5.0}},
+                                  "grids": {"centers": [0.0], "lengths": [1.0]},
+                                  "format": "json"}, "zloglin5.json")
+    assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "similarity: certified\n"
+
+
 def test_similarity_sqrt_failed(tmp_path):
     cfg = write_config(tmp_path, {"phi": {"catalog": "sqrt"}, "format": "json"})
     assert run(["similarity", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -369,3 +369,58 @@ def test_catalog_slope_at_the_branch_points_is_nan(name, params):
     pole = 1.0 / (1.0 - z) ** 2 if name == "sqrtpole" else 0.0
     assert np.array_equal(phi._derivative_complex(z),
                           z / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0)) + pole)
+
+
+def _branch_samples(branch):
+    """Points across a real branch: from 2^-1 to 2^-45 of its scale in
+    from every finite end, its middle, and out to +-1e8 toward an infinite
+    end, the strictly interior ones."""
+    l, r = branch.left, branch.right
+    x = [np.asarray([0.5 * (max(l, -1e8) + min(r, 1e8))]),
+         np.geomspace(1.0, 1e8, 9), -np.geomspace(1.0, 1e8, 9)]
+    for e, s in ((l, 1.0), (r, -1.0)):
+        if np.isfinite(e):
+            x.append(e + s * min(max(1.0, abs(e)), r - l) * 2.0 ** -np.arange(1.0, 46.0, 4.0))
+    x = np.concatenate(x)
+    return np.unique(x[(x > l) & (x < r)])
+
+
+def _representation_map(name):
+    """The map of a row of the CLI's representation config matrix."""
+    from test_cli import _REPRESENTATION_ROWS
+    from uhprange.cli import build_phi
+    return build_phi({"phi": {"nevanlinna": _REPRESENTATION_ROWS[name][0]}})
+
+
+# every catalog map, and every row of the CLI matrix whose map is built (the
+# rows at 2e8 and -1e8 are refused), all of which have real branches
+_PAIR_MAPS = ([(f"{name}{params}", lambda n=name, p=params: phi_from_catalog(n, **p))
+               for name, params in _CATALOG_MAPS]
+              + [(name, lambda n=name: _representation_map(n))
+                 for name in ("atom_9e7", "atoms3", "beta2", "cantor", "empty", "halfline",
+                              "halfline_atom", "overlap", "readme", "readme_no_cantor",
+                              "translation_pole")])
+
+
+@pytest.mark.parametrize("name,make", _PAIR_MAPS, ids=[n for n, _ in _PAIR_MAPS])
+def test_boundary_pair_on_the_real_branches_is_float64(name, make):
+    """On the real branches a catalog or representation map's boundary pair
+    is float64, and its bits are the real parts of the complex pair that
+    the same points give together with one point inside a non-real
+    segment; boundary() stays complex128."""
+    phi = make()
+    assert phi.real_branches
+    x = np.concatenate([_branch_samples(b) for b in phi.real_branches])
+    value, slope = phi._boundary_pair(x)
+    assert value.dtype == np.float64 and slope.dtype == np.float64
+    assert np.isfinite(value).all() and (slope > 0).all()
+    assert np.array_equal(phi._boundary_pair(x, slope=False)[0].view(np.int64),
+                          value.view(np.int64))
+    w = phi.boundary(x)
+    assert w.dtype == np.complex128 and np.array_equal(w.real, value) and not w.imag.any()
+    for l, r in phi.nonreal_segments:
+        inside = 0.5 * (l + r) if np.isfinite(l + r) else (l + 1.0 if np.isfinite(l) else r - 1.0)
+        ref, ref_slope = phi._boundary_pair(np.append(x, inside))
+        assert ref.dtype == np.complex128 and ref[-1].imag > 0
+        assert np.array_equal(ref.real[:-1].copy().view(np.int64), value.view(np.int64))
+        assert np.array_equal(np.real(ref_slope)[:-1].copy().view(np.int64), slope.view(np.int64))

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from uhprange import (NevanlinnaData, PreconditionError, QueryGrid, RealMeasure,
                       phi_translation, similarity_certificate,
                       similarity_lower_bound)
 from uhprange._roots import BranchTable
-from uhprange.range_analysis import _orbit_product_log_bound
+from uhprange.levelset import row_measure
+from uhprange.range_analysis import (SIMILARITY_ROOTS, _grid_intervals, _grid_min,
+                                     _orbit_product_log_bound, default_grid)
 
 
 def test_zloglin5_certified():
@@ -209,3 +212,44 @@ def test_contraction_identity_translation():
 def test_contraction_zloglin():
     assert contraction_check(phi_from_catalog("zloglin", alpha=0.0),
                              m=20, seed=0) <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("name,grid", [("zloglin5", None), ("three_atoms", _REF_GRID)])
+def test_lower_bound_branch_roots_stay_float64(name, grid):
+    """Every evaluation of the branch tables behind the power floors
+    returns a float64 pair: the roots stay in real arithmetic, where the
+    complex path took about twice as long for zloglin(5)'s pair."""
+    phi = _POWER_MAPS[name]()
+    dtypes = []
+    for tbl in phi.branch_tables():
+        def f(x, f=tbl.f):
+            pair = f(x)
+            dtypes.extend(v.dtype for v in pair)
+            return pair
+        tbl.f = f
+    assert similarity_lower_bound(phi, N=4, grid=grid).max_depth == 4
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_lower_bound_stops_at_the_root_budget():
+    """A power whose pullback would solve more than SIMILARITY_ROOTS roots
+    is not pulled: 300 atoms have 301 branches, so power 3 on one grid
+    interval would solve 5.5e7 roots (the table grows as 301^n), and the
+    powers stop at 2 and name it.  Without the budget the call went on to
+    hold that table, and power 4's 301 times larger.  A run that fits
+    is untouched: zloglin(5)'s four powers are the pulled rows' floors bit
+    for bit, with no stop reason."""
+    atoms = [(float(p), 1.0 / 300.0) for p in np.linspace(-3.0, 3.0, 300)]
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(atoms)))
+    lb = similarity_lower_bound(phi, N=4, grid=QueryGrid((0.0,), (1.0,)))
+    assert lb.max_depth == len(lb.values) == 2
+    assert lb.stop_reason == (f"power 3 would solve 54541802 branch roots, "
+                              f"over the budget of {SIMILARITY_ROOTS}")
+    assert all(abs(v - 1.0) < 1e-7 for v in lb.values)  # Letac
+    phi = _POWER_MAPS["zloglin5"]()
+    lb = similarity_lower_bound(phi, N=4)
+    grid = default_grid(phi)
+    a, b = _grid_intervals(grid)
+    ref = [_grid_min(row_measure(rows, a.shape) / np.asarray(grid.lengths)[:, None], grid).value
+           for rows in islice(phi.pullbacks(a, b), 4)]
+    assert lb.values == tuple(ref) and lb.max_depth == 4 and lb.stop_reason is None
