@@ -35,12 +35,11 @@ its one-table case.  Each element keeps its own state, so the roots are
 those of one solve per table, bit for bit.
 
 A non-real boundary segment has a table too (SegmentTable): the complex
-boundary values on a grid refined to a fixed rule, with a bound on each
-interval's deviation from its chord, which the disk queries of
-levelset.disk_panels prune against and bracket their roots on.  The other
-sweeps over a density segment (the Clark density tables, the tail scan of
-a Cauchy transform) take its probe points with fixed rounds of midpoints
-(probe_grid).
+values of a map, or of -1/G over a measure's density, on a grid refined to
+a fixed rule, with a bound on each interval's deviation from its chord,
+which levelset's disk and tail queries prune against and bracket their
+roots on.  The Clark density tables take a segment's probe points with
+fixed rounds of midpoints (probe_grid).
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def probe_points(branch: Branch) -> np.ndarray:
 def probe_grid(segment: tuple[float, float], rounds: int) -> np.ndarray:
     """The segment's probe points with a midpoint put between every two
     neighbours, ``rounds`` times over (n points become 2^rounds (n - 1) + 1):
-    the grid that every sweep over a density segment starts from."""
+    the grid of the Clark density tables."""
     xs = probe_points(Branch(*segment))
     for _ in range(rounds):
         xs = np.insert(xs, np.arange(1, xs.size), 0.5 * (xs[:-1] + xs[1:]))

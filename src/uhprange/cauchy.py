@@ -7,8 +7,11 @@ itself the Cauchy transform of a probability measure when beta = 1.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from ._roots import SegmentTable
 from .errors import DomainError, PreconditionError
 from .herglotz import PhiFunction, require_contraction
 from .measures import RealMeasure, cauchy_kernel, cauchy_kernel_pair, kernel_integral
@@ -88,11 +91,15 @@ class CauchyTransform:
             if len(hit):
                 raise DomainError(f"Re G undefined exactly at a point mass ({hit[0]})")
             if slope:
-                return tuple(v.real for v in kernel_integral(
-                    self.measure, cauchy_kernel_pair, np.asarray(x, dtype=float), tol=1e-10,
-                    pv=True))
-            out = kernel_integral(self.measure, cauchy_kernel, arr, tol=1e-10, pv=True).real
+                return tuple(v.real for v in self._boundary_pair(np.asarray(x, dtype=float)))
+            out = self._boundary_pair(arr, slope=False)[0].real
         return out if np.ndim(x) else float(out[0])
+
+    def _boundary_pair(self, x: np.ndarray, slope: bool = True):
+        """(G, G') at x + i0 of a measure source, or (G, None); unchecked."""
+        if slope:
+            return kernel_integral(self.measure, cauchy_kernel_pair, x, tol=1e-10, pv=True)
+        return kernel_integral(self.measure, cauchy_kernel, x, tol=1e-10, pv=True), None
 
     def _resolvent_re(self, x: np.ndarray) -> np.ndarray:
         return np.real(1.0 / (self.tau - self.phi.boundary(x)))
@@ -103,6 +110,21 @@ class CauchyTransform:
         if self.kind != "measure":
             raise PreconditionError("point masses only available for measure sources")
         return self._pos, self._w
+
+    @cached_property
+    def segment_tables(self) -> list[SegmentTable]:
+        """One table of F(x + i0) = -1/G(x + i0) per density segment cut at
+        the nodes, built on first use and kept: F maps C+ to C+ (Bercovici and
+        Voiculescu), so Re G > y (< -y) where F is in the disk over (-1/y, 0) ((0, 1/y))."""
+        ends = np.union1d(self._pos, self.measure.density_segments).tolist()
+        if not np.isfinite(ends).all():
+            raise PreconditionError("density intervals must be finite for tail sets")
+        return [SegmentTable((u, v), self._reciprocal) for u, v in zip(ends[:-1], ends[1:])
+                if any(l <= u and v <= r for l, r in self.measure.density_segments)]
+
+    def _reciprocal(self, x: np.ndarray) -> np.ndarray:
+        """F(x + i0) = -1/G(x + i0) at real points."""
+        return -1.0 / self._boundary_pair(x, slope=False)[0]
 
 
 def cauchy_transform(mu: RealMeasure) -> CauchyTransform:

@@ -28,6 +28,10 @@ from .measures import AcPiece, RealMeasure, gaps_between, kernel_integral
 #: preimage_window pads its window by this share of its width, at least 1.
 _WINDOW_PAD = 0.1
 
+#: Most branch roots, distinct ends times branch tables, that one power of
+#: PhiFunction.pullbacks may solve (power 4 of five atoms solves 6.3e6).
+PULLBACK_ROOTS = 2 ** 23
+
 
 @dataclass(frozen=True)
 class NevanlinnaData:
@@ -229,22 +233,23 @@ class PhiFunction:
         # stored by column, so that pulling the rows back reads contiguous ends
         return np.stack([np.flatnonzero(keep) % count, xa[keep], xb[keep]]).T
 
-    def pullbacks(self, lo, hi, max_roots: float = math.inf):
+    def pullbacks(self, lo, hi):
         """Yields the preimages of the intervals (lo_k, hi_k) under phi, phi_2,
         phi_3, ... as pullback's rows (k, xa, xb): power n's rows are power
         n - 1's pulled back through the map, phi_n^-1(I) = phi^-1(phi_(n-1)^-1(I)),
         each keeping the k of the row it came from.  No composition is
         tabulated.  Before pulling a power's rows back, the size of the root
         table that pullback would solve, distinct ends times branch tables,
-        is known; where it exceeds ``max_roots`` the generator stops and
-        returns that size (the value of its StopIteration)."""
-        rows = self.pullback(lo, hi)
+        is known; where it exceeds PULLBACK_ROOTS the generator stops with
+        UnsupportedStructureError naming that size."""
+        rows, power = self.pullback(lo, hi), 1
         while True:
             yield rows
             ends, inv = np.unique(np.concatenate([rows[:, 1], rows[:, 2]]), return_inverse=True)
-            size = ends.size * len(self.real_branches)
-            if size > max_roots:
-                return size
+            size, power = ends.size * len(self.real_branches), power + 1
+            if size > PULLBACK_ROOTS:
+                raise UnsupportedStructureError(f"power {power} would solve {size} branch roots, "
+                                                f"over the budget of {PULLBACK_ROOTS}")
             pulled = self._pull(ends, inv)
             del ends, inv  # not held while the rows are read
             pulled[:, 0] = rows[pulled[:, 0].astype(int), 0]

@@ -5,9 +5,9 @@ intervals under the boundary map, preimages of disks with a real
 diameter, and the tail sets {Re G > y} / {Re G < -y} of a Cauchy
 transform.  Each is a batch of rows (k, u, v) measured by row_measure.
 Disks are read off the map's cached tables of its non-real boundary
-segments; a measure's tail sets off its support and on its density scan,
-their crossings closed in one root solve.  A seeded Monte Carlo estimator
-provides an independent check on every deterministic value.
+segments; a measure's tail sets off its support and, as disks of -1/G,
+off the tables of its density segments, all roots in one solve.  A seeded
+Monte Carlo estimator checks every deterministic value independently.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect_increasing, probe_grid, uncertified
+from ._roots import bisect_increasing, uncertified
 from .cauchy import CauchyTransform
 from .errors import PreconditionError, WindowError
 from .herglotz import PhiFunction
@@ -27,6 +27,9 @@ _EPS = np.finfo(float).eps
 
 #: Abscissa tolerance of the disk crossings (disk_panels).
 _DISK_TOL = 1e-8
+
+#: Probe rounds of disk_panels on intervals the table's bounds leave unsure.
+_PROBES = 2
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,10 @@ def disk_panels(phi: PhiFunction, a, b, tol: float = _DISK_TOL) -> tuple[np.ndar
     h = |phi - c|^2 - r^2 has exact signs at the nodes.  Ends on one side
     are certified by the bounds of uncertified, else split at its probe
     up to _PROBES times; what stays unsure is unresolved width on its
-    ends' side.  Each sign change is a crossing, closed to ``tol`` by
-    bisect_increasing, with h' = 2 Re(conj(phi - c) phi') where the map
-    gives phi'.  Panels run between crossings and segment ends (the strip
-    past the outermost node takes its side).
+    ends' side.  Each sign change is a crossing, and every table's are
+    closed to ``tol`` in one bisect_increasing call, h' = 2 Re(conj(phi - c)
+    phi') where the map gives phi'.  Panels run between crossings and
+    segment ends (the strip past the outermost node takes its side).
     Returns rows (disk, u, v), sorted by disk, then segment and u, and the
     unresolved widths; a disk's rows do not depend on its batch.
     """
@@ -98,8 +101,19 @@ def disk_panels(phi: PhiFunction, a, b, tol: float = _DISK_TOL) -> tuple[np.ndar
     if not np.all(np.isfinite(a) & np.isfinite(b) & (a < b)):
         raise PreconditionError("disks need finite diameters (a, b) with a < b")
     c, r = 0.5 * (a + b), 0.5 * (b - a)
-    found, open_width = [np.empty((0, 3))], np.zeros(a.size)
-    for table in phi.segment_tables():
+    lo, hi, h, start, panels, open_width = _crossings(
+        phi.segment_tables(), lambda x: phi._boundary_pair(x, slope=False)[0], c, r)
+    f = lambda x, i: h(*phi._boundary_pair(x), i)
+    f.per_element = True
+    return panels(bisect_increasing(f, lo, hi, 0.0, xtol=tol, start=start)), open_width
+
+
+def _crossings(tables, values, c, r):
+    """disk_panels' crossings on the tables of ``values(x)``: brackets (lo, hi);
+    h(w, dw, i) = s (|w - c|^2 - r^2) of element i, rising (s = +-1), with its
+    slope (None where dw is); secant starts; panels(roots); open widths."""
+    found, ends, open_width = [(np.empty(0, dtype=int),) + (np.empty(0),) * 4], [], np.zeros(c.size)
+    for t, table in enumerate(tables):
         k, j = table.candidates(c, r)
         x0, x1, p0, p1, dev = (table.x[j], table.x[j + 1], table.values[j],
                                table.values[j + 1], table.dev[j])
@@ -114,46 +128,37 @@ def disk_panels(phi: PhiFunction, a, b, tol: float = _DISK_TOL) -> tuple[np.ndar
             if not (probes and k.size):
                 break
             xp = x0 + s * (x1 - x0)
-            pp = phi._boundary_pair(xp, slope=False)[0]
+            pp = values(xp)
             k, (x0, x1, p0, p1, dev) = np.tile(k, 2), (np.concatenate(u) for u in (
                 (x0, xp), (xp, x1), (p0, pp), (pp, p1), (dev * s * s, dev * (1.0 - s) ** 2)))
-        open_width += np.bincount(k, x1 - x0, minlength=a.size)
-        kq, lo, hi, alo, ahi = (np.concatenate(u) for u in zip(*brackets))
-        roots = _crossings(phi._boundary_pair, c[kq], r[kq], lo, hi, alo, ahi, tol)
+        open_width += np.bincount(k, x1 - x0, minlength=c.size)
+        found.append(tuple(np.concatenate(u) for u in zip(*brackets)))
         # a disk's panels pair its ends in order: the left end where its first
         # node is inside, its crossings, and the right end where they are odd
         first = np.flatnonzero(np.abs(table.values[0] - c) < r)
-        odd = np.flatnonzero(np.bincount(np.concatenate([first, kq]), minlength=a.size) % 2)
-        ek = np.concatenate([first, kq, odd])
-        ex = np.concatenate([np.full(first.size, table.ends[0]), roots,
-                             np.full(odd.size, table.ends[1])])
-        order = np.lexsort((ex, ek))
-        rows = np.column_stack([ek[order][::2], ex[order].reshape(-1, 2)])
-        found.append(rows[rows[:, 2] > rows[:, 1]])
-    rows = np.concatenate(found)
-    return rows[np.argsort(rows[:, 0], kind="stable")], open_width
-
-
-#: Probe rounds of disk_panels on intervals the table's bounds leave unsure.
-_PROBES = 2
-
-
-def _crossings(f, c, r, lo, hi, alo, ahi, tol: float) -> np.ndarray:
-    """The root of h = |phi - c|^2 - r^2 in each bracket (lo, hi), with
-    |phi - c| = alo, ahi there, from h's secant point; f gives phi, phi'."""
+        odd = np.flatnonzero(np.bincount(np.concatenate([first, found[-1][0]]), minlength=c.size) % 2)
+        ends.append(np.column_stack([np.concatenate([first, odd]), np.full(first.size + odd.size, t),
+                                     np.repeat(table.ends, [first.size, odd.size])]))
+    kq, lo, hi, alo, ahi = (np.concatenate(u) for u in zip(*found))
+    tq = np.repeat(np.arange(len(tables)), [u[0].size for u in found[1:]])
+    c, r = c[kq], r[kq]
     sign = np.where(alo < r, 1.0, -1.0)  # h rises where lo is inside
     hlo, hhi = (alo - r) * (alo + r), (ahi - r) * (ahi + r)
     with np.errstate(divide="ignore", invalid="ignore"):
         start = lo + (hi - lo) * hlo / (hlo - hhi)
 
-    def h(xs, i):
-        w, dw = f(xs)
+    def h(w, dw, i):
         z, t = w - c[i], np.abs(w - c[i])
         slope = None if dw is None else sign[i] * 2.0 * (z.real * dw.real + z.imag * dw.imag)
         return sign[i] * (t - r[i]) * (t + r[i]), slope
 
-    h.per_element = True
-    return bisect_increasing(h, lo, hi, 0.0, xtol=tol, start=start)
+    def panels(roots):  # sorted by disk, then segment and u
+        ek, et, ex = np.concatenate([np.column_stack([kq, tq, roots])] + ends).T
+        order = np.lexsort((ex, et, ek))
+        rows = np.column_stack([ek[order][::2], ex[order].reshape(-1, 2)])
+        return rows[rows[:, 2] > rows[:, 1]]
+
+    return lo, hi, h, start, panels, open_width
 
 
 def disk_measures(phi: PhiFunction, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,21 +229,19 @@ def tail_rows(G: CauchyTransform, ys: np.ndarray) -> np.ndarray:
     (k, u, v), sorted by k and u: query 2i is {Re G > ys[i]}, 2i + 1 is
     {Re G < -ys[i]}.  Off the singular support Re G increases across each
     gap, and from 0 to its edge value on each end component: each is a row
-    whole or cut at its root.  Inside a density segment, cut at the atoms, a
-    row is a run of scan points beyond the level (probe_grid with one round
-    of midpoints; the ends count as below every level, standing in for a
-    crossing that hugs a blow-up point) closed at its crossings.  The probes
-    and the scan take one boundary_re call for every level.  Every crossing
-    is an element k of one root solve of the increasing m_k Re G = target
-    (m_k = +-1), with (Re G, Re G') from one boundary_re pass, whose NaN
-    slope inside a piece without a closed form bisects; a gap root starts at
-    _secular_start, an end root at the root of its one-pole model."""
+    whole or cut at its root (started at _secular_start, or an end root at
+    its one-pole model's).  Inside the density segments they are the panels
+    of F = -1/G (G.segment_tables) in the disks over (-1/y, 0) and (0, 1/y).
+    All roots are one solve at xtol _TAIL_TOL, from one G._boundary_pair
+    pass for G, G' and F' = G'/G^2 (NaN inside a callable piece: bisected)."""
     targets = (ys[:, None] * np.asarray([1.0, -1.0])).ravel()
     level, sgn = np.abs(targets), np.sign(targets)
     upper = sgn > 0
+    # query k's disk over (-1/y, 0) or (0, 1/y); an infinite density segment raises here
+    dlo, dhi, h, cross_start, panels, _ = _crossings(G.segment_tables, G._reciprocal,
+                                                     -0.5 * sgn / level, 0.5 / level)
     pos, _ = G.point_masses()
-    acs = G.measure.density_segments
-    comps = gaps_between([(p, p) for p in pos.tolist()] + list(acs))
+    comps = gaps_between([(p, p) for p in pos.tolist()] + list(G.measure.density_segments))
     gl, gr = np.asarray([c for c in comps if np.isfinite(c[0]) and np.isfinite(c[1])
                          and c[1] > c[0]]).reshape(-1, 2).T
     lo, hi = _nudge_in(gl, gr - gl, +1.0), _nudge_in(gr, gr - gl, -1.0)
@@ -246,11 +249,9 @@ def tail_rows(G: CauchyTransform, ys: np.ndarray) -> np.ndarray:
     edges = np.asarray([next((r for l, r in comps if l == -math.inf and np.isfinite(r)), np.nan),
                         next((l for l, r in comps if r == math.inf and np.isfinite(l)), np.nan)])
     nears, has = _nudge_in(edges, np.ones(2), np.asarray([-1.0, 1.0])), ~np.isnan(edges)
-    xs, end = _scan_points(acs, pos)
-    values = G.boundary_re(np.concatenate([lo, hi, nears[has], xs[~end]]))
-    flo, fhi = values[:lo.size], values[lo.size:2 * lo.size]
-    fnears, scan = np.full(2, np.nan), np.full(xs.size, np.nan)  # NaN is below every level
-    fnears[has], scan[~end] = np.split(values[2 * lo.size:], [has.sum()])
+    values = G.boundary_re(np.concatenate([lo, hi, nears[has]]))
+    flo, fhi, fnears = values[:lo.size], values[lo.size:2 * lo.size], np.full(2, np.nan)
+    fnears[has] = values[2 * lo.size:]
     # a gap is whole where the tail holds at its start, cut where it holds at its other end
     full = np.where(upper[:, None], flo >= level[:, None], fhi <= -level[:, None])
     mid = ~full & ~np.where(upper[:, None], fhi <= level[:, None], flo >= -level[:, None])
@@ -261,32 +262,27 @@ def tail_rows(G: CauchyTransform, ys: np.ndarray) -> np.ndarray:
     # a cut gap or end component runs from its root up for the upper tail, down for the lower
     kc = np.concatenate([km, ko])
     left, right = np.concatenate([gl[gm], edge[ko]]), np.concatenate([gr[gm], edge[ko]])
-    step = np.diff((sgn[:, None] * scan > level[:, None]).astype(np.int8), axis=1)
-    (kd, first), (_, last) = np.nonzero(step == 1), np.nonzero(step == -1)
-    a, b = xs[first], xs[last + 1]
-    rise, fall = ~end[first], ~end[last + 1]
-    kr, kl = kd[rise], kd[fall]
-    m = np.concatenate([np.ones(kc.size), sgn[kr], -sgn[kl]])
 
     def f(x, k):
-        g, dg = G.boundary_re(x, slope=True)
-        mk = m[k]
-        return mk * g, mk * dg
+        g, dg = G._boundary_pair(x)
+        value, slope = g.real.copy(), dg.real.copy()
+        i = np.flatnonzero(k >= kc.size)  # the crossings, of h(F, F')
+        value[i], slope[i] = h(-1.0 / g[i], dg[i] / (g[i] * g[i]), k[i] - kc.size)
+        return value, slope
 
     f.per_element = True
     roots = bisect_increasing(
-        f, np.concatenate([lo[gm], np.minimum(far, near)[ko], a[rise], xs[last[fall]]]),
-        np.concatenate([hi[gm], np.maximum(far, near)[ko], xs[first[rise] + 1], b[fall]]),
-        np.concatenate([targets[kc], level[kr], -level[kl]]), xtol=_TAIL_TOL,
+        f, np.concatenate([lo[gm], np.minimum(far, near)[ko], dlo]),
+        np.concatenate([hi[gm], np.maximum(far, near)[ko], dhi]),
+        np.concatenate([targets[kc], np.zeros(dlo.size)]), xtol=_TAIL_TOL,
         start=np.concatenate([
             _secular_start(gl[gm], gr[gm], -flo[gm] * (lo[gm] - gl[gm]),
                            fhi[gm] * (gr[gm] - hi[gm]), targets[km]),
-            edge[ko] - fnear[ko] * (edge[ko] - near[ko]) / targets[ko],
-            np.full(kr.size + kl.size, np.nan)]))
-    cut, a[rise], b[fall] = np.split(roots, [kc.size, kc.size + kr.size])
-    k, u, v = (np.concatenate(c) for c in zip(
+            edge[ko] - fnear[ko] * (edge[ko] - near[ko]) / targets[ko], cross_start]))
+    cut = roots[:kc.size]
+    k, u, v = (np.concatenate(part) for part in zip(
         (kf, gl[gf], gr[gf]), (kc, np.where(upper[kc], cut, left), np.where(upper[kc], right, cut)),
-        (kd, a, b)))
+        panels(roots[kc.size:]).T))
     return np.column_stack([k, u, v])[np.lexsort((u, k))]
 
 
@@ -311,21 +307,6 @@ def _secular_start(gl, gr, a, b, y) -> np.ndarray:
         s = np.sqrt((y * w + a - b) ** 2 + 4.0 * a * b)
         u = np.where(c >= 0.0, 2.0 * a * w / (c + s), (s - c) / (2.0 * y))
     return np.where((a > 0.0) & (b > 0.0) & np.isfinite(a + b), gl + u, np.nan)
-
-
-def _scan_points(acs, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The scan points of the density segments cut at the atoms, each piece's
-    ends around its probe_grid, and which of them are ends."""
-    xs, end = [np.empty(0)], [np.empty(0, dtype=bool)]
-    for left, right in acs:
-        cuts = [left, *np.sort(pos[(pos > left) & (pos < right)]).tolist(), right]
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            if not np.isfinite(v - u):
-                raise PreconditionError("density intervals must be finite for tail scans")
-            if v > u:
-                xs.append(np.concatenate([[u], probe_grid((u, v), 1), [v]]))
-                end.append(np.arange(xs[-1].size) % (xs[-1].size - 1) == 0)
-    return np.concatenate(xs), np.concatenate(end)
 
 
 # -- Monte Carlo oracle ----------------------------------------------------------

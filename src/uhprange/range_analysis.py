@@ -21,8 +21,8 @@ from . import _quad
 from ._roots import Branch, solve_tables
 from .cauchy import cauchy_transform
 from .clark import clark_singular_masses
-from .errors import OrbitBreakError, PreconditionError
-from .herglotz import PhiFunction, require_contraction
+from .errors import OrbitBreakError, PreconditionError, UnsupportedStructureError
+from .herglotz import PULLBACK_ROOTS as SIMILARITY_ROOTS, PhiFunction, require_contraction
 from .levelset import disk_measures, preimage_interval_measure, row_measure, tail_measures
 from .measures import RealMeasure
 
@@ -50,13 +50,6 @@ _BOOLE_LEVELS = (0.5, 1.0, 2.0, 10.0)
 
 #: Absolute tolerance of the closure of an orbit product's tail.
 _ORBIT_TAIL_TOL = 1e-12
-
-#: Most branch roots, distinct ends times branch tables, that one pullback
-#: of similarity_lower_bound may solve; a power past it is not pulled.  The
-#: table grows as the branch count to the power: on the default grid,
-#: power 4 of five evenly spaced atoms solves 6.3e6 roots (290 MB peak
-#: RSS), and its power 5 would solve 3.8e7.
-SIMILARITY_ROOTS = 2 ** 23
 
 
 # -- grids ---------------------------------------------------------------------
@@ -641,18 +634,18 @@ def similarity_lower_bound(phi: PhiFunction, N: int = 6,
     interval it came from.  A power whose root table would hold more than
     SIMILARITY_ROOTS roots is not pulled: the powers stop before it."""
     require_contraction(phi)
+    phi._require_branches()
     if int(N) < 1:
         raise PreconditionError(f"composition depth must be at least 1, not {N}")
     grid = grid or default_grid(phi)
     a, b = _grid_intervals(grid)
     lengths = np.asarray(grid.lengths)[:, None]
-    powers, values, stop = phi.pullbacks(a, b, SIMILARITY_ROOTS), [], None
+    powers, values, stop = phi.pullbacks(a, b), [], None
     while len(values) < int(N):
         try:
             rows = next(powers)
-        except StopIteration as end:
-            stop = (f"power {len(values) + 1} would solve {end.value} branch roots, "
-                    f"over the budget of {SIMILARITY_ROOTS}")
+        except UnsupportedStructureError as over:  # a power past the root budget
+            stop = str(over)
             break
         values.append(_grid_min(row_measure(rows, a.shape) / lengths, grid).value)
     return SimilarityLowerBound(values=tuple(values), minimum=min(values),

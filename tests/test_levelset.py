@@ -142,6 +142,32 @@ def test_tail_sets_with_densities_match_a_grid_count(name):
     assert np.all(np.abs(tail_measures(G, ys) - counted) <= 8.0 * dx)
 
 
+def test_tail_sets_resolve_a_narrow_density_bump():
+    """A bump 1e-3 wide on the density 1 of (0, 1) holds a lower tail
+    8.5e-3 wide at y = 20, between two crossings 8.5e-3 apart that a scan
+    of Re G on a fixed grid missed (it read 5.3e-9, the strips beside
+    x = 1 alone).  The tail is within 1e-9 of the four roots of
+    Re G + 20, bisected on brackets found by sampling (0.29, 0.32) and on
+    both sides of x = 1."""
+    mu = RealMeasure(ac_pieces=(AcPiece(
+        0.0, 1.0, lambda t: 1.0 + 100.0 * np.exp(-((t - 0.3) / 1e-3) ** 2)),))
+    G = cauchy_transform(mu)
+    xs = np.linspace(0.29, 0.32, 3001)
+    change = np.flatnonzero(np.diff(np.sign(G.boundary_re(xs) + 20.0)))
+    assert change.size == 2
+    lo = np.concatenate([xs[change], [1.0 - 1e-6, 1.0 + 1e-12]])
+    hi = np.concatenate([xs[change + 1], [1.0 - 1e-12, 1.0 + 1e-6]])
+    below = G.boundary_re(lo) < -20.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = (G.boundary_re(mid) < -20.0) == below
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    x = 0.5 * (lo + hi)
+    exact = (x[1] - x[0]) + (x[3] - x[2])
+    assert abs(exact - 8.5188e-3) < 1e-7
+    assert abs(tail_measures(G, [20.0])[0, 1] - exact) <= 1e-9
+
+
 def test_boole_random_atoms_and_cantor():
     rng = np.random.default_rng(2)
     for _ in range(5):

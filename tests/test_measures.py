@@ -263,23 +263,22 @@ def _uniform_exact(kernel, z):
 
 
 def _poisson_exact(a, b):
-    """Closed forms on the density 1/(1+t^2) over (a, b), b finite: by
-    partial fractions, int dt/((1+t^2)(t-z)) = F(b) - F(a) with
-    F(t) = [log(t-z) - log(1+t^2)/2 - z atan(t)] / (1+z^2)."""
+    """Closed forms on the density 1/(1+t^2) over (a, b), one end possibly
+    infinite: by partial fractions, int dt/((1+t^2)(t-z)) = F(b) - F(a)
+    with F(t) = [log(t-z) - log(1+t^2)/2 - z atan(t)] / (1+z^2)."""
     def exact(kernel, z):
         def F(t):
+            if t == math.inf:  # log(t-z) - log|t| -> 0
+                return -z * (0.5 * math.pi)
+            if t == -math.inf:  # log(t-z) - log|t| -> -i pi above the axis, +i pi on it
+                return np.where(z.imag > 0, -1j * math.pi, 1j * math.pi) + z * (0.5 * math.pi)
             return np.log(t - z) - 0.5 * math.log(1.0 + t * t) - z * math.atan(t)
-        if math.isinf(a):  # log(t-z) - log|t| -> -i pi above the axis, +i pi on it
-            Fa = np.where(z.imag > 0, -1j * math.pi, 1j * math.pi) + z * (0.5 * math.pi)
-        else:
-            Fa = F(a)
-        cauchy = (F(b) - Fa) / (1.0 + z * z)
+        cauchy = (F(b) - F(a)) / (1.0 + z * z)
         if kernel is cauchy_kernel:
             return cauchy
         if kernel is _kernel:  # (1+tz)/(t-z) = z + (1+z^2)/(t-z)
-            mass = math.atan(b) - (-0.5 * math.pi if math.isinf(a) else math.atan(a))
-            return z * mass + (1.0 + z * z) * cauchy
-        return (0.0 if math.isinf(a) else 1.0 / (a - z)) - 1.0 / (b - z)
+            return z * (math.atan(b) - math.atan(a)) + (1.0 + z * z) * cauchy
+        return (0.0 if math.isinf(a) else 1.0 / (a - z)) - (0.0 if math.isinf(b) else 1.0 / (b - z))
     return exact
 
 
@@ -412,7 +411,13 @@ _NAMED = {
     "arcsine": (RealMeasure.arcsine(-1.0, 1.0), _arcsine_exact),
     "poisson": (RealMeasure.poisson(-1.0, 2.0), _poisson_exact(-1.0, 2.0)),
     "halfline": (RealMeasure.poisson(-math.inf, -1.0), _poisson_exact(-math.inf, -1.0)),
+    "right_halfline": (RealMeasure.poisson(1.0, math.inf), _poisson_exact(1.0, math.inf)),
+    "line": (RealMeasure.poisson(-math.inf, math.inf), _poisson_exact(-math.inf, math.inf)),
 }
+
+#: The ends of the poisson pieces of _NAMED.
+_POISSON_ENDS = {"poisson": (-1.0, 2.0), "halfline": (-math.inf, -1.0),
+                 "right_halfline": (1.0, math.inf), "line": (-math.inf, math.inf)}
 
 
 def _oracle_scale(name, kernel, z):
@@ -421,14 +426,16 @@ def _oracle_scale(name, kernel, z):
     where the oracle cancels: the logarithms of the uniform and poisson
     oracles far away, and the poisson one divided by 1 + z^2 near +-i."""
     az, q = np.abs(z), np.abs(1.0 + z * z)
-    if name in ("poisson", "halfline"):
-        a, b = (-1.0, 2.0) if name == "poisson" else (-math.inf, -1.0)
+    if name in _POISSON_ENDS:
+        a, b = _POISSON_ENDS[name]
         if kernel is _kernel_derivative:
-            return (0.0 if math.isinf(a) else 1.0 / np.abs(a - z)) + 1.0 / np.abs(b - z)
+            return sum(0.0 if math.isinf(e) else 1.0 / np.abs(e - z) for e in (a, b))
 
         def size(t):
+            if math.isinf(t):
+                return math.pi * (1.0 + 0.5 * az)
             return 1.0 + np.abs(np.log(t - z)) + 0.5 * math.log1p(t * t) + az * abs(math.atan(t))
-        num = size(b) + (math.pi * (1.0 + 0.5 * az) if math.isinf(a) else size(a))
+        num = size(b) + size(a)
         if kernel is cauchy_kernel:
             return (num + np.abs(_NAMED[name][1](cauchy_kernel, z)) * (1.0 + az * az)) / q
         return az * _NAMED[name][0].total_mass() + num
@@ -458,7 +465,7 @@ def _named_points(name, piece):
                                              math.sin(angle * math.pi)))
     if math.isfinite(piece.left) and math.isfinite(piece.right):
         zs.append(piece.left + 0.3 * (piece.right - piece.left) + 1j * ds)
-    if name in ("poisson", "halfline"):
+    if name in _POISSON_ENDS:
         near = np.geomspace(1e-10, 0.5, 41)
         for angle in np.arange(8) * 0.25 * math.pi:
             zs += [1j + near * np.exp(1j * angle), -1j + near * np.exp(1j * angle)]
@@ -484,7 +491,7 @@ def test_closed_form_pieces_match_oracles(name):
     # that do not: near +-i the mean of the oracle on a circle of radius 0.3
     # (Cauchy's formula, 64 nodes), far from uniform(0, 1) the series
     # -sum_k 0.5 / ((k+1) z^(k+1)) of its moments.
-    if name in ("poisson", "halfline"):
+    if name in _POISSON_ENDS:
         z = zs[np.minimum(np.abs(zs - 1j), np.abs(zs + 1j)) <= 0.1]
         ref = exact(cauchy_kernel, z[:, None] + 0.3 * np.exp(2j * math.pi * np.arange(64) / 64)).mean(1)
     elif name == "uniform":
@@ -518,6 +525,10 @@ def test_cauchy_derivative_kernel_matches_cauchy_formula(name):
                      -2.5 + 0j, 4.0 + 0j, 25.0 + 0j])
     if name == "halfline":
         zs = zs[(zs.imag != 0) | (zs.real > -0.5)]
+    if name == "right_halfline":
+        zs = zs[(zs.imag != 0) | (zs.real < 0.5)]
+    if name == "line":
+        zs = zs[zs.imag != 0]
     if name == "atoms":
         zs = zs[(zs.imag != 0) | (zs.real > 2.5)]
     node = 0.2 * np.exp(2j * math.pi * np.arange(64) / 64)

@@ -1,11 +1,12 @@
 import math
+import time
 from itertools import islice
 
 import numpy as np
 import pytest
 
 from uhprange import (NevanlinnaData, PreconditionError, QueryGrid, RealMeasure,
-                      backward_orbit, constant_B, constant_C, contraction_check,
+                      UnsupportedStructureError, backward_orbit, constant_B, constant_C, contraction_check,
                       phi_from_catalog, phi_from_nevanlinna, phi_identity,
                       phi_translation, similarity_certificate,
                       similarity_lower_bound)
@@ -253,3 +254,23 @@ def test_lower_bound_stops_at_the_root_budget():
     ref = [_grid_min(row_measure(rows, a.shape) / np.asarray(grid.lengths)[:, None], grid).value
            for rows in islice(phi.pullbacks(a, b), 4)]
     assert lb.values == tuple(ref) and lb.max_depth == 4 and lb.stop_reason is None
+
+
+def test_iterate_stops_at_the_root_budget():
+    """Every pullback power has one root budget: 300 atoms have 301
+    branches, power 1 of their ends is 90,601 rows, and the next table
+    would hold 27,271,202 roots.  phi.iterate(3) raises naming it instead
+    of solving it, phi.iterate(2) still builds, and its pullback of the
+    base's branch ends raises the same way."""
+    atoms = [(float(p), 1.0 / 300.0) for p in np.linspace(-3.0, 3.0, 300)]
+    phi = phi_from_nevanlinna(NevanlinnaData(1.0, 1.0, RealMeasure.from_atoms(atoms)))
+    message = f"power 2 would solve 27271202 branch roots, over the budget of {SIMILARITY_ROOTS}"
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedStructureError, match=message):
+        phi.iterate(3)
+    assert time.perf_counter() - start < 5.0
+    twice = phi.iterate(2)
+    assert len(twice.real_branches) == 90601
+    ends = np.asarray([(b.left, b.right) for b in phi.real_branches]).T
+    with pytest.raises(UnsupportedStructureError, match=message):
+        twice.pullback(*ends)
